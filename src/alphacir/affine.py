@@ -42,19 +42,23 @@ class OdeCurve:
         out = self._sol(np.clip(t, 0.0, self.grid[-1]))[0]
         return float(out) if out.ndim == 0 else out
 
-    def _gauss_piece(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
+    def _gauss_pieces(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """int_lo^hi v by 12-point Gauss, piece by piece (hi >= lo).  The
+        curve is evaluated once at every node; each piece is then reduced
+        with np.dot so that it rounds exactly as a single piece would."""
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return half * float(np.dot(_GAUSS_W, self(mid + half * _GAUSS_X)))
+        nodes = mid[:, None] + half[:, None] * _GAUSS_X
+        vals = self(nodes.ravel()).reshape(nodes.shape)
+        return half * np.array([np.dot(_GAUSS_W, row) for row in vals])
 
-    def integral(self, t: float) -> float:
-        """int_0^t v(s) ds by composite Gauss on the solver's own steps."""
-        if t <= 0.0:
-            return 0.0
-        t = min(t, self.grid[-1])
-        i = int(np.searchsorted(self.grid, t, side="right")) - 1
-        return float(self._cum[i] + self._gauss_piece(self.grid[i], t))
+    def integral(self, t):
+        """int_0^t v(s) ds by composite Gauss on the solver's own steps; t
+        may be an array, the result then has its shape."""
+        ts = np.asarray(t, dtype=float)
+        flat = np.clip(ts.ravel(), 0.0, self.grid[-1])
+        i = np.searchsorted(self.grid, flat, side="right") - 1
+        out = self._cum[i] + self._gauss_pieces(self.grid[i], flat)
+        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
     def to_csv(self, path) -> None:
         arr = np.column_stack([self.grid, self.values])
@@ -78,10 +82,8 @@ def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
         raise RuntimeError(f"Riccati flow failed: {sol.message}")
     curve = OdeCurve(grid=sol.t, values=sol.y[0], xi=xi, theta=theta,
                      params=params, spec=spec, _sol=sol.sol)
-    cum = np.zeros(len(sol.t))
-    for i in range(1, len(sol.t)):
-        cum[i] = cum[i - 1] + curve._gauss_piece(sol.t[i - 1], sol.t[i])
-    curve._cum = cum
+    pieces = curve._gauss_pieces(sol.t[:-1], sol.t[1:])
+    curve._cum = np.concatenate(([0.0], np.cumsum(pieces)))
     return curve
 
 

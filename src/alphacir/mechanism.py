@@ -12,7 +12,9 @@ compensator kept as extra drift) and exponentially tempered with rate theta.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -152,26 +154,43 @@ def truncated_level(params: ModelParams, y: float) -> float:
     return params.a * params.b / truncated_drift(params, y)
 
 
-def psi(q: float, params: ModelParams, spec: JumpSpec = JumpSpec.full()) -> float:
-    """Branching mechanism Psi(q) for q >= 0 in the requested variant."""
-    if q < 0.0:
-        raise ValueError("q must be nonnegative")
-    if q == 0.0:
-        return 0.0
+def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x**p elementwise through libm pow, as a scalar float ** computes it.
+    NumPy's SIMD power may differ by one ulp, which the Stehfest inversion
+    of the put amplifies past 1e-9 (see the derivatives module)."""
+    flat = map(math.pow, x.ravel().tolist(), itertools.repeat(p))
+    return np.fromiter(flat, dtype=float, count=x.size).reshape(x.shape)
+
+
+def psi(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
+    """Branching mechanism Psi(q) for q >= 0 in the requested variant.
+
+    q may be a NumPy array (full, tempered and diffusion mechanisms); the
+    result then has its shape and equals the scalar value element for
+    element."""
+    if isinstance(q, np.ndarray):
+        if np.any(q < 0.0):
+            raise ValueError("q must be nonnegative")
+        power = _libm_pow
+    else:
+        if q < 0.0:
+            raise ValueError("q must be nonnegative")
+        if q == 0.0:
+            return 0.0
+        power = pow
     a, s, sz, alpha = params.a, params.sigma, params.sigma_z, params.alpha
     if params.is_diffusion:
         return a * q + 0.5 * params.sigma_eff ** 2 * q * q
     cos_a = np.cos(np.pi * alpha / 2.0)
-    if spec.variant == FULL:
-        return a * q + 0.5 * s * s * q * q - (sz * q) ** alpha / cos_a
+    th = spec.theta
+    if spec.variant == FULL or (spec.variant == TEMPERED and th == 0.0):
+        return a * q + 0.5 * s * s * q * q - power(sz * q, alpha) / cos_a
     if spec.variant == TRUNCATED:
+        if isinstance(q, np.ndarray):
+            raise TypeError("the truncated mechanism takes a scalar q")
         return (truncated_drift(params, spec.y) * q + 0.5 * s * s * q * q
                 + small_jump_compensated_integral(q, spec.y, alpha, sz))
-    # tempered
-    th = spec.theta
-    if th == 0.0:
-        return a * q + 0.5 * s * s * q * q - (sz * q) ** alpha / cos_a
-    jump = -((sz * q + th) ** alpha - th ** alpha
+    jump = -(power(sz * q + th, alpha) - th ** alpha
              - alpha * th ** (alpha - 1.0) * sz * q) / cos_a
     return a * q + 0.5 * s * s * q * q + jump
 

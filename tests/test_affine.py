@@ -55,6 +55,18 @@ def test_curve_integral_matches_trapezoid(bond_params):
                                                 rel=1e-8)
 
 
+def test_curve_integral_of_array_equals_scalar_loop(bond_params):
+    curve = solve_v(0.0, 1.0, 30.0, bond_params(alpha=1.5))
+    ts = np.concatenate(([-1.0, 0.0], np.linspace(0.0, 40.0, 1001),
+                         curve.grid))
+    scalar = np.array([curve.integral(float(t)) for t in ts])
+    assert np.array_equal(curve.integral(ts), scalar)
+    assert np.array_equal(curve.integral(ts[:1000].reshape(20, 50)),
+                          scalar[:1000].reshape(20, 50))
+    assert isinstance(curve.integral(2.0), float)
+    assert curve.integral(0.0) == 0.0 and curve.integral(-1.0) == 0.0
+
+
 def test_joint_laplace_at_time_zero(bond_params):
     p = bond_params(alpha=1.2)
     assert joint_laplace(0.3, 0.0, 2.0, 1.0, p) == pytest.approx(

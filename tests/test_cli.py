@@ -44,6 +44,14 @@ def test_validation_error_exit_code(tmp_path, monkeypatch):
     assert run(["bond", "--tmax", "-1"]) == 2
 
 
+def test_put_price_non_finite_strike_exits_two(tmp_path, monkeypatch):
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["put-price", "--strike", "nan", "--maturity", "1"]) == 2
+    assert run(["put-laplace", "--theta", "inf", "--strike", "0.04"]) == 2
+    for path in tmp_path.iterdir():
+        assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
+
+
 def test_unknown_subcommand_exits_two(tmp_path, monkeypatch):
     _in_tmp(tmp_path, monkeypatch)
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from alphacir.affine import solve_v
 from alphacir.derivatives import (
+    PutSpec,
     bond_transform_M,
     effective_strike,
     gaver_stehfest,
@@ -17,6 +18,8 @@ from alphacir.mechanism import root_psi_equals_one
 
 KAPPA = 1.0
 STRIKE = 0.039941  # makes the effective strike ~0.03 at the bond fixture
+# criterion-9 fixture put (alpha = 1.5, T = 1, 14 Stehfest terms)
+FIXTURE_PUT = 0.010466419185062768
 
 
 def test_gaver_stehfest_weights_sum_to_zero():
@@ -25,6 +28,13 @@ def test_gaver_stehfest_weights_sum_to_zero():
         w = [float(x) for x in gaver_stehfest_weights(n)]
         scale = max(abs(x) for x in w)
         assert abs(sum(w)) < 1e-12 * scale
+
+
+def test_gaver_stehfest_weights_are_a_shared_tuple():
+    w = gaver_stehfest_weights(14)
+    assert isinstance(w, tuple) and len(w) == 14
+    assert gaver_stehfest_weights(14) is w
+    assert gaver_stehfest_weights(14, dps=60) is not w
 
 
 def test_gaver_stehfest_recovers_exponential():
@@ -126,3 +136,37 @@ def test_put_price_inversion_is_stable(bond_params):
                             with_diagnostics=True)
     assert 0.0 < price < diag["kbar"]
     assert diag["stability_gap"] < 1e-4
+
+
+def test_put_price_fixture_value(bond_params):
+    # the 14-term Stehfest sum amplifies one-ulp noise in Psi to ~4e-9, so
+    # this pins the rounding of the whole transform pipeline
+    p = bond_params(alpha=1.5)
+    price, diag = put_price(1.0, KAPPA, STRIKE, p.r0, p, with_diagnostics=True)
+    assert price == pytest.approx(FIXTURE_PUT, rel=1e-9)
+    assert diag["transform_evals"] == 14
+
+
+def test_put_price_evaluates_each_abscissa_once(bond_params):
+    # the n - 2 stability check reuses the n-term abscissae k <= n - 2
+    p = bond_params(alpha=1.5)
+    _, diag = put_price(0.5, KAPPA, 0.035, p.r0, p, n_terms=8,
+                        with_diagnostics=True)
+    assert diag["transform_evals"] == 8
+
+
+@pytest.mark.parametrize("field", ["T", "kappa", "K", "theta", "r0"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_put_rejects_non_finite_input(bond_params, field, bad):
+    p = bond_params(alpha=1.5)
+    args = {"T": 1.0, "kappa": KAPPA, "K": STRIKE, "theta": 1.0, "r0": p.r0}
+    args[field] = bad
+    if field != "T":
+        with pytest.raises(ValueError, match="finite"):
+            put_laplace(args["theta"], args["kappa"], args["K"], args["r0"], p)
+    if field != "theta":
+        with pytest.raises(ValueError, match="finite"):
+            put_price(args["T"], args["kappa"], args["K"], args["r0"], p)
+        with pytest.raises(ValueError, match="finite"):
+            PutSpec(kappa=args["kappa"], strike=args["K"],
+                    maturity=args["T"], r0=args["r0"])

@@ -53,6 +53,35 @@ def test_alpha_two_mechanism_is_quadratic(bond_params):
                                           rel=1e-12)
 
 
+# array psi must round exactly as the scalar path (libm pow): NumPy's SIMD
+# power differs by one ulp on a few percent of points, which the Stehfest
+# inversion of the put amplifies past 1e-9
+Q_GRID = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 1000)))
+
+
+@pytest.mark.parametrize("alpha, spec, overrides", [
+    (1.5, JumpSpec.full(), {}),
+    (1.2, JumpSpec.tempered(0.7), {}),
+    (1.8, JumpSpec.tempered(0.0), {}),
+    (2.0, JumpSpec.full(), {}),
+    (1.5, JumpSpec.full(), {"sigma_z": 0.0}),
+])
+def test_array_psi_equals_scalar_psi(bond_params, alpha, spec, overrides):
+    p = bond_params(alpha=alpha, **overrides)
+    scalar = np.array([psi(float(q), p, spec) for q in Q_GRID])
+    assert np.array_equal(psi(Q_GRID, p, spec), scalar)
+    grid = Q_GRID[1:].reshape(4, -1)
+    assert np.array_equal(psi(grid, p, spec), scalar[1:].reshape(4, -1))
+
+
+def test_array_psi_rejects_negative_and_truncated(bond_params):
+    p = bond_params(alpha=1.5)
+    with pytest.raises(ValueError):
+        psi(np.array([1.0, -1.0]), p)
+    with pytest.raises(TypeError):
+        psi(Q_GRID, p, JumpSpec.truncated(1.0))
+
+
 @given(param_draws, st.floats(min_value=0.01, max_value=10.0),
        st.floats(min_value=0.05, max_value=2.0))
 @settings(max_examples=50)
