@@ -8,6 +8,12 @@ Laplace exponents are built from
 
 with variants: truncated at a z-space threshold y (big jumps removed, their
 compensator kept as extra drift) and exponentially tempered with rate theta.
+Every variant has a closed form; the truncated one is
+
+    Psi_trunc(q) = Psi(q) + nu(y) - K (sigma_z q)^alpha Gamma(-alpha, sigma_z q y)
+
+(see the stable module for how it is evaluated).  psi and psi_prime take a
+scalar or a NumPy array.
 """
 
 from __future__ import annotations
@@ -19,12 +25,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .stable import (
+    _check_alpha,
+    _scaled_upper_gammas,
     big_jump_mass,
     big_jump_mean,
+    levy_density_coefficient,
     small_jump_compensated_integral,
-    _check_alpha,
 )
 
 FULL = "full"
@@ -52,6 +61,9 @@ class ModelParams:
     r0: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.sigma, self.sigma_z,
+                                       self.alpha, self.r0))):
+            raise ValueError("model parameters must be finite")
         if self.a <= 0.0:
             raise ValueError("mean-reversion speed a must be > 0")
         if self.b < 0.0 or self.sigma < 0.0 or self.sigma_z < 0.0 or self.r0 < 0.0:
@@ -101,6 +113,8 @@ class JumpSpec:
     def __post_init__(self):
         if self.variant not in (FULL, TRUNCATED, TEMPERED):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if any(v is not None and not math.isfinite(v) for v in (self.y, self.theta)):
+            raise ValueError("jump spec y and theta must be finite")
         if self.variant == TRUNCATED and (self.y is None or self.y <= 0.0):
             raise ValueError("truncated variant needs y > 0")
         if self.variant == TEMPERED and (self.theta is None or self.theta < 0.0):
@@ -139,7 +153,6 @@ class MechanismReport:
     l_star_y solves nu(y) = Psi_trunc(q) for the truncated mechanism."""
 
     x0: float
-    v_star: float
     l_star_y: Optional[float] = None
 
 
@@ -165,9 +178,8 @@ def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
 def psi(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     """Branching mechanism Psi(q) for q >= 0 in the requested variant.
 
-    q may be a NumPy array (full, tempered and diffusion mechanisms); the
-    result then has its shape and equals the scalar value element for
-    element."""
+    q may be a NumPy array; the result then has its shape and equals the
+    scalar value element for element."""
     if isinstance(q, np.ndarray):
         if np.any(q < 0.0):
             raise ValueError("q must be nonnegative")
@@ -186,8 +198,6 @@ def psi(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     if spec.variant == FULL or (spec.variant == TEMPERED and th == 0.0):
         return a * q + 0.5 * s * s * q * q - power(sz * q, alpha) / cos_a
     if spec.variant == TRUNCATED:
-        if isinstance(q, np.ndarray):
-            raise TypeError("the truncated mechanism takes a scalar q")
         return (truncated_drift(params, spec.y) * q + 0.5 * s * s * q * q
                 + small_jump_compensated_integral(q, spec.y, alpha, sz))
     jump = -(power(sz * q + th, alpha) - th ** alpha
@@ -195,24 +205,28 @@ def psi(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     return a * q + 0.5 * s * s * q * q + jump
 
 
-def psi_prime(q: float, params: ModelParams, spec: JumpSpec = JumpSpec.full(),
-              h: float = 1e-7) -> float:
-    """dPsi/dq; closed form where available, central difference for the
-    truncated variant (its small-jump integral has no elementary form)."""
+def psi_prime(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
+    """dPsi/dq for q >= 0 in closed form; q may be a NumPy array, as in psi.
+
+    Removing the jumps above y adds sigma_z K (sigma_z q)^(alpha-1)
+    Gamma(1-alpha, sigma_z q y) to the full derivative."""
+    power = _libm_pow if isinstance(q, np.ndarray) else pow
     a, s, sz, alpha = params.a, params.sigma, params.sigma_z, params.alpha
     if params.is_diffusion:
         return a + params.sigma_eff ** 2 * q
     cos_a = np.cos(np.pi * alpha / 2.0)
-    if spec.variant == FULL or (spec.variant == TEMPERED and spec.theta == 0.0):
-        return a + s * s * q - alpha * sz ** alpha * q ** (alpha - 1.0) / cos_a
-    if spec.variant == TEMPERED:
-        th = spec.theta
+    th = spec.theta
+    if spec.variant == TEMPERED and th > 0.0:
         return (a + s * s * q
-                - (alpha * sz * (sz * q + th) ** (alpha - 1.0)
+                - (alpha * sz * power(sz * q + th, alpha - 1.0)
                    - alpha * th ** (alpha - 1.0) * sz) / cos_a)
-    step = h * max(1.0, q)
-    lo = max(q - step, 0.0)
-    return (psi(q + step, params, spec) - psi(lo, params, spec)) / (q + step - lo)
+    full = a + s * s * q - alpha * sz ** alpha * power(q, alpha - 1.0) / cos_a
+    if spec.variant == TRUNCATED:
+        y = spec.y
+        # a scalar q goes through the same NumPy loops as an array element
+        _, g1 = _scaled_upper_gammas(alpha, np.asarray(q * sz * y, dtype=float))
+        return full + sz * levy_density_coefficient(alpha) * y ** (1.0 - alpha) * g1
+    return full
 
 
 def phi(q: float, params: ModelParams) -> float:
@@ -222,70 +236,39 @@ def phi(q: float, params: ModelParams) -> float:
     return params.a * params.b * q
 
 
-def _bracket_and_bisect(f, q_max: float = 1e12) -> float:
-    """Root of a decreasing f with f(0) > 0: bracket by doubling from q = 1
-    until sign change, then 80 bisections.  Callers Newton-polish the result."""
+def _root(f) -> float:
+    """Root of an increasing f with f(0) < 0: bracket by doubling from q = 1
+    until f changes sign, then Brent's method to a few ulp."""
     lo, hi = 0.0, 1.0
-    while f(hi) > 0.0:
+    while f(hi) < 0.0:
         lo, hi = hi, hi * 2.0
-        if hi > q_max:
+        if hi > 1e12:
             raise ValueError("root bracketing exceeded bound; pathological parameters")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def root_psi_equals_one(params: ModelParams,
                         spec: JumpSpec = JumpSpec.full()) -> float:
     """x0 = q1 with Psi(x0) = 1; unique since Psi is convex increasing with
     Psi(0) = 0 and unbounded."""
-    x = _bracket_and_bisect(lambda q: 1.0 - psi(q, params, spec))
-    # Newton polish on g(q) = Psi(q) - 1
-    for _ in range(6):
-        g = psi(x, params, spec) - 1.0
-        gp = psi_prime(x, params, spec)
-        if gp <= 0.0:
-            break
-        x_new = x - g / gp
-        if x_new <= 0.0 or abs(x_new - x) < 1e-16 * max(1.0, x):
-            x = max(x_new, 1e-300)
-            break
-        x = x_new
-    return x
+    return _root(lambda q: psi(q, params, spec) - 1.0)
 
 
 def fixed_point_truncated(params: ModelParams, y: float) -> float:
-    """l*_y with F(l*) = 0 where F(q) = nu(y) - Psi_trunc(q); F > 0 below the
-    root and F < 0 above it."""
+    """l*_y with Psi_trunc(l*) = nu(y); Psi_trunc - nu is negative below the
+    root and positive above it."""
     _check_alpha(params.alpha, allow_two=False)
     if params.sigma_z <= 0.0:
         raise ValueError("fixed point needs a jump component (sigma_z > 0)")
     spec = JumpSpec.truncated(y)
     nu = big_jump_mass(params.alpha, y)
-    x = _bracket_and_bisect(lambda q: nu - psi(q, params, spec))
-    for _ in range(6):
-        g = psi(x, params, spec) - nu
-        gp = psi_prime(x, params, spec)
-        if gp <= 0.0:
-            break
-        x_new = x - g / gp
-        if x_new <= 0.0:
-            break
-        if abs(x_new - x) < 1e-15 * max(1.0, x):
-            x = x_new
-            break
-        x = x_new
-    return x
+    return _root(lambda q: psi(q, params, spec) - nu)
 
 
 def mechanism_report(params: ModelParams, y: Optional[float] = None) -> MechanismReport:
     x0 = root_psi_equals_one(params)
     lstar = fixed_point_truncated(params, y) if y is not None else None
-    return MechanismReport(x0=x0, v_star=x0, l_star_y=lstar)
+    return MechanismReport(x0=x0, l_star_y=lstar)
 
 
 INACCESSIBLE = "inaccessible"

@@ -1,5 +1,7 @@
 """End-to-end acceptance suite: every numbered criterion prints one
-pass/fail line (also echoed in the terminal summary) and asserts it.
+pass/fail line per test (also echoed in the terminal summary) and asserts
+it.  Criteria 5 and 6 bundle several claims; each claim is its own test,
+so a failure of one cannot hide behind another.
 
 The Monte Carlo criteria share module-scoped simulations where possible.
 Two sub-claims fail by design of the model itself, not by implementation
@@ -165,56 +167,84 @@ def survival_tables():
     return ts, out
 
 
-def test_criterion_05_survival_two_routes(survival_tables):
+def test_criterion_05_survival_identity(survival_tables):
     ts, tables = survival_tables
-    id_worst, z_worst = 0.0, 0.0
-    for alpha, (p, analytic, ests) in tables.items():
-        for t, s1, est in zip(ts, analytic, ests):
+    id_worst = 0.0
+    for p, analytic, _ in tables.values():
+        for t, s1 in zip(ts, analytic):
             s2 = survival_tau_via_rhat(Y_BAR, t, p)
             id_worst = max(id_worst, abs(s1 - s2))
-            z_worst = max(z_worst, abs(est.value - s1) / est.std_error)
     ident_ok = id_worst <= 1e-6
+    record_criterion(5, ident_ok, f"two-route identity max {id_worst:.1e} "
+                                  f"({'ok' if ident_ok else 'FAIL'})")
+    assert ident_ok
+
+
+def test_criterion_05_survival_mc_concordance(survival_tables):
+    _, tables = survival_tables
+    z_worst = 0.0
+    for _, analytic, ests in tables.values():
+        for s1, est in zip(analytic, ests):
+            z_worst = max(z_worst, abs(est.value - s1) / est.std_error)
     mc_ok = z_worst <= 3.0
+    record_criterion(5, mc_ok, f"mc max z {z_worst:.2f} "
+                               f"({'ok' if mc_ok else 'FAIL'})")
+    assert mc_ok
+
+
+def test_criterion_05_survival_alpha_ordering(survival_tables):
     # ordering claim: smaller alpha decays faster at every t
+    _, tables = survival_tables
     s = {a: tables[a][1] for a in tables}
     order_ok = bool(np.all(s[1.2] <= s[1.5]) and np.all(s[1.5] <= s[1.9]))
-    ok = ident_ok and mc_ok and order_ok
     record_criterion(
-        5, ok,
-        f"two-route identity max {id_worst:.1e} ({'ok' if ident_ok else 'FAIL'}), "
-        f"mc max z {z_worst:.2f} ({'ok' if mc_ok else 'FAIL'}), "
+        5, order_ok,
         f"alpha ordering {'ok' if order_ok else 'FAIL: curves cross near t=4, '}"
         + ("" if order_ok else
            f"s(1.2,5)={s[1.2][4]:.4f} > s(1.5,5)={s[1.5][4]:.4f}"))
-    assert ok
+    assert order_ok
 
 
 # --------------------------------------------------------------- criterion 6
 
 
-def test_criterion_06_expected_first_jump_time():
+@pytest.fixture(scope="module")
+def expected_tau_table():
+    return {alpha: expected_tau(Y_BAR, jump_p(alpha))
+            for alpha in (1.2, 1.4, 1.5, 1.6, 1.8)}
+
+
+def test_criterion_06_dual_routes(expected_tau_table):
     dual_worst = 0.0
     for alpha in (1.2, 1.5, 1.8):
-        est = expected_tau(Y_BAR, jump_p(alpha))
+        est = expected_tau_table[alpha]
         dual_worst = max(dual_worst,
                          abs(est.survival_route / est.density_route - 1.0))
     dual_ok = dual_worst <= 1e-4
+    record_criterion(6, dual_ok, f"dual routes {dual_worst:.1e} "
+                                 f"({'ok' if dual_ok else 'FAIL'})")
+    assert dual_ok
+
+
+def test_criterion_06_mc_concordance(expected_tau_table):
     p = jump_p(1.5)
-    analytic = expected_tau(Y_BAR, p).value
+    analytic = expected_tau_table[1.5].value
     mc = mc_expected_tau(p, Y_BAR, n_paths=10_000, dt=0.01, seed=606)
     z = abs(mc.value - analytic) / mc.std_error
     mc_ok = z <= 3.0
-    grid = [expected_tau(Y_BAR, jump_p(a)).value
-            for a in (1.2, 1.4, 1.6, 1.8)]
+    record_criterion(6, mc_ok, f"mc z={z:.2f} ({'ok' if mc_ok else 'FAIL'})")
+    assert mc_ok
+
+
+def test_criterion_06_monotone_in_alpha(expected_tau_table):
+    grid = [expected_tau_table[a].value for a in (1.2, 1.4, 1.6, 1.8)]
     mono_ok = bool(np.all(np.diff(grid) > 0.0))
-    ok = dual_ok and mc_ok and mono_ok
     record_criterion(
-        6, ok,
-        f"dual routes {dual_worst:.1e} ({'ok' if dual_ok else 'FAIL'}), "
-        f"mc z={z:.2f} ({'ok' if mc_ok else 'FAIL'}), monotone in alpha "
+        6, mono_ok,
+        "monotone in alpha "
         + ("ok" if mono_ok else "FAIL: U-shaped, E[tau]="
            + "/".join(f"{v:.1f}" for v in grid) + " at alpha 1.2/1.4/1.6/1.8"))
-    assert ok
+    assert mono_ok
 
 
 # --------------------------------------------------------------- criterion 7

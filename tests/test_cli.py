@@ -44,10 +44,23 @@ def test_validation_error_exit_code(tmp_path, monkeypatch):
     assert run(["bond", "--tmax", "-1"]) == 2
 
 
-def test_put_price_non_finite_strike_exits_two(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["put-price", "--strike", "nan", "--maturity", "1"],
+                 id="put-price-strike"),
+    pytest.param(["put-laplace", "--theta", "inf", "--strike", "0.04"],
+                 id="put-laplace-theta"),
+    pytest.param(["put-price", "--sigma-z", "nan", "--strike", "0.04",
+                  "--maturity", "1"], id="put-price-sigma-z"),
+    pytest.param(["bond", "--r0", "nan"], id="bond-r0"),
+    pytest.param(["bond", "--a", "nan"], id="bond-a"),
+    pytest.param(["jump-survival", "--tmax", "nan"], id="jump-survival-tmax"),
+    pytest.param(["jump-expectation", "--sigma-z", "nan"],
+                 id="jump-expectation-sigma-z"),
+    pytest.param(["jump-counter", "--p", "nan"], id="jump-counter-p"),
+])
+def test_non_finite_input_exits_two(tmp_path, monkeypatch, argv):
     _in_tmp(tmp_path, monkeypatch)
-    assert run(["put-price", "--strike", "nan", "--maturity", "1"]) == 2
-    assert run(["put-laplace", "--theta", "inf", "--strike", "0.04"]) == 2
+    assert run(argv) == 2
     for path in tmp_path.iterdir():
         assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
 

@@ -55,6 +55,39 @@ def test_survival_curve_monotone_and_bounded(jump_params):
     assert np.all((s >= 0.0) & (s <= 1.0))
 
 
+# accuracy fingerprint at JUMP_SET, alpha = 1.5: the values the benchmark
+# reference holds, pinned here so the unit suite guards them too
+def test_expected_tau_fingerprint(jump_params):
+    est = expected_tau(Y_BAR, jump_params(alpha=1.5))
+    assert est.value == pytest.approx(46.48148388822062, rel=1e-9)
+
+
+def test_survival_fingerprint(jump_params):
+    assert survival_tau(Y_BAR, 5.0, jump_params(alpha=1.5)) == pytest.approx(
+        0.7615298761120577, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_jump_laws_reject_non_finite_input(jump_params, bad):
+    p = jump_params(alpha=1.5)
+    calls = [
+        lambda: survival_curve(Y_BAR, [0.0, bad], p),
+        lambda: survival_curve(bad, [1.0], p),
+        lambda: survival_tau(Y_BAR, bad, p),
+        lambda: survival_tau(bad, 0.0, p),
+        lambda: survival_tau_via_rhat(Y_BAR, bad, p),
+        lambda: counter_laplace(bad, Y_BAR, 0.0, p),
+        lambda: counter_laplace(1.0, Y_BAR, bad, p),
+        lambda: counter_laplace(1.0, bad, 1.0, p),
+        lambda: expected_tau(bad, p),
+        lambda: lou_first_jump_cdf(Y_BAR, bad, p),
+        lambda: tail_asymptotics(bad, Y_BAR, p),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_expected_tau_routes_agree(jump_params):
     p = jump_params(alpha=1.5)
     est = expected_tau(Y_BAR, p)

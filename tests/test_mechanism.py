@@ -59,13 +59,19 @@ def test_alpha_two_mechanism_is_quadratic(bond_params):
 Q_GRID = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 1000)))
 
 
-@pytest.mark.parametrize("alpha, spec, overrides", [
+# the truncated cases put sigma_z q y on both sides of the series cut-off
+ARRAY_CASES = pytest.mark.parametrize("alpha, spec, overrides", [
     (1.5, JumpSpec.full(), {}),
     (1.2, JumpSpec.tempered(0.7), {}),
     (1.8, JumpSpec.tempered(0.0), {}),
     (2.0, JumpSpec.full(), {}),
     (1.5, JumpSpec.full(), {"sigma_z": 0.0}),
+    (1.5, JumpSpec.truncated(1.0), {}),
+    (1.9, JumpSpec.truncated(0.05), {}),
 ])
+
+
+@ARRAY_CASES
 def test_array_psi_equals_scalar_psi(bond_params, alpha, spec, overrides):
     p = bond_params(alpha=alpha, **overrides)
     scalar = np.array([psi(float(q), p, spec) for q in Q_GRID])
@@ -74,12 +80,22 @@ def test_array_psi_equals_scalar_psi(bond_params, alpha, spec, overrides):
     assert np.array_equal(psi(grid, p, spec), scalar[1:].reshape(4, -1))
 
 
-def test_array_psi_rejects_negative_and_truncated(bond_params):
+@ARRAY_CASES
+def test_array_psi_prime_equals_scalar_psi_prime(bond_params, alpha, spec,
+                                                 overrides):
+    p = bond_params(alpha=alpha, **overrides)
+    scalar = np.array([psi_prime(float(q), p, spec) for q in Q_GRID])
+    assert np.all(np.isfinite(scalar))
+    assert np.array_equal(psi_prime(Q_GRID, p, spec), scalar)
+    grid = Q_GRID[1:].reshape(4, -1)
+    assert np.array_equal(psi_prime(grid, p, spec), scalar[1:].reshape(4, -1))
+
+
+def test_array_psi_rejects_negative(bond_params):
     p = bond_params(alpha=1.5)
-    with pytest.raises(ValueError):
-        psi(np.array([1.0, -1.0]), p)
-    with pytest.raises(TypeError):
-        psi(Q_GRID, p, JumpSpec.truncated(1.0))
+    for spec in (JumpSpec.full(), JumpSpec.truncated(1.0)):
+        with pytest.raises(ValueError):
+            psi(np.array([1.0, -1.0]), p, spec)
 
 
 @given(param_draws, st.floats(min_value=0.01, max_value=10.0),
@@ -103,12 +119,14 @@ def test_truncated_drift_and_level(jump_params):
     assert truncated_level(p, y) == pytest.approx(p.a * p.b / a_t, rel=1e-12)
 
 
-@given(param_draws, st.floats(min_value=0.01, max_value=10.0))
+@given(param_draws, st.floats(min_value=0.01, max_value=10.0),
+       st.sampled_from([JumpSpec.full(), JumpSpec.truncated(0.5),
+                        JumpSpec.truncated(20.0), JumpSpec.tempered(0.3)]))
 @settings(max_examples=50)
-def test_psi_prime_matches_finite_difference(p, q):
+def test_psi_prime_matches_finite_difference(p, q, spec):
     h = 1e-6 * max(q, 1.0)
-    fd = (psi(q + h, p) - psi(q - h, p)) / (2.0 * h)
-    assert psi_prime(q, p) == pytest.approx(fd, rel=1e-4, abs=1e-8)
+    fd = (psi(q + h, p, spec) - psi(q - h, p, spec)) / (2.0 * h)
+    assert psi_prime(q, p, spec) == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def test_root_psi_equals_one(bond_params):
@@ -130,7 +148,6 @@ def test_fixed_point_truncated(jump_params):
 def test_mechanism_report_fields(jump_params):
     rep = mechanism_report(jump_params(alpha=1.5), y=1.0)
     assert rep.x0 > 0.0
-    assert rep.v_star == rep.x0
     assert rep.l_star_y > 0.0
 
 
@@ -155,6 +172,22 @@ def test_params_json_round_trip(bond_params):
     p = bond_params(alpha=1.5)
     doc = json.loads(json.dumps(p.to_json()))
     assert ModelParams.from_json(doc) == p
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["a", "b", "sigma", "sigma_z", "alpha", "r0"])
+def test_params_reject_non_finite(field, bad):
+    fields = dict(a=0.1, b=0.3, sigma=0.1, sigma_z=0.3, alpha=1.5, r0=0.05)
+    with pytest.raises(ValueError):
+        ModelParams(**{**fields, field: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_jump_spec_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        JumpSpec.truncated(bad)
+    with pytest.raises(ValueError):
+        JumpSpec.tempered(bad)
 
 
 def test_params_validation():

@@ -1,5 +1,4 @@
-import warnings
-
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +18,11 @@ from alphacir.stable import (
     tail_constant,
     truncated_second_moment,
 )
-from oracles import stable_laplace
+from oracles import (
+    big_jump_laplace_tail_quad,
+    compensated_small_jump_quad,
+    stable_laplace,
+)
 
 alphas = st.floats(min_value=1.05, max_value=1.95)
 thresholds = st.floats(min_value=0.05, max_value=5.0)
@@ -49,30 +52,55 @@ def test_tail_constant_consistent_with_density_coefficient():
        st.floats(min_value=0.05, max_value=2.0))
 @settings(max_examples=40)
 def test_compensated_small_jump_integral_matches_quadrature(alpha, q, y):
-    def integrand(z):
-        return (np.expm1(-q * z) + q * z) * levy_density(z, alpha)
-
-    # analytic head below the cut keeps the reference quad away from the
-    # z^{1-alpha} endpoint
-    cut = min(1e-8, y / 2)
-    K = levy_density_coefficient(alpha)
-    head = K * q * q * cut ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        body, _ = quad(lambda u: integrand(np.exp(u)) * np.exp(u),
-                       np.log(cut), np.log(y), epsabs=1e-15, epsrel=1e-12,
-                       limit=400)
     ours = small_jump_compensated_integral(q, y, alpha, sigma_z=1.0)
-    assert ours == pytest.approx(head + body, rel=1e-8, abs=1e-14)
+    assert ours == pytest.approx(compensated_small_jump_quad(q, y, alpha, 1.0),
+                                 rel=1e-8, abs=1e-14)
 
 
 @given(alphas, st.floats(min_value=0.1, max_value=10.0), thresholds)
 @settings(max_examples=40)
 def test_big_jump_laplace_tail_matches_quadrature(alpha, c, y):
-    direct, _ = quad(lambda z: np.exp(-c * z) * levy_density(z, alpha),
-                     y, np.inf, epsabs=1e-14, epsrel=1e-11)
     assert big_jump_laplace_tail(c, y, alpha) == pytest.approx(
-        direct, rel=1e-7, abs=1e-14)
+        big_jump_laplace_tail_quad(c, y, alpha), rel=1e-7, abs=1e-14)
+
+
+def _mp_levy_integrals(c, y, alpha):
+    """60-digit small-jump integral and big-jump Laplace tail at c = q sigma_z,
+    from K c^alpha (Gamma(-alpha) - Gamma(-alpha, c y)) + nu(y) - c Theta(y)
+    and K c^alpha Gamma(-alpha, c y)."""
+    with mp.workdps(60):
+        a, c, y = mp.mpf(alpha), mp.mpf(c), mp.mpf(y)
+        K = -1 / (mp.cos(mp.pi * a / 2) * mp.gamma(-a))
+        tail = K * c ** a * mp.gammainc(-a, c * y)
+        small = (K * c ** a * mp.gamma(-a) - tail + K * y ** -a / a
+                 - c * K * y ** (1 - a) / (a - 1))
+        return float(small), float(tail)
+
+
+# sigma_z q y runs from 1e-7, where the closed form alone would cancel to a
+# few digits, through the series cut-off at 1 to 1e3, where the tail
+# underflows to 0 in double precision as its reference does
+@pytest.mark.parametrize("q", [1e-6, 1e-3, 1.0, 100.0, 1e4])
+def test_levy_integrals_match_mpmath(q):
+    alpha, y, sigma_z = 1.5, 1.0, 0.1
+    small, tail = _mp_levy_integrals(q * sigma_z, y, alpha)
+    assert small_jump_compensated_integral(q, y, alpha, sigma_z) == \
+        pytest.approx(small, rel=1e-12, abs=0.0)
+    assert big_jump_laplace_tail(q * sigma_z, y, alpha) == \
+        pytest.approx(tail, rel=1e-12, abs=0.0)
+
+
+def test_levy_integrals_take_arrays():
+    q = np.array([0.0, 1e-3, 9.0, 10.0, 11.0, 1e4])
+    small = small_jump_compensated_integral(q, 1.0, 1.5, 0.1)
+    assert small[0] == 0.0
+    assert np.array_equal(
+        small, [small_jump_compensated_integral(float(v), 1.0, 1.5, 0.1)
+                for v in q])
+    with pytest.raises(ValueError):
+        small_jump_compensated_integral(-q, 1.0, 1.5, 0.1)
+    assert big_jump_laplace_tail(0.0, 0.7, 1.5) == pytest.approx(
+        big_jump_mass(1.5, 0.7), rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
