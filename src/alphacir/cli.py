@@ -3,7 +3,7 @@ figure-data presets, emitting CSV data files and a JSON reproducibility
 sidecar per run.  No plotting here; the CSVs are the deliverable.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-diagnostic failure
-(dual-route disagreement, concordance violation).
+(failed ODE solve, dual-route disagreement, concordance violation).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from . import __version__
 from .affine import bond_price_from_curve, solve_v, stationary_laplace, yield_from_curve
 from .derivatives import put_laplace, put_price
 from .jumps import (
-    RouteDisagreement,
     expected_tau,
     counter_laplace,
     survival_curve,
@@ -226,7 +225,7 @@ def cmd_jump_counter(args) -> int:
     t0 = time.time()
     params = _params(args)
     grid = np.linspace(0.0, args.tmax, args.points)
-    vals = [counter_laplace(args.p, args.y_bar, t, params) for t in grid]
+    vals = counter_laplace(args.p, args.y_bar, grid, params)
     _write_csv(args.out, "t,counter_laplace", [grid, vals])
     return _finish(args, "jump-counter", params,
                    {"p": args.p, "y_bar": args.y_bar, "tmax": args.tmax,
@@ -545,7 +544,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RouteDisagreement as exc:
+    except RuntimeError as exc:
+        # a failed ODE solve, a dual-route disagreement (RouteDisagreement)
+        # or the Hawkes event overflow guard
         print(f"numerical diagnostic failure: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     except ValueError as exc:

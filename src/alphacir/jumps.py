@@ -83,21 +83,26 @@ def _affine_exponent(sol, t, params: ModelParams):
     return np.exp(-l * params.r0 - params.a * params.b * big_l)
 
 
-def counter_laplace(p: float, y_bar: float, t: float, params: ModelParams) -> float:
+def counter_laplace(p: float, y_bar: float, t, params: ModelParams):
     """E[exp(-p * J_t)] for the counter J of rate jumps larger than ybar;
     the source of its exponent ODE is nu(y) - e^(-p) int_y^inf
-    exp(-l sigma_z z) mu_alpha(dz)."""
+    exp(-l sigma_z z) mu_alpha(dz).  t may be an array of times: one solve
+    to the largest serves all of them through its dense output."""
     y = _mark_threshold(params, y_bar)
-    _check_times(t)
+    ts = _check_times(t)
     if not (math.isfinite(p) and p >= 0.0):
         raise ValueError("p must be finite and nonnegative")
-    if p == 0.0 or t == 0.0:
-        return 1.0
-    nu = big_jump_mass(params.alpha, y)
-    e_p = math.exp(-p)
-    sol = _solve_l(params, y, lambda l: nu - e_p * big_jump_laplace_tail(
-        l * params.sigma_z, y, params.alpha), t)
-    return float(_affine_exponent(sol, t, params))
+    scalar = np.ndim(t) == 0
+    vals = np.ones_like(ts)
+    live = ts > 0.0
+    if p > 0.0 and np.any(live):
+        nu = big_jump_mass(params.alpha, y)
+        e_p = math.exp(-p)
+        sol = _solve_l(params, y, lambda l: nu - e_p * big_jump_laplace_tail(
+            l * params.sigma_z, y, params.alpha), float(ts.max()))
+        vals[live] = _affine_exponent(sol, float(t) if scalar else ts[live],
+                                      params)
+    return float(vals[0]) if scalar else vals
 
 
 def survival_curve(y_bar: float, t_grid, params: ModelParams) -> JumpLawCurve:

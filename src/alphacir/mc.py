@@ -16,7 +16,12 @@ import numpy as np
 
 from .affine import solve_v, yield_from_curve
 from .mechanism import ModelParams
-from .sim import simulate_lou_batch, simulate_root_batch, simulate_thinned_batch
+from .sim import (
+    first_passage_thinned,
+    simulate_lou_batch,
+    simulate_root_batch,
+    simulate_thinned_batch,
+)
 
 
 @dataclass
@@ -75,9 +80,8 @@ def mc_survival(params: ModelParams, y_bar: float, t_grid, n_paths: int = 100_00
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     y = y_bar / params.sigma_z
     rng = np.random.default_rng(seed)
-    horizon = float(t_grid.max())
-    _, _, first, _ = simulate_thinned_batch(params, y, dt, horizon, n_paths,
-                                            rng, stop_at_first_event=True)
+    first = first_passage_thinned(params, y, dt, float(t_grid.max()), n_paths,
+                                  rng).first
     out = []
     for t in t_grid:
         ind = (first > t).astype(float)
@@ -97,22 +101,21 @@ def mc_counter(params: ModelParams, p: float, y_bar: float, t: float,
 def mc_expected_tau(params: ModelParams, y_bar: float, n_paths: int = 10_000,
                     dt: float = 0.01, seed: int = 0,
                     horizon: float = 50.0, max_horizon: float = 6400.0) -> McEstimate:
-    """Mean first-jump time; the horizon is widened (doubled) until censoring
-    drops below 1%, then censored paths contribute the horizon (downward bias
-    below the reported censoring fraction, warned about if any remain)."""
+    """Mean first-jump time.  While more than 1% of paths are censored the
+    horizon is doubled and the same batch is continued from where it stopped
+    (first-event times before a horizon do not depend on how far the batch
+    runs later).  Paths still censored at max_horizon contribute the horizon
+    (downward bias below the reported censoring fraction, warned about)."""
     y = y_bar / params.sigma_z
     rng = np.random.default_rng(seed)
-    while True:
-        _, _, first, _ = simulate_thinned_batch(params, y, dt, horizon, n_paths,
-                                                rng, stop_at_first_event=True)
-        censored = np.mean(~np.isfinite(first))
-        if censored <= 0.01 or horizon >= max_horizon:
-            break
+    state = first_passage_thinned(params, y, dt, horizon, n_paths, rng)
+    while state.censored > 0.01 and horizon < max_horizon:
         horizon *= 2.0
-    if censored > 0.01:
-        warnings.warn(f"mc_expected_tau: {100 * censored:.1f}% of paths censored "
-                      f"at horizon {horizon}")
-    tau = np.where(np.isfinite(first), first, horizon)
+        state = first_passage_thinned(params, y, dt, horizon, n_paths, rng, state)
+    if state.censored > 0.01:
+        warnings.warn(f"mc_expected_tau: {100 * state.censored:.1f}% of paths "
+                      f"censored at horizon {horizon}")
+    tau = np.where(np.isfinite(state.first), state.first, horizon)
     return _mean_se(tau, "mc_expected_tau")
 
 
@@ -159,20 +162,11 @@ def mc_running_min_put(params: ModelParams, T: float, kappa: float, K: float,
     if k_bar <= 0.0:
         z = McEstimate(0.0, 0.0, n_paths, "mc_running_min_put[void]")
         return z, z
-    # chunked so the path matrix never exceeds ~chunk * T/dt doubles
-    chunk = max(1000, min(n_paths, int(2e7 * dt / max(T, dt))))
-    pay_yield, pay_reduced = [], []
-    done = 0
-    while done < n_paths:
-        m = min(chunk, n_paths - done)
-        _, integral, out, _ = simulate_root_batch(params, dt, T, m, rng,
-                                                  keep_paths=True)
-        run_min = out.min(axis=1)
-        disc = np.exp(-integral)
-        min_yield = yield_from_curve(curve, kappa, run_min)
-        pay_yield.append(disc * np.maximum(K - min_yield, 0.0))
-        pay_reduced.append((v_k / kappa) * disc
-                           * np.maximum(k_bar - run_min, 0.0))
-        done += m
-    return (_mean_se(np.concatenate(pay_yield), "mc_running_min_put[yield]"),
-            _mean_se(np.concatenate(pay_reduced), "mc_running_min_put[reduced]"))
+    _, integral, run_min = simulate_root_batch(params, dt, T, n_paths, rng,
+                                               running_min=True)
+    disc = np.exp(-integral)
+    min_yield = yield_from_curve(curve, kappa, run_min)
+    pay_yield = disc * np.maximum(K - min_yield, 0.0)
+    pay_reduced = (v_k / kappa) * disc * np.maximum(k_bar - run_min, 0.0)
+    return (_mean_se(pay_yield, "mc_running_min_put[yield]"),
+            _mean_se(pay_reduced, "mc_running_min_put[reduced]"))

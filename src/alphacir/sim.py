@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mechanism import ModelParams, truncated_drift, truncated_level
+from .mechanism import ModelParams, truncated_drift
 from .stable import (
     StableSpec,
     big_jump_mass,
@@ -100,9 +100,13 @@ def _grid(dt: float, horizon: float):
 def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
                         n_paths: int, rng: np.random.Generator,
                         antithetic: bool = False,
-                        keep_paths: bool = False):
-    """Full-truncation Euler for the root representation; returns terminal
-    values, the trapezoid integral of r over [0, horizon], and optionally the
+                        keep_paths: bool = False,
+                        running_min: bool = False):
+    """Full-truncation Euler for the root representation.
+
+    Returns (r_T, integral[, run_min][, paths, times]): terminal values, the
+    trapezoid integral of r over [0, horizon], with running_min=True the
+    minimum of r over the grid (r0 included), and with keep_paths=True the
     full (n_paths, n_steps+1) array.
 
     With antithetic=True the Gaussian driver of the second half of the batch
@@ -115,6 +119,7 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
     spec = StableSpec(params.alpha)
     r = np.full(n_paths, params.r0)
     integral = np.zeros(n_paths)
+    run_min = r.copy() if running_min else None
     out = np.empty((n_paths, n_steps + 1)) if keep_paths else None
     if keep_paths:
         out[:, 0] = r
@@ -137,14 +142,21 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
         r_new = np.maximum(r_new, 0.0)
         integral += 0.5 * dt * (np.maximum(r, 0.0) + r_new)
         r = r_new
+        if running_min:
+            np.minimum(run_min, r, out=run_min)
         if keep_paths:
             out[:, k + 1] = r
-    return (r, integral, out, times) if keep_paths else (r, integral)
+    res = (r, integral)
+    if running_min:
+        res += (run_min,)
+    if keep_paths:
+        res += (out, times)
+    return res
 
 
 def _thinned_step_arrays(params: ModelParams, y: float):
     """Precomputed constants of the thinned scheme for threshold y."""
-    alpha, sz = params.alpha, params.sigma_z
+    alpha = params.alpha
     eps = y / 100.0                       # small-jump cutoff (variance-matched below)
     K = levy_density_coefficient(alpha)
     nu_big = big_jump_mass(alpha, y)
@@ -154,28 +166,76 @@ def _thinned_step_arrays(params: ModelParams, y: float):
     return eps, nu_big, nu_mid, mean_mid, var_small
 
 
+class _ThinnedStep:
+    """The one step kernel of the thinned scheme at threshold y and step dt.
+
+    Truncated dynamics with the small jumps (< eps) as extra Gaussian
+    variance, the mid-band jumps (eps, y) as a compensated compound Poisson
+    draw, and the big jumps (> y) as a Poisson draw at the start-of-step
+    intensity; two big arrivals in one step are an O(dt^2) event, collapsed
+    to one.  The constants are fixed at construction.
+    """
+
+    def __init__(self, params: ModelParams, y: float, dt: float):
+        _check_alpha(params.alpha, allow_two=False)
+        if params.sigma_z <= 0.0:
+            raise ValueError("thinned scheme needs sigma_z > 0")
+        eps, nu_big, nu_mid, mean_mid, var_small = _thinned_step_arrays(params, y)
+        sz, alpha = params.sigma_z, params.alpha
+        self.dt, self.y, self.sz, self.eps = dt, y, sz, eps
+        self.ab = params.a * params.b
+        self.a_t = truncated_drift(params, y)
+        self.c_mid = sz * mean_mid                 # mid-band compensator
+        self.s2 = params.sigma ** 2
+        self.v_small = sz ** 2 * var_small         # small-jump variance
+        self.nu_mid_dt = nu_mid * dt
+        self.nu_big_dt = nu_big * dt
+        self.band = 1.0 - (eps / y) ** alpha       # inverse-cdf span of the band
+        self.neg_inv_alpha = -1.0 / alpha
+
+    def __call__(self, r: np.ndarray, t0: float, rng: np.random.Generator):
+        """Advance the paths r by one step from time t0.
+
+        Returns (rp, r_new, idx, t_ev, sizes): the clamped start values, the
+        end values, the positions in r of the paths with a big jump in the
+        step, and those jumps' times in [t0, t0 + dt) and rate-space sizes.
+        """
+        n, dt = r.size, self.dt
+        rp = np.maximum(r, 0.0)
+        drift = self.ab - self.a_t * rp - self.c_mid * rp
+        gauss_var = self.s2 * rp + self.v_small * rp
+        incr = drift * dt + np.sqrt(gauss_var * dt) * rng.standard_normal(n)
+        counts = rng.poisson(rp * self.nu_mid_dt)
+        tot = int(counts.sum())
+        if tot:
+            u = rng.uniform(size=tot)
+            marks = self.eps * (1.0 - u * self.band) ** self.neg_inv_alpha
+            owners = np.repeat(np.arange(n), counts)
+            incr += self.sz * np.bincount(owners, weights=marks, minlength=n)
+        idx = np.flatnonzero(rng.poisson(rp * self.nu_big_dt))
+        sizes = t_ev = idx                         # empty unless a path jumps
+        if idx.size:
+            u = rng.uniform(size=idx.size)
+            sizes = self.sz * (self.y * u ** self.neg_inv_alpha)
+            incr[idx] += sizes
+            t_ev = t0 + dt * rng.uniform(size=idx.size)
+        return rp, np.maximum(r + incr, 0.0), idx, t_ev, sizes
+
+
 def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
                            horizon: float, n_paths: int,
                            rng: np.random.Generator,
                            keep_paths: bool = False,
-                           stop_at_first_event: bool = False):
+                           events: Optional[list] = None):
     """Truncated dynamics plus thinned big jumps.
 
     Returns (r_T, integral, first_event_time, n_events[, paths, times]).
-    first_event_time is +inf for paths without a big jump.  With
-    stop_at_first_event the path is still evolved to the horizon (the state
-    after a big jump includes that jump), but bookkeeping of later events is
-    skipped; use it for first-passage estimates only.
+    first_event_time is +inf for paths without a big jump.  When events is
+    a list, every big jump is appended to it as (path, time, size) with the
+    time and rate-space size the kernel drew.
     """
-    _check_alpha(params.alpha, allow_two=False)
-    if params.sigma_z <= 0.0:
-        raise ValueError("thinned scheme needs sigma_z > 0")
+    step = _ThinnedStep(params, y, dt)
     n_steps, times = _grid(dt, horizon)
-    alpha, sz = params.alpha, params.sigma_z
-    a_t = truncated_drift(params, y)
-    ab = params.a * params.b
-    eps, nu_big, nu_mid, mean_mid, var_small = _thinned_step_arrays(params, y)
-
     r = np.full(n_paths, params.r0)
     integral = np.zeros(n_paths)
     first_event = np.full(n_paths, np.inf)
@@ -183,43 +243,75 @@ def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
     out = np.empty((n_paths, n_steps + 1)) if keep_paths else None
     if keep_paths:
         out[:, 0] = r
-    sqrt_dt = np.sqrt(dt)
-
+    half_dt = 0.5 * dt
     for k in range(n_steps):
-        rp = np.maximum(r, 0.0)
-        # drift of the truncated dynamics minus the mid-band compensator
-        drift = ab - a_t * rp - sz * mean_mid * rp
-        gauss_var = params.sigma ** 2 * rp + sz ** 2 * var_small * rp
-        incr = drift * dt + np.sqrt(gauss_var * dt) * rng.standard_normal(n_paths)
-        # compensated mid-band jumps as a compound Poisson draw
-        counts = rng.poisson(rp * nu_mid * dt)
-        tot = int(counts.sum())
-        if tot:
-            marks = sample_truncated_band(alpha, eps, y, rng, size=tot)
-            owners = np.repeat(np.arange(n_paths), counts)
-            incr += sz * np.bincount(owners, weights=marks, minlength=n_paths)
-        # big jumps by thinning against the start-of-step state
-        # big jumps: Poisson draw at the start-of-step intensity; two arrivals
-        # in one step is an O(dt^2) event, collapsed to one
-        big = rng.poisson(rp * nu_big * dt)
-        hit = big > 0
-        if np.any(hit):
-            idx = np.nonzero(hit)[0]
-            sizes = sz * (y * rng.uniform(size=idx.size) ** (-1.0 / alpha))
-            incr[idx] += sizes
-            t_ev = times[k] + dt * rng.uniform(size=idx.size)
+        rp, r, idx, t_ev, sizes = step(r, times[k], rng)
+        if idx.size:
             newly = first_event[idx] == np.inf
             first_event[idx[newly]] = t_ev[newly]
-            if not stop_at_first_event:
-                n_events[idx] += 1
-        r_new = np.maximum(r + incr, 0.0)
-        integral += 0.5 * dt * (rp + r_new)
-        r = r_new
+            n_events[idx] += 1
+            if events is not None:
+                events.extend(zip(idx.tolist(), t_ev.tolist(), sizes.tolist()))
+        integral += half_dt * (rp + r)
         if keep_paths:
             out[:, k + 1] = r
     if keep_paths:
         return r, integral, first_event, n_events, out, times
     return r, integral, first_event, n_events
+
+
+@dataclass
+class FirstPassage:
+    """A thinned batch run until each path's first big jump.
+
+    first holds the first-event time of every path (+inf while it has none);
+    active and r are the indices and current values of the paths still
+    waiting; steps is the number of grid steps taken.
+    """
+
+    first: np.ndarray
+    active: np.ndarray
+    r: np.ndarray
+    steps: int = 0
+
+    @property
+    def censored(self) -> float:
+        """Fraction of paths without an event so far."""
+        return self.active.size / self.first.size
+
+
+def first_passage_thinned(params: ModelParams, y: float, dt: float,
+                          horizon: float, n_paths: int,
+                          rng: np.random.Generator,
+                          state: Optional[FirstPassage] = None) -> FirstPassage:
+    """First big-jump times of n_paths thinned paths up to horizon.
+
+    Only the paths without an event are evolved; a path leaves the active
+    set at its first big jump and the loop ends once none is left.  Passing
+    the returned state back with a longer horizon (and the same params, y,
+    dt and rng) continues the batch from its last step, with the same
+    draws as one run to the longer horizon.
+    """
+    step = _ThinnedStep(params, y, dt)
+    if state is None:
+        state = FirstPassage(np.full(n_paths, np.inf), np.arange(n_paths),
+                             np.full(n_paths, params.r0))
+    elif state.first.size != n_paths:
+        raise ValueError("state holds a different number of paths")
+    n_steps = int(round(horizon / dt))
+    active, r = state.active, state.r
+    for k in range(state.steps, n_steps):
+        if not active.size:
+            break
+        _, r, idx, t_ev, _ = step(r, k * dt, rng)
+        if idx.size:
+            state.first[active[idx]] = t_ev
+            stay = np.ones(active.size, dtype=bool)
+            stay[idx] = False
+            active, r = active[stay], r[stay]
+    state.active, state.r = active, r
+    state.steps = max(state.steps, n_steps)
+    return state
 
 
 def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
@@ -327,16 +419,12 @@ def simulate_thinned(params: ModelParams, config: SimConfig,
     if config.scheme != THINNED:
         raise ValueError("config.scheme must be 'thinned'")
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    r, integ, first, n_ev, out, times = simulate_thinned_batch(
-        params, config.y, config.dt, config.horizon, 1, rng, keep_paths=True)
-    path = Path(times=times, values=out[0])
-    if np.isfinite(first[0]):
-        # per-path event bookkeeping: recover sizes from the recorded steps
-        jumps = np.diff(out[0])
-        thresh = params.sigma_z * config.y
-        ks = np.nonzero(jumps > thresh)[0]
-        path.events = [(times[k + 1], float(jumps[k])) for k in ks]
-    return path
+    log = []
+    _, _, _, _, out, times = simulate_thinned_batch(
+        params, config.y, config.dt, config.horizon, 1, rng, keep_paths=True,
+        events=log)
+    return Path(times=times, values=out[0],
+                events=[(t, size) for _, t, size in log])
 
 
 def simulate_lou(params: ModelParams, config: SimConfig,

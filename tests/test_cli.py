@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,3 +128,36 @@ def test_fig1_fig2_share_driver(tmp_path, monkeypatch):
     r = np.loadtxt(tmp_path / "fig2.csv", delimiter=",", skiprows=1)
     assert z.shape == r.shape
     assert np.all(r[:, 1:] >= 0.0)
+
+
+def _failed_solve(*args, **kwargs):
+    return SimpleNamespace(success=False,
+                           message="Required step size is less than spacing "
+                                   "between numbers.")
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("affine", ["bond", "--tmax", "5", "--points", "6"]),
+    ("jumps", ["jump-survival", "--tmax", "5", "--points", "6"] + JUMP_FLAGS),
+    ("jumps", ["jump-counter", "--p", "1", "--tmax", "5", "--points", "6"]
+     + JUMP_FLAGS),
+])
+def test_failed_solve_exits_three(tmp_path, monkeypatch, capsys, module, argv):
+    _in_tmp(tmp_path, monkeypatch)
+    monkeypatch.setattr(f"alphacir.{module}.solve_ivp", _failed_solve)
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical diagnostic failure:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_hawkes_overflow_guard_exits_three(tmp_path, monkeypatch, capsys):
+    from alphacir import cli, sim
+
+    def guarded(*args, **kwargs):
+        return sim.simulate_hawkes_batch(*args, max_rounds=1, **kwargs)
+
+    _in_tmp(tmp_path, monkeypatch)
+    monkeypatch.setattr(cli, "simulate_hawkes_batch", guarded)
+    assert run(["hawkes-limit", "--n-paths", "10"]) == 3
+    assert "overflow guard" in capsys.readouterr().err

@@ -6,12 +6,13 @@ from alphacir.mc import (
     McEstimate,
     mc_bond,
     mc_counter,
+    mc_expected_tau,
     mc_laplace,
     mc_lou_first_jump_cdf,
     mc_running_min_put,
     mc_survival,
 )
-from alphacir.jumps import counter_laplace, lou_first_jump_cdf
+from alphacir.jumps import counter_laplace, expected_tau, lou_first_jump_cdf
 
 
 def test_estimate_within_helper():
@@ -65,6 +66,28 @@ def test_running_min_put_two_forms_identical_paths(bond_params):
                                         n_paths=2000, dt=1e-3, seed=6)
     assert y_form.value == pytest.approx(r_form.value, rel=1e-10)
     assert y_form.std_error == pytest.approx(r_form.std_error, rel=1e-8)
+
+
+def test_mc_expected_tau_concordant(jump_params):
+    p = jump_params(alpha=1.5)
+    est = mc_expected_tau(p, 0.1, n_paths=400, seed=0)
+    assert est.within(expected_tau(0.1, p).value, n_se=4.0)
+
+
+def test_running_min_put_pinned(bond_params):
+    # the values of the path-matrix implementation that the in-kernel
+    # running minimum replaced (one chunk at this size); they were equal to
+    # the bit where recorded, and 1e-12 leaves room for last-ulp differences
+    # of libm and SIMD math elsewhere while any change of draws shows
+    p = bond_params(alpha=1.5)
+    y_form, r_form = mc_running_min_put(p, 0.5, 1.0, 0.039941,
+                                        n_paths=2000, dt=1e-3, seed=6)
+    pinned = [(y_form.value, 0.00603439918283475),
+              (y_form.std_error, 0.0001476886587011846),
+              (r_form.value, 0.006034399182834751),
+              (r_form.std_error, 0.00014768865870118465)]
+    for got, want in pinned:
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_running_min_put_void_strike(bond_params):

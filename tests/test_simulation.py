@@ -9,6 +9,7 @@ from alphacir.sim import (
     SimConfig,
     THINNED,
     first_large_jump,
+    first_passage_thinned,
     simulate_hawkes,
     simulate_hawkes_batch,
     simulate_lou,
@@ -64,6 +65,66 @@ def test_thinned_records_events_above_threshold(jump_params):
     for t, size in path.events:
         assert 0.0 < t <= 20.0
         assert size > p.sigma_z * 0.5
+
+
+def test_thinned_single_path_returns_kernel_events(jump_params):
+    # the events are the kernel's own draws: one per big jump it counted,
+    # each larger than sigma_z * y and timed strictly inside its step
+    p = jump_params(alpha=1.2)
+    config = SimConfig(dt=1e-3, horizon=20.0, scheme=THINNED, y=0.5, seed=21)
+    path = simulate_thinned(p, config)
+    n_ev = simulate_thinned_batch(p, 0.5, 1e-3, 20.0, 1,
+                                  np.random.default_rng(21))[3]
+    assert len(path.events) == n_ev[0] > 0
+    for t, size in path.events:
+        assert size > p.sigma_z * 0.5
+        k = np.searchsorted(path.times, t) - 1
+        assert path.times[k] < t < path.times[k + 1]
+
+
+def test_root_running_min_matches_kept_paths(bond_params):
+    p = bond_params(alpha=1.5)
+    r, integ, run_min = simulate_root_batch(p, 1e-3, 0.5, 200,
+                                            np.random.default_rng(2),
+                                            running_min=True)
+    r2, integ2, out, _ = simulate_root_batch(p, 1e-3, 0.5, 200,
+                                             np.random.default_rng(2),
+                                             keep_paths=True)
+    np.testing.assert_array_equal(run_min, out.min(axis=1))
+    np.testing.assert_array_equal(r, r2)
+    np.testing.assert_array_equal(integ, integ2)
+
+
+def test_first_passage_continuation_is_bit_identical(jump_params):
+    # first-event times before a horizon do not depend on how far the batch
+    # runs later, so a run to 2H equals a run to H continued to 2H
+    p = jump_params(alpha=1.5)
+    one = first_passage_thinned(p, 1.0, 0.01, 20.0, 500, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    half = first_passage_thinned(p, 1.0, 0.01, 10.0, 500, rng)
+    assert half.steps == 1000 and half.censored > 0.5
+    two = first_passage_thinned(p, 1.0, 0.01, 20.0, 500, rng, half)
+    assert two.steps == 2000
+    np.testing.assert_array_equal(one.first, two.first)
+    np.testing.assert_array_equal(one.active, two.active)
+    np.testing.assert_array_equal(one.r, two.r)
+    assert np.any((two.first > 10.0) & (two.first < 20.0))
+    assert np.all(np.isinf(two.first[two.active]))
+
+
+def test_first_passage_shares_the_thinned_step(jump_params):
+    # one path draws the same variates in the batch and the first-passage
+    # loop until its first event, so both report the same first-event time
+    p = jump_params(alpha=1.5)
+    hits = 0
+    for seed in range(6):
+        fp = first_passage_thinned(p, 1.0, 0.01, 20.0, 1,
+                                   np.random.default_rng(seed))
+        batch = simulate_thinned_batch(p, 1.0, 0.01, 20.0, 1,
+                                       np.random.default_rng(seed))
+        assert fp.first[0] == batch[2][0]
+        hits += np.isfinite(fp.first[0])
+    assert hits > 0
 
 
 def test_first_large_jump_helper():
