@@ -207,10 +207,10 @@ def cmd_jump_survival(args) -> int:
     t0 = time.time()
     params = _params(args)
     grid = np.linspace(0.0, args.tmax, args.points)
-    curve = survival_curve(args.y_bar, grid, params)
-    _write_csv(args.out, "t,survival", [grid, curve.derived])
     t_chk = 0.5 * args.tmax
-    s1 = survival_tau(args.y_bar, t_chk, params)
+    curve = survival_curve(args.y_bar, np.append(grid, t_chk), params)
+    _write_csv(args.out, "t,survival", [grid, curve.derived[:-1]])
+    s1 = curve.derived[-1]
     s2 = survival_tau_via_rhat(args.y_bar, t_chk, params)
     if abs(s1 - s2) > 1e-6:
         print(f"dual-route survival disagreement at t={t_chk}: "
@@ -236,8 +236,8 @@ def cmd_jump_expectation(args) -> int:
     t0 = time.time()
     params = _params(args)
     est = expected_tau(args.y_bar, params)
-    result = {"value": est.value, "survival_route": est.survival_route,
-              "density_route": est.density_route}
+    result = {**est._asdict(),
+              "route_gap": abs(est.survival_route / est.density_route - 1.0)}
     return _finish(args, "jump-expectation", params, {"y_bar": args.y_bar},
                    t0, result=result)
 

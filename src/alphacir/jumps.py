@@ -24,7 +24,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson, solve_ivp
 
 from .affine import joint_laplace
-from .mechanism import JumpSpec, ModelParams, fixed_point_truncated, psi
+from .mechanism import (JumpSpec, ModelParams, fixed_point_truncated, psi,
+                        truncated_drift, truncated_level)
 from .stable import _check_alpha, big_jump_laplace_tail, big_jump_mass
 
 
@@ -38,10 +39,6 @@ class JumpLawCurve:
     derived: np.ndarray
     y: float
     y_bar: float
-
-    def to_csv(self, path, value_name="survival") -> None:
-        arr = np.column_stack([self.grid, self.derived])
-        np.savetxt(path, arr, delimiter=",", header=f"t,{value_name}", comments="")
 
 
 def _mark_threshold(params: ModelParams, y_bar: float) -> float:
@@ -62,7 +59,7 @@ def _check_times(t) -> np.ndarray:
     return t
 
 
-def _solve_l(params: ModelParams, y: float, source, t_max: float):
+def _solve_l(params: ModelParams, y: float, source, t_max: float, events=None):
     """Integrate [l, int l] with l' = source(l) - Psi_trunc(l), l(0) = 0."""
     spec = JumpSpec.truncated(y)
 
@@ -71,7 +68,7 @@ def _solve_l(params: ModelParams, y: float, source, t_max: float):
         return [source(l) - psi(l, params, spec), state[0]]
 
     sol = solve_ivp(rhs, (0.0, t_max), [0.0, 0.0], method="RK45",
-                    rtol=1e-10, atol=1e-12, dense_output=True)
+                    rtol=1e-10, atol=1e-12, dense_output=True, events=events)
     if not sol.success:
         raise RuntimeError(f"jump-law ODE failed: {sol.message}")
     return sol
@@ -120,9 +117,6 @@ def survival_curve(y_bar: float, t_grid, params: ModelParams) -> JumpLawCurve:
 
 def survival_tau(y_bar: float, t: float, params: ModelParams) -> float:
     """P(tau_ybar > t): no rate jump larger than ybar up to t."""
-    if t == 0.0:
-        _mark_threshold(params, y_bar)
-        return 1.0
     return float(survival_curve(y_bar, [t], params).derived[0])
 
 
@@ -132,8 +126,6 @@ def survival_tau_via_rhat(y_bar: float, t: float, params: ModelParams) -> float:
     P(tau > t) = E[exp(-nu(y) int_0^t rhat_s ds)]."""
     y = _mark_threshold(params, y_bar)
     _check_times(t)
-    if t == 0.0:
-        return 1.0
     nu = big_jump_mass(params.alpha, y)
     return joint_laplace(params.r0, t, 0.0, nu, params, JumpSpec.truncated(y))
 
@@ -152,21 +144,32 @@ class RouteDisagreement(RuntimeError):
 def expected_tau(y_bar: float, params: ModelParams,
                  rel_tol: float = 1e-3) -> ExpectedTau:
     """E[tau_ybar] by two independent routes; the survival-integral route is
-    the returned value."""
+    the returned value.  Needs a b > 0: else S(t) = P(tau > t) tends to
+    exp(-l* r0) > 0 and E[tau] is infinite.
+
+    Route 1 is Simpson's rule for S on linspace(0, t_max, 4001) from one ODE
+    solve, which a terminal event stops at the time t_e where log S =
+    -l r0 - a b int l falls through log 1e-12 (or which ends at 2**24); t_max
+    is the least power of two >= max(t_e, 1).  Past t_e, where l has settled
+    at l*, S is the closed-form tail S(t_e) exp(-a b l* (t - t_e))."""
     y = _mark_threshold(params, y_bar)
+    ab = params.a * params.b
+    if ab <= 0.0:
+        raise ValueError("expected_tau needs a * b > 0: E[tau] is infinite")
     nu = big_jump_mass(params.alpha, y)
     l_star = fixed_point_truncated(params, y)
 
-    # route 1: integrate the survival function, truncating where it is < 1e-12
-    t_max = 1.0
-    sol = _solve_l(params, y, lambda l: nu, t_max)
-    while _affine_exponent(sol, t_max, params) > 1e-12:
-        t_max *= 2.0
-        sol = _solve_l(params, y, lambda l: nu, t_max)
-        if t_max > 1e7:
-            break
+    # route 1: one solve, stopped where the survival falls through 1e-12
+    def survival_cut(_t, state):
+        return -state[0] * params.r0 - ab * state[1] - math.log(1e-12)
+    survival_cut.terminal, survival_cut.direction = True, -1
+    sol = _solve_l(params, y, lambda l: nu, 2.0 ** 24, events=survival_cut)
+    t_e = float(sol.t[-1])
+    t_max = 2.0 ** max(0, math.ceil(math.log2(t_e)))
     ts = np.linspace(0.0, t_max, 4001)
-    primary = float(simpson(_affine_exponent(sol, ts, params), x=ts))
+    surv = _affine_exponent(sol, np.minimum(ts, t_e), params) * np.exp(
+        -ab * l_star * np.maximum(ts - t_e, 0.0))
+    primary = float(simpson(surv, x=ts))
 
     # route 2: int_0^{l*} F(u)^{-1} exp(-u r0 - int_0^u a b s/F(s) ds) du with
     # the integrable endpoint handled by u = l*(1 - e^{-s}).  The substituted
@@ -174,7 +177,6 @@ def expected_tau(y_bar: float, params: ModelParams,
     # F(u) = nu - Psi(u) cancels catastrophically still carries mass; beyond
     # u/l* = 1 - 1e-7 the exact exponential tail exp(-l* r0 - inner)/(a b l*)
     # is added in closed form.
-    ab = params.a * params.b
     s_cut = -np.log(1e-7)
     s = np.linspace(1e-9, s_cut, 6001)
     u = l_star * (-np.expm1(-s))
@@ -210,8 +212,6 @@ class TailAsymptotics(NamedTuple):
 def tail_asymptotics(t: float, y_bar: float, params: ModelParams) -> TailAsymptotics:
     """Asymptotic tail probabilities of the maximal jump up to t and the
     explicit upper bound; all three scale like nu(ybar/sigma_z)."""
-    from .mechanism import truncated_drift, truncated_level
-
     y = _mark_threshold(params, y_bar)
     _check_times(t)
     nu = big_jump_mass(params.alpha, y)

@@ -58,6 +58,10 @@ def test_validation_error_exit_code(tmp_path, monkeypatch):
     pytest.param(["jump-expectation", "--sigma-z", "nan"],
                  id="jump-expectation-sigma-z"),
     pytest.param(["jump-counter", "--p", "nan"], id="jump-counter-p"),
+    # finite but outside the domain: with b = 0, E[tau] is infinite
+    pytest.param(["jump-expectation", "--a", "0.1", "--b", "0", "--sigma",
+                  "0.1", "--sigma-z", "0.1", "--r0", "0.2", "--alpha", "1.5",
+                  "--y-bar", "0.1"], id="jump-expectation-b-zero"),
 ])
 def test_non_finite_input_exits_two(tmp_path, monkeypatch, argv):
     _in_tmp(tmp_path, monkeypatch)
@@ -85,6 +89,10 @@ def test_jump_expectation_result(tmp_path, monkeypatch):
     assert run(["jump-expectation", "--y-bar", "0.1"] + JUMP_FLAGS) == 0
     doc = json.loads((tmp_path / "jump_expectation_result.json").read_text())
     assert doc["value"] == pytest.approx(doc["survival_route"])
+    assert doc["route_gap"] == pytest.approx(
+        abs(doc["survival_route"] - doc["density_route"])
+        / abs(doc["density_route"]))
+    assert doc["route_gap"] < 1e-4
 
 
 def test_jump_survival_curve(tmp_path, monkeypatch):

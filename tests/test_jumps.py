@@ -76,6 +76,41 @@ def test_expected_tau_fingerprint(jump_params):
     assert est.value == pytest.approx(46.48148388822062, rel=1e-9)
 
 
+# route 1 solves its ODE once per call; the pinned values, at points whose
+# quadrature horizons are 2048, 4096 and 8192, are those of the earlier
+# horizon-doubling route 1
+@pytest.mark.parametrize("alpha, y_bar, value", [
+    (1.25, 0.08, 41.89793620761006),
+    (1.6, 0.12, 65.29855315121148),
+    (1.1, 0.12, 136.22490688878798),
+])
+def test_expected_tau_one_solve(jump_params, monkeypatch, alpha, y_bar, value):
+    from alphacir import jumps
+
+    solve_l, calls = jumps._solve_l, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_l(*args, **kwargs)
+
+    monkeypatch.setattr(jumps, "_solve_l", counted)
+    est = expected_tau(y_bar, jump_params(alpha=alpha))
+    assert len(calls) == 1
+    assert est.value == pytest.approx(value, rel=1e-10)
+
+
+def test_expected_tau_rejects_zero_immigration(jump_params, monkeypatch):
+    # with b = 0 the survival stays above exp(-l* r0), so E[tau] is infinite
+    from alphacir import jumps
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("expected_tau solved before rejecting b = 0")
+
+    monkeypatch.setattr(jumps, "_solve_l", no_solve)
+    with pytest.raises(ValueError, match="a \\* b > 0"):
+        expected_tau(Y_BAR, jump_params(alpha=1.5, b=0.0))
+
+
 def test_survival_fingerprint(jump_params):
     assert survival_tau(Y_BAR, 5.0, jump_params(alpha=1.5)) == pytest.approx(
         0.7615298761120577, rel=1e-9)
