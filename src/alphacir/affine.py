@@ -68,6 +68,8 @@ class OdeCurve:
 def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
             spec: JumpSpec = JumpSpec.full()) -> OdeCurve:
     """Flow of v' = theta - Psi(v) from v(0) = xi over [0, horizon]."""
+    if not np.all(np.isfinite([xi, theta, horizon])):
+        raise ValueError("xi, theta and horizon must be finite")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if xi < 0.0 or theta < 0.0:

@@ -14,7 +14,13 @@ where H is the scale-type integral
 
 q1 the root of Psi(q) = 1, and M(theta, y) the Laplace transform in time of
 the bond price started at y.  Prices are recovered by Gaver-Stehfest
-inversion in extended precision.
+inversion in extended precision, with the transform evaluated node-major:
+put_price passes every abscissa to one put_laplace call, which builds the
+tail of H once per strike node x (the 64 Gauss nodes below r0, plus r0) and
+integrates it for every theta.  That tail grid z = q1 + eps e^s, s in
+[0, s_hi(x)], and -x z, log(h/eps), log(Psi(z) - 1) and log h on it
+(h = z - q1) involve only the params, eps and x; theta enters H only through
+beta and the spline R.
 
 The integrand of H has an integrable (z - q1)^(beta - 1) singularity with
 beta = (ab q1 + theta)/Psi'(q1); it is made exact by splitting off the
@@ -32,7 +38,6 @@ The array path therefore reproduces the scalar Psi bit for bit.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,11 +55,11 @@ _GAUSS64_X, _GAUSS64_W = np.polynomial.legendre.leggauss(64)
 _GAUSS32_X, _GAUSS32_W = np.polynomial.legendre.leggauss(32)
 
 
-def _check_finite(**values: float) -> None:
-    """Reject NaN or infinite inputs before any solve: comparisons with NaN
-    are False, so the range checks alone let them through."""
+def _check_finite(**values) -> None:
+    """Reject NaN or infinite inputs (or array entries) before any solve:
+    comparisons with NaN are False, so range checks alone let them through."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -121,16 +126,9 @@ class _HCache:
     def r_smooth(self, h):
         return self._r_spline(np.clip(h, self._h_lo, self.z_max))
 
-    def log_integrand(self, z, x: float):
-        """log of the H integrand at z > q1 (vectorized)."""
-        z = np.asarray(z, dtype=float)
-        h = z - self.q1
-        psis = psi(z, self.params, self.spec)
-        return (-x * z + self.beta * np.log(h / self.eps) + self.r_smooth(h)
-                - np.log(psis - 1.0))
-
-    def h_value(self, x: float) -> float:
-        """H_eps(theta, x) for x >= 0 by singular panel plus adaptive tail."""
+    def h_value(self, x: float, tail: Optional[_HTail] = None) -> float:
+        """H_eps(theta, x) for x >= 0 by singular panel plus adaptive tail;
+        tail is the shared _HTail at x, built here if not given."""
         q1, beta, eps = self.q1, self.beta, self.eps
         delta = eps
         # panel [q1, q1+delta]: integrand = G(h) h^(beta-1),
@@ -146,21 +144,39 @@ class _HCache:
         gg = np.exp(-x * z + self.r_smooth(hh)) / ratio
         panel = (delta ** beta / beta / eps ** beta) * float(np.dot(wt, gg))
 
-        # tail [q1+delta, inf): substitute z = q1 + delta*e^s.  The integrand
-        # can rise over several decades (power growth from the inner integral)
-        # before e^{-xz} wins, so the upper cut is pushed until the
-        # log-integrand has fallen 60 nats below its running maximum.
-        s_hi = np.log(max(100.0, 80.0 / max(x, 1e-12)) / delta)
+        # tail [q1+delta, inf): the integrand can rise over several decades
+        # (power growth from the inner integral) before e^{-xz} wins, so a
+        # theta whose log-integrand has not fallen 60 nats below its running
+        # maximum by the end of the grid gets its own grid, 5 longer.
+        shared = tail = _HTail(self, x) if tail is None else tail
         while True:
-            s = np.linspace(0.0, s_hi, 6001)
-            z = q1 + delta * np.exp(s)
-            log_i = self.log_integrand(z, x) + np.log(z - q1)
+            log_i = (tail.neg_xz + beta * tail.log_h_eps
+                     + self.r_smooth(tail.h) - tail.log_psi1) + tail.log_h
             m = float(np.max(log_i))
-            if log_i[-1] < m - 60.0 or z[-1] > 0.5 * self.z_max:
+            if log_i[-1] < m - 60.0 or tail.z[-1] > 0.5 * self.z_max:
                 break
-            s_hi += 5.0
-        tail = np.exp(m) * float(simpson(np.exp(log_i - m), x=s))
-        return panel + tail
+            tail = _HTail(self, x, tail.s_hi + 5.0)
+            shared.grids += 1
+        return panel + np.exp(m) * float(simpson(np.exp(log_i - m), x=tail.s))
+
+
+class _HTail:
+    """The theta-independent pieces of the tail of H_eps(., x) (see the
+    module docstring).  grids counts the grids built at x, including the own
+    grids of the thetas that outrun s_hi."""
+
+    def __init__(self, hc: _HCache, x: float, s_hi: Optional[float] = None):
+        q1, eps = hc.q1, hc.eps
+        self.s_hi = (np.log(max(100.0, 80.0 / max(x, 1e-12)) / eps)
+                     if s_hi is None else s_hi)
+        self.s = np.linspace(0.0, self.s_hi, 6001)
+        self.z = q1 + eps * np.exp(self.s)
+        self.h = self.z - q1
+        self.neg_xz = -x * self.z
+        self.log_h_eps = np.log(self.h / eps)
+        self.log_psi1 = np.log(psi(self.z, hc.params, hc.spec) - 1.0)
+        self.log_h = np.log(self.h)
+        self.grids = 1
 
 
 @lru_cache(maxsize=64)
@@ -177,6 +193,7 @@ def h_scale(theta: float, x: float, eps: Optional[float],
             params: ModelParams) -> float:
     """The scale-type integral H_eps(theta, x); exposed mainly for tests,
     production code consumes ratios where eps cancels."""
+    _check_finite(theta=theta, x=x)
     if x < 0.0:
         raise ValueError("x must be nonnegative")
     cache = _cached_h(theta, _params_key(params), eps)
@@ -187,6 +204,7 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
                          params: ModelParams, eps: Optional[float] = None) -> float:
     """E[exp(-theta T_y - int_0^{T_y} r)] for the first entrance time T_y of
     the rate into [0, y]; equals 1 when y >= r0 (immediate entrance)."""
+    _check_finite(r0=r0, y=y, theta=theta)
     if y <= 0.0:
         raise ValueError("level y must be positive")
     if theta <= 0.0:
@@ -240,6 +258,7 @@ def _cached_m(theta: float, params_key) -> _MCache:
 
 def bond_transform_M(theta: float, y: float, params: ModelParams) -> float:
     """Laplace transform in time of the bond price with initial rate y."""
+    _check_finite(theta=theta, y=y)
     if y < 0.0:
         raise ValueError("y must be nonnegative")
     return _cached_m(theta, _params_key(params)).value(float(y))
@@ -253,28 +272,40 @@ def effective_strike(kappa: float, K: float, params: ModelParams):
     return k_bar, v_k / kappa
 
 
-def put_laplace(theta: float, kappa: float, K: float, r0: Optional[float],
+def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
                 params: ModelParams, eps: Optional[float] = None,
                 with_diagnostics: bool = False):
-    """Laplace transform in the maturity of the running-minimum yield put."""
+    """Laplace transform in the maturity of the running-minimum yield put.
+    theta may be a 1-D array; the result then has its shape."""
     r0 = params.r0 if r0 is None else r0
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_finite(theta=theta, kappa=kappa, K=K, r0=r0)
-    if theta <= 0.0:
+    if np.any(thetas <= 0.0):
         raise ValueError("theta must be positive")
     k_bar, nominal = effective_strike(kappa, K, params)
     diag = {"kbar": k_bar, "void": k_bar <= 0.0}
-    if k_bar <= 0.0:
-        return (0.0, diag) if with_diagnostics else 0.0
-    hc = _cached_h(theta, _params_key(params), eps)
-    mc = _cached_m(theta, _params_key(params))
-    ys = 0.5 * k_bar * (_GAUSS64_X + 1.0)
-    ws = 0.5 * k_bar * _GAUSS64_W
-    h_r0 = hc.h_value(r0)
-    ratios = np.array([h_r0 / hc.h_value(float(y)) if y < r0 else 1.0
-                       for y in ys])
-    m_vals = mc.value(ys)
-    val = nominal * float(np.dot(ws, ratios * m_vals))
-    diag.update({"q1": hc.q1, "eps": hc.eps, "nodes": ys.size})
+    vals = np.zeros_like(thetas)
+    if k_bar > 0.0:
+        key = _params_key(params)
+        hcs = [_cached_h(th, key, eps) for th in thetas.tolist()]
+        ys = 0.5 * k_bar * (_GAUSS64_X + 1.0)
+        ws = 0.5 * k_bar * _GAUSS64_W
+        below = ys < r0
+        # node-major: column 0 of h is r0, the rest the nodes below r0
+        h = np.empty((thetas.size, 1 + np.count_nonzero(below)))
+        grids = 0
+        for j, x in enumerate([r0] + ys[below].tolist()):
+            tail = _HTail(hcs[0], x)
+            h[:, j] = [hc.h_value(x, tail) for hc in hcs]
+            grids += tail.grids
+        ratios = np.ones((thetas.size, ys.size))
+        ratios[:, below] = h[:, :1] / h[:, 1:]
+        for i, th in enumerate(thetas.tolist()):
+            m_vals = _cached_m(th, key).value(ys)
+            vals[i] = nominal * float(np.dot(ws, ratios[i] * m_vals))
+        diag.update({"q1": hcs[0].q1, "eps": hcs[0].eps, "nodes": ys.size,
+                     "h_tail_grids": grids})
+    val = float(vals[0]) if np.ndim(theta) == 0 else vals
     return (val, diag) if with_diagnostics else val
 
 
@@ -302,6 +333,14 @@ def _stehfest_weights(n_terms: int, dps: int) -> tuple:
         return tuple(out)
 
 
+def _stehfest_abscissae(t: float, n_terms: int, dps: int = 40) -> tuple:
+    """ln2/t and the points theta_k = k ln2/t, k = 1..n_terms, where
+    gaver_stehfest calls the transform, as mpmath numbers at dps digits."""
+    with mp.workdps(dps):
+        ln2_t = mp.log(2) / t
+        return ln2_t, [ln2_t * k for k in range(1, n_terms + 1)]
+
+
 def gaver_stehfest(transform, t: float, n_terms: int = 14, dps: int = 40,
                    high_precision: bool = False) -> float:
     """Invert a Laplace transform on the real axis at time t.
@@ -316,14 +355,14 @@ def gaver_stehfest(transform, t: float, n_terms: int = 14, dps: int = 40,
     if t <= 0.0:
         raise ValueError("t must be positive")
     weights = gaver_stehfest_weights(n_terms, dps)
+    ln2_t, thetas = _stehfest_abscissae(t, n_terms, dps)
     with mp.workdps(dps):
-        ln2_t = mp.log(2) / t
         acc = mp.mpf(0)
-        for k, a_k in enumerate(weights, start=1):
+        for a_k, theta in zip(weights, thetas):
             if high_precision:
-                acc += a_k * transform(ln2_t * k)
+                acc += a_k * transform(theta)
             else:
-                acc += a_k * mp.mpf(transform(float(ln2_t * k)))
+                acc += a_k * mp.mpf(transform(float(theta)))
         return float(acc * ln2_t)
 
 
@@ -333,26 +372,20 @@ def put_price(T: float, kappa: float, K: float, r0: Optional[float],
               with_diagnostics: bool = False):
     """Price of the running-minimum yield put by Gaver-Stehfest inversion of
     put_laplace at the maturity."""
-    _check_finite(T=T, kappa=kappa, K=K,
-                  r0=params.r0 if r0 is None else r0)
+    _check_finite(T=T)
     if T <= 0.0:
         raise ValueError("maturity must be positive")
-    k_bar, _ = effective_strike(kappa, K, params)
-    diag = {"kbar": k_bar, "void": k_bar <= 0.0, "n_terms": n_terms}
-    if k_bar <= 0.0:
+    # one put_laplace call at every abscissa of the n-term sum, which the
+    # n - 2 check reuses; any other theta raises KeyError
+    thetas = [float(th) for th in _stehfest_abscissae(T, n_terms)[1]]
+    vals, diag = put_laplace(thetas, kappa, K, r0, params, eps=eps,
+                             with_diagnostics=True)
+    diag["n_terms"] = n_terms
+    if diag["void"]:
         return (0.0, diag) if with_diagnostics else 0.0
-
-    # the n - 2 check evaluates at theta_k = k ln2/T for k <= n - 2, which
-    # the n-term sum has already visited
-    values = {}
-
-    def transform(theta):
-        if theta not in values:
-            values[theta] = put_laplace(theta, kappa, K, r0, params, eps=eps)
-        return values[theta]
-
-    price = gaver_stehfest(transform, T, n_terms=n_terms)
-    check = gaver_stehfest(transform, T, n_terms=n_terms - 2)
+    values = dict(zip(thetas, vals.tolist()))
+    price = gaver_stehfest(values.__getitem__, T, n_terms=n_terms)
+    check = gaver_stehfest(values.__getitem__, T, n_terms=n_terms - 2)
     diag["stability_gap"] = abs(price - check)
     diag["transform_evals"] = len(values)
     if abs(price - check) > 0.05 * max(abs(price), 1e-12):

@@ -74,9 +74,8 @@ def _solve_l(params: ModelParams, y: float, source, t_max: float, events=None):
     return sol
 
 
-def _affine_exponent(sol, t, params: ModelParams):
-    """exp(-l(t) r0 - a b int_0^t l); t may be an array."""
-    l, big_l = sol.sol(t)
+def _affine_exponent(l, big_l, params: ModelParams):
+    """exp(-l r0 - a b L) from the dense output [l, L = int_0^t l] at t."""
     return np.exp(-l * params.r0 - params.a * params.b * big_l)
 
 
@@ -97,8 +96,8 @@ def counter_laplace(p: float, y_bar: float, t, params: ModelParams):
         e_p = math.exp(-p)
         sol = _solve_l(params, y, lambda l: nu - e_p * big_jump_laplace_tail(
             l * params.sigma_z, y, params.alpha), float(ts.max()))
-        vals[live] = _affine_exponent(sol, float(t) if scalar else ts[live],
-                                      params)
+        vals[live] = _affine_exponent(
+            *sol.sol(float(t) if scalar else ts[live]), params)
     return float(vals[0]) if scalar else vals
 
 
@@ -110,8 +109,9 @@ def survival_curve(y_bar: float, t_grid, params: ModelParams) -> JumpLawCurve:
     nu = big_jump_mass(params.alpha, y)
     t_max = max(float(t_grid.max()), 1e-9)
     sol = _solve_l(params, y, lambda l: nu, t_max)
-    return JumpLawCurve(grid=t_grid, l_values=sol.sol(t_grid)[0],
-                        derived=_affine_exponent(sol, t_grid, params),
+    l, big_l = sol.sol(t_grid)
+    return JumpLawCurve(grid=t_grid, l_values=l,
+                        derived=_affine_exponent(l, big_l, params),
                         y=y, y_bar=y_bar)
 
 
@@ -167,7 +167,7 @@ def expected_tau(y_bar: float, params: ModelParams,
     t_e = float(sol.t[-1])
     t_max = 2.0 ** max(0, math.ceil(math.log2(t_e)))
     ts = np.linspace(0.0, t_max, 4001)
-    surv = _affine_exponent(sol, np.minimum(ts, t_e), params) * np.exp(
+    surv = _affine_exponent(*sol.sol(np.minimum(ts, t_e)), params) * np.exp(
         -ab * l_star * np.maximum(ts - t_e, 0.0))
     primary = float(simpson(surv, x=ts))
 

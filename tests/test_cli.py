@@ -54,6 +54,8 @@ def test_validation_error_exit_code(tmp_path, monkeypatch):
                   "--maturity", "1"], id="put-price-sigma-z"),
     pytest.param(["bond", "--r0", "nan"], id="bond-r0"),
     pytest.param(["bond", "--a", "nan"], id="bond-a"),
+    pytest.param(["bond", "--tmax", "nan"], id="bond-tmax"),
+    pytest.param(["yield", "--kappa", "nan"], id="yield-kappa"),
     pytest.param(["jump-survival", "--tmax", "nan"], id="jump-survival-tmax"),
     pytest.param(["jump-expectation", "--sigma-z", "nan"],
                  id="jump-expectation-sigma-z"),
@@ -68,6 +70,16 @@ def test_non_finite_input_exits_two(tmp_path, monkeypatch, argv):
     assert run(argv) == 2
     for path in tmp_path.iterdir():
         assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
+
+
+def test_put_price_result_reports_tail_grids(tmp_path, monkeypatch):
+    # the criterion-9 fixture put at the default model flags
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["put-price", "--strike", "0.039941", "--maturity", "1"]) == 0
+    doc = json.loads((tmp_path / "put_price_result.json").read_text())
+    assert doc["price"] == 0.010466419185062768
+    assert doc["diagnostics"]["h_tail_grids"] == 65
+    assert doc["diagnostics"]["transform_evals"] == 14
 
 
 def test_unknown_subcommand_exits_two(tmp_path, monkeypatch):

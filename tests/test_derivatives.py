@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from alphacir.affine import solve_v
 from alphacir.derivatives import (
     PutSpec,
+    _stehfest_abscissae,
     bond_transform_M,
     effective_strike,
     gaver_stehfest,
@@ -145,6 +146,75 @@ def test_put_price_fixture_value(bond_params):
     price, diag = put_price(1.0, KAPPA, STRIKE, p.r0, p, with_diagnostics=True)
     assert price == pytest.approx(FIXTURE_PUT, rel=1e-9)
     assert diag["transform_evals"] == 14
+
+
+def test_put_price_fixture_is_bit_identical(bond_params):
+    # one theta-independent H tail per strike node (64 Gauss nodes + r0),
+    # shared by all 14 abscissae; the pins hold with ==
+    p = bond_params(alpha=1.5)
+    price, diag = put_price(1.0, KAPPA, STRIKE, p.r0, p, with_diagnostics=True)
+    assert price == FIXTURE_PUT
+    assert diag["stability_gap"] == 1.1204516607923876e-07
+    assert diag["h_tail_grids"] == 65
+
+
+@pytest.mark.parametrize("alpha, T, K, price, gap", [
+    (1.2, 0.5, 0.035, 0.005831550295624364, 6.258464833214586e-05),
+    (1.8, 2.0, 0.045, 0.0211468991498754, 2.916893566735565e-05),
+    (1.5, 0.5, 0.035, 0.003587574159011278, 4.6711155071079737e-05),
+])
+def test_put_price_eight_terms_is_bit_identical(bond_params, alpha, T, K,
+                                                price, gap):
+    p = bond_params(alpha=alpha)
+    got, diag = put_price(T, KAPPA, K, p.r0, p, n_terms=8,
+                          with_diagnostics=True)
+    assert got == price
+    assert diag["stability_gap"] == gap
+
+
+def test_put_laplace_scalar_pin(bond_params):
+    assert put_laplace(2.0, KAPPA, 0.04, None, bond_params(alpha=1.5)) \
+        == 0.002496856647392919
+
+
+def test_put_laplace_array_equals_scalar_loop(bond_params):
+    # theta = 40 outruns the shared tail grid at alpha = 1.2 and gets its
+    # own grids, which the count includes
+    p = bond_params(alpha=1.2)
+    thetas = np.array([0.5, 3.0, 40.0])
+    vals, diag = put_laplace(thetas, KAPPA, 0.04, None, p,
+                             with_diagnostics=True)
+    assert vals.shape == thetas.shape
+    for k, th in enumerate(thetas):
+        assert vals[k] == put_laplace(float(th), KAPPA, 0.04, None, p)
+    assert diag["h_tail_grids"] > 1 + diag["nodes"]
+
+
+def test_stehfest_abscissae_are_the_inversion_points():
+    seen = []
+
+    def transform(theta):
+        seen.append(theta)
+        return 1.0 / (theta + 1.0)
+
+    for T, n in ((1.0, 14), (0.5, 8), (2.0, 8)):
+        seen.clear()
+        gaver_stehfest(transform, T, n_terms=n)
+        assert seen == [float(th) for th in _stehfest_abscissae(T, n)[1]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: h_scale(1.0, float("nan"), None, p),
+    lambda p: h_scale(float("nan"), 0.01, None, p),
+    lambda p: hitting_time_laplace(float("nan"), 0.01, 1.0, p),
+    lambda p: hitting_time_laplace(p.r0, float("inf"), 1.0, p),
+    lambda p: bond_transform_M(1.0, float("nan"), p),
+    lambda p: bond_transform_M(float("nan"), 0.01, p),
+], ids=["h_scale-x", "h_scale-theta", "hitting-r0", "hitting-y", "M-y",
+        "M-theta"])
+def test_transforms_reject_non_finite_input(bond_params, call):
+    with pytest.raises(ValueError, match="finite"):
+        call(bond_params(alpha=1.5))
 
 
 def test_put_price_evaluates_each_abscissa_once(bond_params):
