@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .sim import (
     simulate_lou,
     simulate_root,
     simulate_thinned,
-    write_sidecar,
 )
 from .stable import StableSpec, sample_stable_increment
 
@@ -71,6 +71,23 @@ def _add_out_args(p: argparse.ArgumentParser, default_stem: str) -> None:
 def _params(args) -> ModelParams:
     return ModelParams(a=args.a, b=args.b, sigma=args.sigma,
                        sigma_z=args.sigma_z, alpha=args.alpha, r0=args.r0)
+
+
+def write_sidecar(path, command: str, params: Optional[ModelParams],
+                  config: Optional[dict], seed: Optional[int],
+                  wall_time_s: float, version: str) -> None:
+    """JSON sidecar with the reproducibility envelope of a CLI run."""
+    doc = {
+        "command": command,
+        "params": params.to_json() if params is not None else None,
+        "config": config,
+        "seed": seed,
+        "version": version,
+        "wall_time_s": wall_time_s,
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _finish(args, command, params, config, t0, result=None) -> int:
@@ -151,9 +168,7 @@ def cmd_put_laplace(args) -> int:
     val, diag = put_laplace(args.theta, args.kappa, args.strike, params.r0,
                             params, with_diagnostics=True)
     result = {"laplace_value": val, "theta": args.theta, "kappa": args.kappa,
-              "K": args.strike, "kbar": diag["kbar"],
-              "diagnostics": {"q1": diag["q1"], "eps": diag["eps"],
-                              "nodes": diag["nodes"], "void": diag["void"]}}
+              "K": args.strike, "kbar": diag["kbar"], "diagnostics": diag}
     return _finish(args, "put-laplace", params,
                    {"theta": args.theta, "kappa": args.kappa, "K": args.strike},
                    t0, result=result)
@@ -261,51 +276,36 @@ def cmd_hawkes_limit(args) -> int:
 # ------------------------------------------------------------ figure presets
 
 
-def _coupled_paths(alpha: float, dt: float, horizon: float, seed: int, pd: dict):
-    """Driver path Z and the short rate built from that same Z, one seed."""
-    rng = np.random.default_rng(seed)
-    n = int(round(horizon / dt))
-    dB = rng.normal(0.0, np.sqrt(dt), n)
-    if alpha == 2.0:
-        dz = rng.normal(0.0, np.sqrt(2.0 * dt), n)
-    else:
-        dz = sample_stable_increment(StableSpec(alpha=alpha), dt, rng, size=n)
-    z = np.concatenate([[0.0], np.cumsum(dz)])
-    r = np.empty(n + 1)
-    r[0] = pd["r0"]
-    a, b, sig, sz = pd["a"], pd["b"], pd["sigma"], pd["sigma_z"]
-    for k in range(n):
+def _fig2_rate(alpha: float, dt: float, dB: np.ndarray, dz: np.ndarray):
+    """Root Euler short rate at FIG12_PARAMS driven by the increments dB, dz."""
+    a, b, sig, sz = (FIG12_PARAMS[k] for k in ("a", "b", "sigma", "sigma_z"))
+    r = np.empty(dz.size + 1)
+    r[0] = FIG12_PARAMS["r0"]
+    for k in range(dz.size):
         rp = max(r[k], 0.0)
         r[k + 1] = max(r[k] + a * (b - rp) * dt + sig * np.sqrt(rp) * dB[k]
                        + sz * rp ** (1.0 / alpha) * dz[k], 0.0)
-    times = dt * np.arange(n + 1)
-    return times, z, r
+    return r
 
 
-def cmd_fig1(args) -> int:
+def cmd_fig12(args) -> int:
+    """fig1 writes the stable driver paths Z, fig2 the short rates built
+    from the same seed's Brownian and stable increments."""
     t0 = time.time()
-    cols, names = [], []
-    for alpha in (2.0, 1.5, 1.2):
-        times, z, _ = _coupled_paths(alpha, args.dt, args.horizon, args.seed,
-                                     FIG12_PARAMS)
-        cols.append(z)
-        names.append(f"z_alpha_{alpha}")
-    _write_csv(args.out, "t," + ",".join(names), [times] + cols)
-    return _finish(args, "fig1", None,
-                   {**FIG12_PARAMS, "dt": args.dt, "horizon": args.horizon}, t0)
-
-
-def cmd_fig2(args) -> int:
-    t0 = time.time()
-    cols, names = [], []
-    for alpha in (2.0, 1.5, 1.2):
-        times, _, r = _coupled_paths(alpha, args.dt, args.horizon, args.seed,
-                                     FIG12_PARAMS)
-        cols.append(r)
-        names.append(f"r_alpha_{alpha}")
-    _write_csv(args.out, "t," + ",".join(names), [times] + cols)
-    return _finish(args, "fig2", None,
-                   {**FIG12_PARAMS, "dt": args.dt, "horizon": args.horizon}, t0)
+    fig1 = args.command == "fig1"
+    dt, n = args.dt, int(round(args.horizon / args.dt))
+    alphas = (2.0, 1.5, 1.2)
+    cols = []
+    for alpha in alphas:
+        rng = np.random.default_rng(args.seed)
+        dB = rng.normal(0.0, np.sqrt(dt), n)
+        dz = sample_stable_increment(StableSpec(alpha=alpha), dt, rng, size=n)
+        cols.append(np.concatenate([[0.0], np.cumsum(dz)]) if fig1
+                    else _fig2_rate(alpha, dt, dB, dz))
+    names = [f"{'z' if fig1 else 'r'}_alpha_{alpha}" for alpha in alphas]
+    _write_csv(args.out, "t," + ",".join(names), [dt * np.arange(n + 1)] + cols)
+    return _finish(args, args.command, None,
+                   {**FIG12_PARAMS, "dt": dt, "horizon": args.horizon}, t0)
 
 
 def cmd_fig3(args) -> int:
@@ -502,13 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=10.0)
     _add_out_args(p, "fig1")
-    p.set_defaults(func=cmd_fig1)
+    p.set_defaults(func=cmd_fig12)
 
     p = sub.add_parser("fig2", help="short-rate trajectories on the fig1 drivers")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=10.0)
     _add_out_args(p, "fig2")
-    p.set_defaults(func=cmd_fig2)
+    p.set_defaults(func=cmd_fig12)
 
     p = sub.add_parser("fig3", help="bond curves across stability indices")
     p.add_argument("--tmax", type=float, default=30.0)

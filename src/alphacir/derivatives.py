@@ -303,6 +303,10 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
         for i, th in enumerate(thetas.tolist()):
             m_vals = _cached_m(th, key).value(ys)
             vals[i] = nominal * float(np.dot(ws, ratios[i] * m_vals))
+        bad = thetas[~np.isfinite(vals)]
+        if bad.size:
+            raise RuntimeError(f"put Laplace transform not finite at theta = "
+                               f"{', '.join(f'{th:g}' for th in bad)}")
         diag.update({"q1": hcs[0].q1, "eps": hcs[0].eps, "nodes": ys.size,
                      "h_tail_grids": grids})
     val = float(vals[0]) if np.ndim(theta) == 0 else vals

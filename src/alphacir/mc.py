@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import solve_v, yield_from_curve
+from .jumps import _mark_threshold
 from .mechanism import ModelParams
 from .sim import (
     first_passage_thinned,
@@ -78,7 +79,7 @@ def mc_survival(params: ModelParams, y_bar: float, t_grid, n_paths: int = 100_00
     """Empirical P(tau_ybar > t) at each grid time from thinned paths;
     returns a list of McEstimate aligned with t_grid."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    y = y_bar / params.sigma_z
+    y = _mark_threshold(params, y_bar)
     rng = np.random.default_rng(seed)
     first = first_passage_thinned(params, y, dt, float(t_grid.max()), n_paths,
                                   rng).first
@@ -92,7 +93,7 @@ def mc_survival(params: ModelParams, y_bar: float, t_grid, n_paths: int = 100_00
 def mc_counter(params: ModelParams, p: float, y_bar: float, t: float,
                n_paths: int = 100_000, dt: float = 2e-3, seed: int = 0) -> McEstimate:
     """Empirical E[exp(-p J_t)] for the big-jump counter."""
-    y = y_bar / params.sigma_z
+    y = _mark_threshold(params, y_bar)
     rng = np.random.default_rng(seed)
     _, _, _, n_ev = simulate_thinned_batch(params, y, dt, t, n_paths, rng)
     return _mean_se(np.exp(-p * n_ev), "mc_counter")
@@ -106,7 +107,7 @@ def mc_expected_tau(params: ModelParams, y_bar: float, n_paths: int = 10_000,
     (first-event times before a horizon do not depend on how far the batch
     runs later).  Paths still censored at max_horizon contribute the horizon
     (downward bias below the reported censoring fraction, warned about)."""
-    y = y_bar / params.sigma_z
+    y = _mark_threshold(params, y_bar)
     rng = np.random.default_rng(seed)
     state = first_passage_thinned(params, y, dt, horizon, n_paths, rng)
     while state.censored > 0.01 and horizon < max_horizon:
@@ -133,7 +134,7 @@ def mc_lou_first_jump_cdf(params: ModelParams, y_bar: float, t_grid,
                           seed: int = 0):
     """Empirical CDF of the first big jump of the locally equivalent LOU."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    y = y_bar / params.sigma_z
+    y = _mark_threshold(params, y_bar)
     rng = np.random.default_rng(seed)
     _, first = simulate_lou_batch(params, y, dt, float(t_grid.max()),
                                   n_paths, rng)

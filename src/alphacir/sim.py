@@ -1,15 +1,15 @@
 """Path generation for the jump-extended square-root rate model.
 
-Four engines:
+Three engines:
 
 * root Euler: discretizes dr = a(b-r)dt + sigma sqrt(r) dB + sigma_z r^(1/alpha) dZ
   with full truncation (coefficients at r+, then clamp at 0);
 * thinned: evolves the truncated dynamics (drift a_tilde(b_tilde - r)) with an
   Asmussen-Rosinski small-jump approximation and superposes the big jumps
   (mark > y) by thinning against a per-step intensity bound; big jumps are
-  recorded as events;
-* LOU: the locally equivalent Levy-OU benchmark with volatility and jump
-  scale frozen at r0 (no clamp, Vasicek-type);
+  recorded as events.  The locally equivalent Levy-OU (LOU) benchmark is
+  the same step with its volatility and jump coefficients frozen at r0 and
+  no clamp (Vasicek-type);
 * Hawkes: exact event-driven simulation of the exponential-kernel
   self-exciting intensity whose rescaling converges to the diffusion limit.
 
@@ -19,7 +19,6 @@ Generator; the single-path wrappers return Path objects for the CLI.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +28,9 @@ from .mechanism import ModelParams, truncated_drift
 from .stable import (
     StableSpec,
     big_jump_mass,
+    big_jump_mean,
     levy_density_coefficient,
+    sample_pareto_tail,
     sample_stable_increment,
     sample_truncated_band,
     truncated_second_moment,
@@ -135,10 +136,8 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
         dz = sample_stable_increment(spec, dt, rng, size=n_paths)
         r_new = (r + params.a * (params.b - rp) * dt
                  + params.sigma * np.sqrt(rp) * sqrt_dt * gauss)
-        if params.sigma_z > 0.0 and params.alpha < 2.0:
+        if params.sigma_z > 0.0:       # at alpha = 2, ** 0.5 is NumPy's sqrt
             r_new += params.sigma_z * rp ** (1.0 / params.alpha) * dz
-        elif params.sigma_z > 0.0:                      # alpha = 2 degenerate
-            r_new += params.sigma_z * np.sqrt(rp) * dz
         r_new = np.maximum(r_new, 0.0)
         integral += 0.5 * dt * (np.maximum(r, 0.0) + r_new)
         r = r_new
@@ -154,18 +153,6 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
     return res
 
 
-def _thinned_step_arrays(params: ModelParams, y: float):
-    """Precomputed constants of the thinned scheme for threshold y."""
-    alpha = params.alpha
-    eps = y / 100.0                       # small-jump cutoff (variance-matched below)
-    K = levy_density_coefficient(alpha)
-    nu_big = big_jump_mass(alpha, y)
-    nu_mid = big_jump_mass(alpha, eps) - nu_big
-    mean_mid = K * (eps ** (1.0 - alpha) - y ** (1.0 - alpha)) / (alpha - 1.0)
-    var_small = truncated_second_moment(alpha, eps)
-    return eps, nu_big, nu_mid, mean_mid, var_small
-
-
 class _ThinnedStep:
     """The one step kernel of the thinned scheme at threshold y and step dt.
 
@@ -174,52 +161,72 @@ class _ThinnedStep:
     draw, and the big jumps (> y) as a Poisson draw at the start-of-step
     intensity; two big arrivals in one step are an O(dt^2) event, collapsed
     to one.  The constants are fixed at construction.
+
+    Every coefficient is taken at the clamped start value r+ (the big-jump
+    compensator sits in the truncated drift a_tilde) and the end value is
+    clamped at 0.  With frozen=True it is the LOU step: the mean reversion
+    a(b - r) acts on the unclamped r, the Gaussian variance, both
+    compensators and both Poisson intensities are taken at r0, and nothing
+    is clamped.
     """
 
-    def __init__(self, params: ModelParams, y: float, dt: float):
-        _check_alpha(params.alpha, allow_two=False)
-        if params.sigma_z <= 0.0:
+    def __init__(self, params: ModelParams, y: float, dt: float,
+                 frozen: bool = False):
+        alpha, sz = params.alpha, params.sigma_z
+        _check_alpha(alpha, allow_two=False)
+        if not frozen and sz <= 0.0:
             raise ValueError("thinned scheme needs sigma_z > 0")
-        eps, nu_big, nu_mid, mean_mid, var_small = _thinned_step_arrays(params, y)
-        sz, alpha = params.sigma_z, params.alpha
-        self.dt, self.y, self.sz, self.eps = dt, y, sz, eps
+        eps = y / 100.0                   # small-jump cutoff (variance-matched below)
+        nu_big = big_jump_mass(alpha, y)
+        nu_mid = big_jump_mass(alpha, eps) - nu_big
+        mean_mid = (levy_density_coefficient(alpha)
+                    * (eps ** (1.0 - alpha) - y ** (1.0 - alpha)) / (alpha - 1.0))
+        self.dt, self.y, self.sz, self.eps, self.alpha = dt, y, sz, eps, alpha
         self.ab = params.a * params.b
-        self.a_t = truncated_drift(params, y)
-        self.c_mid = sz * mean_mid                 # mid-band compensator
         self.s2 = params.sigma ** 2
-        self.v_small = sz ** 2 * var_small         # small-jump variance
+        self.v_small = sz ** 2 * truncated_second_moment(alpha, eps)
         self.nu_mid_dt = nu_mid * dt
         self.nu_big_dt = nu_big * dt
-        self.band = 1.0 - (eps / y) ** alpha       # inverse-cdf span of the band
-        self.neg_inv_alpha = -1.0 / alpha
+        self.frozen, self.r0 = frozen, params.r0
+        if frozen:
+            self.a_r = params.a
+            self.comp = sz * (mean_mid + big_jump_mean(alpha, y))
+        else:
+            self.a_r = truncated_drift(params, y)
+            self.comp = sz * mean_mid          # mid-band compensator
 
     def __call__(self, r: np.ndarray, t0: float, rng: np.random.Generator):
         """Advance the paths r by one step from time t0.
 
-        Returns (rp, r_new, idx, t_ev, sizes): the clamped start values, the
-        end values, the positions in r of the paths with a big jump in the
-        step, and those jumps' times in [t0, t0 + dt) and rate-space sizes.
+        Returns (rp, r_new, idx, t_ev, sizes): the clamped start values
+        (unclamped when frozen), the end values, the positions in r of the
+        paths with a big jump in the step, and those jumps' times in
+        [t0, t0 + dt) and rate-space sizes.
         """
         n, dt = r.size, self.dt
-        rp = np.maximum(r, 0.0)
-        drift = self.ab - self.a_t * rp - self.c_mid * rp
-        gauss_var = self.s2 * rp + self.v_small * rp
+        frozen = self.frozen
+        rp = r if frozen else np.maximum(r, 0.0)
+        # a frozen rate is one scalar, the fast path of Generator.poisson
+        rc, size = (self.r0, n) if frozen else (rp, None)
+        drift = self.ab - self.a_r * rp - self.comp * rc
+        gauss_var = self.s2 * rc + self.v_small * rc
         incr = drift * dt + np.sqrt(gauss_var * dt) * rng.standard_normal(n)
-        counts = rng.poisson(rp * self.nu_mid_dt)
+        counts = rng.poisson(rc * self.nu_mid_dt, size=size)
         tot = int(counts.sum())
         if tot:
-            u = rng.uniform(size=tot)
-            marks = self.eps * (1.0 - u * self.band) ** self.neg_inv_alpha
+            marks = sample_truncated_band(self.alpha, self.eps, self.y, rng,
+                                          size=tot)
             owners = np.repeat(np.arange(n), counts)
             incr += self.sz * np.bincount(owners, weights=marks, minlength=n)
-        idx = np.flatnonzero(rng.poisson(rp * self.nu_big_dt))
+        idx = np.flatnonzero(rng.poisson(rc * self.nu_big_dt, size=size))
         sizes = t_ev = idx                         # empty unless a path jumps
         if idx.size:
-            u = rng.uniform(size=idx.size)
-            sizes = self.sz * (self.y * u ** self.neg_inv_alpha)
+            sizes = self.sz * sample_pareto_tail(self.alpha, self.y, rng,
+                                                 size=idx.size)
             incr[idx] += sizes
             t_ev = t0 + dt * rng.uniform(size=idx.size)
-        return rp, np.maximum(r + incr, 0.0), idx, t_ev, sizes
+        r_new = r + incr
+        return rp, r_new if frozen else np.maximum(r_new, 0.0), idx, t_ev, sizes
 
 
 def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
@@ -317,42 +324,23 @@ def first_passage_thinned(params: ModelParams, y: float, dt: float,
 def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
                        n_paths: int, rng: np.random.Generator,
                        keep_paths: bool = False):
-    """Locally equivalent Levy-OU: coefficients frozen at r0, same small/big
-    decomposition at mark threshold y, no positivity clamp.
+    """Locally equivalent Levy-OU: the thinned step at mark threshold y with
+    its coefficients frozen at r0 and no positivity clamp.
 
     Returns (lambda_T, first_event_time[, paths, times]).
     """
-    _check_alpha(params.alpha, allow_two=False)
+    step = _ThinnedStep(params, y, dt, frozen=True)
     n_steps, times = _grid(dt, horizon)
-    alpha, sz, r0 = params.alpha, params.sigma_z, params.r0
-    eps, nu_big, nu_mid, mean_mid, var_small = _thinned_step_arrays(params, y)
-    theta_big = levy_density_coefficient(alpha) * y ** (1.0 - alpha) / (alpha - 1.0)
-
-    lam = np.full(n_paths, r0)
+    lam = np.full(n_paths, params.r0)
     first_event = np.full(n_paths, np.inf)
     out = np.empty((n_paths, n_steps + 1)) if keep_paths else None
     if keep_paths:
         out[:, 0] = lam
-    gauss_sd = np.sqrt((params.sigma ** 2 * r0 + sz ** 2 * var_small * r0) * dt)
-    comp = sz * (mean_mid + theta_big) * r0      # total compensator of frozen jumps
     for k in range(n_steps):
-        incr = (params.a * (params.b - lam) - comp) * dt
-        incr += gauss_sd * rng.standard_normal(n_paths)
-        counts = rng.poisson(r0 * nu_mid * dt, size=n_paths)
-        tot = int(counts.sum())
-        if tot:
-            marks = sample_truncated_band(alpha, eps, y, rng, size=tot)
-            owners = np.repeat(np.arange(n_paths), counts)
-            incr += sz * np.bincount(owners, weights=marks, minlength=n_paths)
-        big = rng.poisson(r0 * nu_big * dt, size=n_paths)
-        hit = np.nonzero(big > 0)[0]
-        if hit.size:
-            sizes = sz * (y * rng.uniform(size=hit.size) ** (-1.0 / alpha))
-            incr[hit] += sizes
-            t_ev = times[k] + dt * rng.uniform(size=hit.size)
-            newly = first_event[hit] == np.inf
-            first_event[hit[newly]] = t_ev[newly]
-        lam = lam + incr
+        _, lam, idx, t_ev, _ = step(lam, times[k], rng)
+        if idx.size:
+            newly = first_event[idx] == np.inf
+            first_event[idx[newly]] = t_ev[newly]
         if keep_paths:
             out[:, k + 1] = lam
     if keep_paths:
@@ -466,20 +454,3 @@ def simulate_hawkes(a: float, b: float, sigma_z: float, horizon: float,
         if rng.uniform() < lam_next / bound:
             lam += sigma_z
     return Path(times=times / n, values=values / n)
-
-
-def write_sidecar(path, command: str, params: Optional[ModelParams],
-                  config: Optional[dict], seed: Optional[int],
-                  wall_time_s: float, version: str) -> None:
-    """JSON sidecar with the reproducibility envelope of a CLI run."""
-    doc = {
-        "command": command,
-        "params": params.to_json() if params is not None else None,
-        "config": config,
-        "seed": seed,
-        "version": version,
-        "wall_time_s": wall_time_s,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from alphacir.cli import run
+from alphacir.cli import run, write_sidecar
 
 JUMP_FLAGS = ["--a", "0.1", "--b", "0.1", "--sigma", "0.1", "--sigma-z",
               "0.1", "--r0", "0.2"]
@@ -24,6 +24,15 @@ def test_bond_writes_csv_and_sidecar(tmp_path, monkeypatch):
     assert doc["command"] == "bond"
     assert doc["params"]["alpha"] == 1.5
     assert "wall_time_s" in doc
+
+
+def test_sidecar_schema(tmp_path, bond_params):
+    out = tmp_path / "run.json"
+    write_sidecar(out, "bond", bond_params(), {"tmax": 10.0}, 7, 0.5, "0.1.0")
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"command", "params", "config", "seed", "version",
+                        "wall_time_s"}
+    assert doc["params"]["alpha"] == 1.5
 
 
 def test_simulate_root_scheme(tmp_path, monkeypatch):
@@ -80,6 +89,31 @@ def test_put_price_result_reports_tail_grids(tmp_path, monkeypatch):
     assert doc["price"] == 0.010466419185062768
     assert doc["diagnostics"]["h_tail_grids"] == 65
     assert doc["diagnostics"]["transform_evals"] == 14
+
+
+def test_put_laplace_void_strike(tmp_path, monkeypatch):
+    # the effective strike is negative, so the transform is zero and the
+    # diagnostics hold no node data
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["put-laplace", "--theta", "1", "--strike", "0.005"]) == 0
+    doc = json.loads((tmp_path / "put_laplace_result.json").read_text())
+    assert doc["laplace_value"] == 0.0
+    assert doc["diagnostics"]["void"] is True
+
+
+@pytest.mark.parametrize("argv, theta", [
+    (["put-laplace", "--theta", "400", "--strike", "0.04"], "400"),
+    (["put-price", "--maturity", "0.02", "--strike", "0.04"], "138.629"),
+])
+def test_non_finite_put_exits_three(tmp_path, monkeypatch, capsys, argv,
+                                    theta):
+    # H overflows at these transform arguments; the NaN it leads to must not
+    # be written as a result
+    _in_tmp(tmp_path, monkeypatch)
+    with np.errstate(all="ignore"):
+        assert run(argv) == 3
+    assert f"theta = {theta}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_subcommand_exits_two(tmp_path, monkeypatch):

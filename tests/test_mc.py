@@ -58,6 +58,20 @@ def test_mc_lou_cdf_concordant(jump_params):
     assert ests[0].within(lou_first_jump_cdf(0.1, 1.0, p), n_se=4.0)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda p, y_bar: mc_survival(p, y_bar, [1.0], n_paths=10),
+    lambda p, y_bar: mc_counter(p, 1.0, y_bar, 1.0, n_paths=10),
+    lambda p, y_bar: mc_expected_tau(p, y_bar, n_paths=10),
+    lambda p, y_bar: mc_lou_first_jump_cdf(p, y_bar, [1.0], n_paths=10),
+], ids=["survival", "counter", "expected_tau", "lou_cdf"])
+@pytest.mark.parametrize("sigma_z, y_bar", [(0.0, 0.1), (0.1, float("nan"))],
+                         ids=["no-jumps", "nan-threshold"])
+def test_mc_jump_estimators_reject_bad_threshold(jump_params, estimate,
+                                                  sigma_z, y_bar):
+    with pytest.raises(ValueError):
+        estimate(jump_params(alpha=1.5, sigma_z=sigma_z), y_bar)
+
+
 def test_running_min_put_two_forms_identical_paths(bond_params):
     # the yield payoff and the algebraically reduced payoff are the same
     # random variable, so on common paths they agree to rounding

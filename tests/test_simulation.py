@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,11 +11,11 @@ from alphacir.sim import (
     simulate_hawkes,
     simulate_hawkes_batch,
     simulate_lou,
+    simulate_lou_batch,
     simulate_root,
     simulate_root_batch,
     simulate_thinned,
     simulate_thinned_batch,
-    write_sidecar,
 )
 
 
@@ -169,13 +167,42 @@ def test_hawkes_single_path_grid():
     assert np.all(path.values >= 0.0)
 
 
-def test_sidecar_schema(tmp_path, bond_params):
-    out = tmp_path / "run.json"
-    write_sidecar(out, "bond", bond_params(), {"tmax": 10.0}, 7, 0.5, "0.1.0")
-    doc = json.loads(out.read_text())
-    assert set(doc) == {"command", "params", "config", "seed", "version",
-                        "wall_time_s"}
-    assert doc["params"]["alpha"] == 1.5
+# Pinned outputs of the three jump-step batches at small fixed seeds; 1e-12
+# relative leaves room for last-ulp differences of libm and SIMD math on
+# other NumPy builds while any change of draws shows.
+
+
+def _pinned(got, want):
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12)
+
+
+def test_thinned_batch_pinned(jump_params):
+    r, integ, first, n_ev = simulate_thinned_batch(
+        jump_params(alpha=1.5), 0.5, 1e-2, 10.0, 64, np.random.default_rng(1))
+    hit = np.isfinite(first)
+    assert (hit.sum(), n_ev.sum()) == (41, 98)
+    _pinned([r.sum(), integ.sum(), first[hit].sum()],
+            [5.400464357571611, 82.47833809304373, 121.87797417630908])
+
+
+def test_first_passage_pinned(jump_params):
+    st = first_passage_thinned(jump_params(alpha=1.5), 1.0, 1e-2, 20.0, 200,
+                               np.random.default_rng(2))
+    hit = np.isfinite(st.first)
+    assert (hit.sum(), st.active.size) == (91, 109)
+    _pinned([st.first[hit].sum(), st.r.sum()],
+            [548.8182886230002, 4.472028787477518])
+
+
+def test_lou_batch_pinned(jump_params):
+    lam, first = simulate_lou_batch(jump_params(alpha=1.5), 1.0, 1e-2, 20.0,
+                                    200, np.random.default_rng(3))
+    hit = np.isfinite(first)
+    assert hit.sum() == 158
+    _pinned([lam.sum(), (lam ** 2).sum(), lam.min(), first[hit].sum()],
+            [17.789782712260944, 16.521181778489726, -0.36056858221372423,
+             1264.6411902987356])
 
 
 def test_path_csv_round_trip(tmp_path):
