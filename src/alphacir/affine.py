@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .mechanism import JumpSpec, ModelParams, phi, psi, truncated_drift
+from .mechanism import JumpSpec, ModelParams, phi, psi
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 
@@ -59,10 +59,6 @@ class OdeCurve:
         i = np.searchsorted(self.grid, flat, side="right") - 1
         out = self._cum[i] + self._gauss_pieces(self.grid[i], flat)
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
-
-    def to_csv(self, path) -> None:
-        arr = np.column_stack([self.grid, self.values])
-        np.savetxt(path, arr, delimiter=",", header="t,v", comments="")
 
 
 def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
@@ -140,8 +136,7 @@ def yield_from_curve(curve: OdeCurve, kappa: float, r_t):
     return float(out) if np.isscalar(r_t) else out
 
 
-def stationary_laplace(p: float, params: ModelParams,
-                       spec: JumpSpec = JumpSpec.full()) -> float:
+def stationary_laplace(p: float, params: ModelParams) -> float:
     """Laplace transform of the limit law: exp(-int_0^p Phi(q)/Psi(q) dq).
 
     Phi/Psi extends continuously to 0 with value a*b/Psi'(0+), so the
@@ -151,16 +146,12 @@ def stationary_laplace(p: float, params: ModelParams,
         raise ValueError("p must be nonnegative")
     if p == 0.0:
         return 1.0
-    if spec.variant == "truncated":
-        drift0 = truncated_drift(params, spec.y)
-    else:
-        drift0 = params.a
-    limit0 = params.a * params.b / drift0
+    limit0 = params.b        # a b / Psi'(0+), with Psi'(0+) = a
 
     def integrand(q):
         if q < 1e-12:
             return limit0
-        return phi(q, params) / psi(q, params, spec)
+        return phi(q, params) / psi(q, params)
 
     val, _ = quad(integrand, 0.0, p, epsabs=1e-13, epsrel=1e-11, limit=200)
     return float(np.exp(-val))

@@ -2,8 +2,20 @@
 figure-data presets, emitting CSV data files and a JSON reproducibility
 sidecar per run.  No plotting here; the CSVs are the deliverable.
 
+Every subcommand runs in one envelope, kept in run().  A command only
+computes: it writes its own CSV, if it has one, and returns (config,
+result).  run() then writes <out>.json, the sidecar with the keys command,
+params (the model flags; null for hawkes-limit and the fig presets),
+config, seed, version and wall_time_s.  When result is not None it also
+writes <out>_result.json and echoes the same JSON as one line on stdout.
+--out defaults to the subcommand name with "_" for "-".  selfcheck writes
+no file; it prints its concordance lines and "selfcheck ok" or
+"selfcheck FAILED: ...".
+
 Exit codes: 0 success, 2 validation error, 3 numerical-diagnostic failure
-(failed ODE solve, dual-route disagreement, concordance violation).
+(failed ODE solve, dual-route disagreement, non-finite put transform,
+failed selfcheck).  A failure prints one "invalid input: ..." or
+"numerical diagnostic failure: ..." line on stderr and writes no sidecar.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from . import __version__
 from .affine import bond_price_from_curve, solve_v, stationary_laplace, yield_from_curve
 from .derivatives import put_laplace, put_price
 from .jumps import (
+    RouteDisagreement,
     expected_tau,
     counter_laplace,
     survival_curve,
@@ -34,6 +47,7 @@ from .mechanism import (
     mechanism_report,
 )
 from .sim import (
+    ROOT_EULER,
     SimConfig,
     THINNED,
     simulate_hawkes,
@@ -62,12 +76,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r0", type=float, default=0.05, help="initial short rate")
 
 
-def _add_out_args(p: argparse.ArgumentParser, default_stem: str) -> None:
-    p.add_argument("--out", type=str, default=default_stem,
-                   help="output stem; writes <out>.csv and <out>.json")
-    p.add_argument("--seed", type=int, default=0)
-
-
 def _params(args) -> ModelParams:
     return ModelParams(a=args.a, b=args.b, sigma=args.sigma,
                        sigma_z=args.sigma_z, alpha=args.alpha, r0=args.r0)
@@ -90,17 +98,6 @@ def write_sidecar(path, command: str, params: Optional[ModelParams],
         fh.write("\n")
 
 
-def _finish(args, command, params, config, t0, result=None) -> int:
-    write_sidecar(args.out + ".json", command, params, config,
-                  getattr(args, "seed", None), time.time() - t0, __version__)
-    if result is not None:
-        with open(args.out + "_result.json", "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(json.dumps(result))
-    return EXIT_OK
-
-
 def _write_csv(stem, header, columns) -> None:
     arr = np.column_stack(columns)
     np.savetxt(stem + ".csv", arr, delimiter=",", header=header, comments="")
@@ -109,156 +106,116 @@ def _write_csv(stem, header, columns) -> None:
 # ---------------------------------------------------------------- simulate
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_simulate(args, params):
     if args.scheme == "hawkes":
         path = simulate_hawkes(args.a, args.b, args.sigma_z, args.horizon,
                                n=args.n_agents, seed=args.seed)
         config = {"scheme": "hawkes", "horizon": args.horizon,
                   "n_agents": args.n_agents, "seed": args.seed}
     else:
-        scheme = THINNED if args.scheme == "thinned" else "root_euler"
+        scheme = THINNED if args.scheme == "thinned" else ROOT_EULER
         config_obj = SimConfig(dt=args.dt, horizon=args.horizon, scheme=scheme,
                                y=args.y if args.scheme != "root" else None,
                                seed=args.seed)
-        if args.scheme == "root":
-            path = simulate_root(params, config_obj)
-        elif args.scheme == "thinned":
-            path = simulate_thinned(params, config_obj)
-        elif args.scheme == "lou":
-            path = simulate_lou(params, config_obj)
-        else:
-            raise ValueError(f"unknown scheme {args.scheme!r}")
+        simulate = {"root": simulate_root, "thinned": simulate_thinned,
+                    "lou": simulate_lou}[args.scheme]
+        path = simulate(params, config_obj)
         config = config_obj.to_json()
         config["scheme"] = args.scheme
     path.to_csv(args.out + ".csv")
     if path.events:
         path.events_to_csv(args.out + "_events.csv")
-    return _finish(args, "simulate", params, config, t0)
+    return config, None
 
 
 # ------------------------------------------------------- analytic pricing
 
 
-def cmd_bond(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_bond(args, params):
     curve = solve_v(0.0, 1.0, args.tmax, params)
     grid = np.linspace(0.0, args.tmax, args.points)
     prices = [bond_price_from_curve(curve, T, params.r0) for T in grid]
     _write_csv(args.out, "T,price", [grid, prices])
-    return _finish(args, "bond", params,
-                   {"tmax": args.tmax, "points": args.points}, t0)
+    return {"tmax": args.tmax, "points": args.points}, None
 
 
-def cmd_yield(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_yield(args, params):
     r = params.r0 if args.rate is None else args.rate
     curve = solve_v(0.0, 1.0, args.kappa, params)
     val = yield_from_curve(curve, args.kappa, r)
-    return _finish(args, "yield", params, {"kappa": args.kappa, "rate": r}, t0,
-                   result={"kappa": args.kappa, "rate": r, "value": val})
+    return ({"kappa": args.kappa, "rate": r},
+            {"kappa": args.kappa, "rate": r, "value": val})
 
 
-def cmd_put_laplace(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_put_laplace(args, params):
     val, diag = put_laplace(args.theta, args.kappa, args.strike, params.r0,
                             params, with_diagnostics=True)
     result = {"laplace_value": val, "theta": args.theta, "kappa": args.kappa,
               "K": args.strike, "kbar": diag["kbar"], "diagnostics": diag}
-    return _finish(args, "put-laplace", params,
-                   {"theta": args.theta, "kappa": args.kappa, "K": args.strike},
-                   t0, result=result)
+    return {"theta": args.theta, "kappa": args.kappa, "K": args.strike}, result
 
 
-def cmd_put_price(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_put_price(args, params):
     price, diag = put_price(args.maturity, args.kappa, args.strike, params.r0,
                             params, n_terms=args.n_terms, with_diagnostics=True)
     result = {"price": price, "T": args.maturity, "kappa": args.kappa,
               "K": args.strike, "kbar": diag["kbar"], "diagnostics": diag}
-    return _finish(args, "put-price", params,
-                   {"T": args.maturity, "kappa": args.kappa, "K": args.strike,
-                    "n_terms": args.n_terms}, t0, result=result)
+    return ({"T": args.maturity, "kappa": args.kappa, "K": args.strike,
+             "n_terms": args.n_terms}, result)
 
 
-def cmd_stationary(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_stationary(args, params):
     grid = np.linspace(0.0, args.pmax, args.points)
     vals = [stationary_laplace(p, params) for p in grid]
     _write_csv(args.out, "p,laplace", [grid, vals])
-    return _finish(args, "stationary", params,
-                   {"pmax": args.pmax, "points": args.points}, t0)
+    return {"pmax": args.pmax, "points": args.points}, None
 
 
-def cmd_boundary(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_boundary(args, params):
     rep = mechanism_report(params)
-    result = {"classification": boundary_classification(params),
-              "x0": rep.x0, "drift": params.a}
-    return _finish(args, "boundary", params, {}, t0, result=result)
+    return {}, {"classification": boundary_classification(params),
+                "x0": rep.x0, "drift": params.a}
 
 
-def cmd_measure_change(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_measure_change(args, params):
     new_params, new_spec = change_of_measure(params, args.eta, args.theta)
     result = {"params": new_params.to_json(),
               "jump_spec": {"variant": new_spec.variant, "theta": new_spec.theta}}
-    return _finish(args, "measure-change", params,
-                   {"eta": args.eta, "theta": args.theta}, t0, result=result)
+    return {"eta": args.eta, "theta": args.theta}, result
 
 
 # ----------------------------------------------------------- jump analytics
 
 
-def cmd_jump_survival(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_jump_survival(args, params):
     grid = np.linspace(0.0, args.tmax, args.points)
     t_chk = 0.5 * args.tmax
     curve = survival_curve(args.y_bar, np.append(grid, t_chk), params)
-    _write_csv(args.out, "t,survival", [grid, curve.derived[:-1]])
     s1 = curve.derived[-1]
     s2 = survival_tau_via_rhat(args.y_bar, t_chk, params)
     if abs(s1 - s2) > 1e-6:
-        print(f"dual-route survival disagreement at t={t_chk}: "
-              f"{s1} vs {s2}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
-    return _finish(args, "jump-survival", params,
-                   {"y_bar": args.y_bar, "tmax": args.tmax,
-                    "points": args.points}, t0)
+        raise RouteDisagreement(f"dual-route survival disagreement at "
+                                f"t={t_chk}: {s1} vs {s2}")
+    _write_csv(args.out, "t,survival", [grid, curve.derived[:-1]])
+    return {"y_bar": args.y_bar, "tmax": args.tmax, "points": args.points}, None
 
 
-def cmd_jump_counter(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_jump_counter(args, params):
     grid = np.linspace(0.0, args.tmax, args.points)
     vals = counter_laplace(args.p, args.y_bar, grid, params)
     _write_csv(args.out, "t,counter_laplace", [grid, vals])
-    return _finish(args, "jump-counter", params,
-                   {"p": args.p, "y_bar": args.y_bar, "tmax": args.tmax,
-                    "points": args.points}, t0)
+    return ({"p": args.p, "y_bar": args.y_bar, "tmax": args.tmax,
+             "points": args.points}, None)
 
 
-def cmd_jump_expectation(args) -> int:
-    t0 = time.time()
-    params = _params(args)
+def cmd_jump_expectation(args, params):
     est = expected_tau(args.y_bar, params)
     result = {**est._asdict(),
               "route_gap": abs(est.survival_route / est.density_route - 1.0)}
-    return _finish(args, "jump-expectation", params, {"y_bar": args.y_bar},
-                   t0, result=result)
+    return {"y_bar": args.y_bar}, result
 
 
-def cmd_hawkes_limit(args) -> int:
-    t0 = time.time()
+def cmd_hawkes_limit(args, params):
     rng = np.random.default_rng(args.seed)
     lam = simulate_hawkes_batch(args.a, args.b, args.sigma_z, args.horizon,
                                 args.n_agents, args.n_paths, rng)
@@ -267,10 +224,9 @@ def cmd_hawkes_limit(args) -> int:
               "mc_mean": float(np.mean(lam)),
               "mc_se": float(np.std(lam, ddof=1) / np.sqrt(len(lam))),
               "limit_mean": limit_mean}
-    return _finish(args, "hawkes-limit", None,
-                   {"a": args.a, "b": args.b, "sigma_z": args.sigma_z,
-                    "horizon": args.horizon, "n_agents": args.n_agents,
-                    "n_paths": args.n_paths}, t0, result=result)
+    return ({"a": args.a, "b": args.b, "sigma_z": args.sigma_z,
+             "horizon": args.horizon, "n_agents": args.n_agents,
+             "n_paths": args.n_paths}, result)
 
 
 # ------------------------------------------------------------ figure presets
@@ -288,10 +244,9 @@ def _fig2_rate(alpha: float, dt: float, dB: np.ndarray, dz: np.ndarray):
     return r
 
 
-def cmd_fig12(args) -> int:
+def cmd_fig12(args, params):
     """fig1 writes the stable driver paths Z, fig2 the short rates built
     from the same seed's Brownian and stable increments."""
-    t0 = time.time()
     fig1 = args.command == "fig1"
     dt, n = args.dt, int(round(args.horizon / args.dt))
     alphas = (2.0, 1.5, 1.2)
@@ -304,30 +259,23 @@ def cmd_fig12(args) -> int:
                     else _fig2_rate(alpha, dt, dB, dz))
     names = [f"{'z' if fig1 else 'r'}_alpha_{alpha}" for alpha in alphas]
     _write_csv(args.out, "t," + ",".join(names), [dt * np.arange(n + 1)] + cols)
-    return _finish(args, args.command, None,
-                   {**FIG12_PARAMS, "dt": dt, "horizon": args.horizon}, t0)
+    return {**FIG12_PARAMS, "dt": dt, "horizon": args.horizon}, None
 
 
-def cmd_fig3(args) -> int:
-    t0 = time.time()
+def cmd_fig3(args, params):
     grid = np.linspace(0.0, args.tmax, args.points)
-    cols, names = [], []
-    for alpha in (1.2, 1.5, 2.0):
-        p = ModelParams(alpha=alpha, **FIG3_PARAMS)
+    models = {f"alpha_{alpha}": ModelParams(alpha=alpha, **FIG3_PARAMS)
+              for alpha in (1.2, 1.5, 2.0)}
+    models["cir"] = ModelParams(alpha=2.0, **{**FIG3_PARAMS, "sigma_z": 0.0})
+    cols = []
+    for p in models.values():
         curve = solve_v(0.0, 1.0, max(args.tmax, 1e-6), p)
         cols.append([bond_price_from_curve(curve, T, p.r0) for T in grid])
-        names.append(f"alpha_{alpha}")
-    p_cir = ModelParams(alpha=2.0, **{**FIG3_PARAMS, "sigma_z": 0.0})
-    curve = solve_v(0.0, 1.0, max(args.tmax, 1e-6), p_cir)
-    cols.append([bond_price_from_curve(curve, T, p_cir.r0) for T in grid])
-    names.append("cir")
-    _write_csv(args.out, "T," + ",".join(names), [grid] + cols)
-    return _finish(args, "fig3", None,
-                   {**FIG3_PARAMS, "tmax": args.tmax, "points": args.points}, t0)
+    _write_csv(args.out, "T," + ",".join(models), [grid] + cols)
+    return {**FIG3_PARAMS, "tmax": args.tmax, "points": args.points}, None
 
 
-def cmd_fig4(args) -> int:
-    t0 = time.time()
+def cmd_fig4(args, params):
     grid = np.linspace(0.0, args.tmax, args.points)
     cols, names = [], []
     for alpha in (1.2, 1.5, 1.8):
@@ -336,29 +284,25 @@ def cmd_fig4(args) -> int:
         cols.append(curve.derived)
         names.append(f"alpha_{alpha}")
     _write_csv(args.out, "t," + ",".join(names), [grid] + cols)
-    return _finish(args, "fig4", None,
-                   {**FIG45_PARAMS, "y_bar": args.y_bar, "tmax": args.tmax,
-                    "points": args.points}, t0)
+    return ({**FIG45_PARAMS, "y_bar": args.y_bar, "tmax": args.tmax,
+             "points": args.points}, None)
 
 
-def cmd_fig5(args) -> int:
-    t0 = time.time()
+def cmd_fig5(args, params):
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
     vals = []
     for alpha in alphas:
         p = ModelParams(alpha=float(alpha), **FIG45_PARAMS)
         vals.append(expected_tau(args.y_bar, p).value)
     _write_csv(args.out, "alpha,expected_tau", [alphas, vals])
-    return _finish(args, "fig5", None,
-                   {**FIG45_PARAMS, "y_bar": args.y_bar,
-                    "alpha_min": args.alpha_min, "alpha_max": args.alpha_max,
-                    "points": args.points}, t0)
+    return ({**FIG45_PARAMS, "y_bar": args.y_bar, "alpha_min": args.alpha_min,
+             "alpha_max": args.alpha_max, "points": args.points}, None)
 
 
 # --------------------------------------------------------------- selfcheck
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args, params):
     t0 = time.time()
     failures = []
 
@@ -383,7 +327,8 @@ def cmd_selfcheck(args) -> int:
 
     print(f"selfcheck {'FAILED: ' + ', '.join(failures) if failures else 'ok'} "
           f"({time.time() - t0:.1f}s)")
-    return EXIT_DIAGNOSTIC if failures else EXIT_OK
+    if failures:
+        raise RuntimeError(f"selfcheck failed: {', '.join(failures)}")
 
 
 # ------------------------------------------------------------------- parser
@@ -396,8 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "jump analytics, figure data.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="one trajectory to CSV")
-    _add_model_args(p)
+    def command(name, func, help, model=True, out=True):
+        p = sub.add_parser(name, help=help)
+        if model:
+            _add_model_args(p)
+        if out:
+            p.add_argument("--out", type=str, default=name.replace("-", "_"),
+                           help="output stem; writes <out>.csv and <out>.json")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func, model=model)
+        return p
+
+    p = command("simulate", cmd_simulate, "one trajectory to CSV")
     p.add_argument("--scheme", choices=["root", "thinned", "lou", "hawkes"],
                    default="root")
     p.add_argument("--dt", type=float, default=1e-3)
@@ -406,152 +361,125 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mark-space jump threshold (thinned/lou)")
     p.add_argument("--n-agents", type=int, default=50,
                    help="branching population size (hawkes)")
-    _add_out_args(p, "simulate")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bond", help="zero-coupon price curve")
-    _add_model_args(p)
+    p = command("bond", cmd_bond, "zero-coupon price curve")
     p.add_argument("--tmax", type=float, default=10.0)
     p.add_argument("--points", type=int, default=101)
-    _add_out_args(p, "bond")
-    p.set_defaults(func=cmd_bond)
 
-    p = sub.add_parser("yield", help="constant-maturity yield")
-    _add_model_args(p)
+    p = command("yield", cmd_yield, "constant-maturity yield")
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--rate", type=float, default=None,
                    help="current short rate; defaults to r0")
-    _add_out_args(p, "yield")
-    p.set_defaults(func=cmd_yield)
 
-    p = sub.add_parser("put-laplace", help="Laplace transform of the "
-                                           "running-minimum yield put")
-    _add_model_args(p)
+    p = command("put-laplace", cmd_put_laplace,
+                "Laplace transform of the running-minimum yield put")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--strike", type=float, required=True)
-    _add_out_args(p, "put_laplace")
-    p.set_defaults(func=cmd_put_laplace)
 
-    p = sub.add_parser("put-price", help="running-minimum yield put price")
-    _add_model_args(p)
+    p = command("put-price", cmd_put_price, "running-minimum yield put price")
     p.add_argument("--maturity", type=float, required=True)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--strike", type=float, required=True)
     p.add_argument("--n-terms", type=int, default=14)
-    _add_out_args(p, "put_price")
-    p.set_defaults(func=cmd_put_price)
 
-    p = sub.add_parser("jump-survival", help="P(first large jump > t) curve")
-    _add_model_args(p)
+    p = command("jump-survival", cmd_jump_survival,
+                "P(first large jump > t) curve")
     p.add_argument("--y-bar", type=float, default=0.1,
                    help="rate-space jump threshold")
     p.add_argument("--tmax", type=float, default=30.0)
     p.add_argument("--points", type=int, default=301)
-    _add_out_args(p, "jump_survival")
-    p.set_defaults(func=cmd_jump_survival)
 
-    p = sub.add_parser("jump-counter", help="Laplace functional of the "
-                                            "large-jump counter")
-    _add_model_args(p)
+    p = command("jump-counter", cmd_jump_counter,
+                "Laplace functional of the large-jump counter")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--y-bar", type=float, default=0.1)
     p.add_argument("--tmax", type=float, default=30.0)
     p.add_argument("--points", type=int, default=301)
-    _add_out_args(p, "jump_counter")
-    p.set_defaults(func=cmd_jump_counter)
 
-    p = sub.add_parser("jump-expectation", help="expected first-large-jump time")
-    _add_model_args(p)
+    p = command("jump-expectation", cmd_jump_expectation,
+                "expected first-large-jump time")
     p.add_argument("--y-bar", type=float, default=0.1)
-    _add_out_args(p, "jump_expectation")
-    p.set_defaults(func=cmd_jump_expectation)
 
-    p = sub.add_parser("stationary", help="Laplace transform of the limit law")
-    _add_model_args(p)
+    p = command("stationary", cmd_stationary,
+                "Laplace transform of the limit law")
     p.add_argument("--pmax", type=float, default=50.0)
     p.add_argument("--points", type=int, default=101)
-    _add_out_args(p, "stationary")
-    p.set_defaults(func=cmd_stationary)
 
-    p = sub.add_parser("boundary", help="boundary classification at zero")
-    _add_model_args(p)
-    _add_out_args(p, "boundary")
-    p.set_defaults(func=cmd_boundary)
+    command("boundary", cmd_boundary, "boundary classification at zero")
 
-    p = sub.add_parser("hawkes-limit", help="rescaled branching intensity "
-                                            "against its diffusion limit")
+    p = command("hawkes-limit", cmd_hawkes_limit, "rescaled branching "
+                "intensity against its diffusion limit", model=False)
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--b", type=float, default=0.3)
     p.add_argument("--sigma-z", type=float, default=0.3)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--n-agents", type=int, default=50)
     p.add_argument("--n-paths", type=int, default=10_000)
-    _add_out_args(p, "hawkes_limit")
-    p.set_defaults(func=cmd_hawkes_limit)
 
-    p = sub.add_parser("measure-change", help="parameters after the "
-                                              "exponential change of measure")
-    _add_model_args(p)
+    p = command("measure-change", cmd_measure_change,
+                "parameters after the exponential change of measure")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
-    _add_out_args(p, "measure_change")
-    p.set_defaults(func=cmd_measure_change)
 
-    p = sub.add_parser("fig1", help="stable driver trajectories")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=10.0)
-    _add_out_args(p, "fig1")
-    p.set_defaults(func=cmd_fig12)
+    for name, help in (("fig1", "stable driver trajectories"),
+                       ("fig2", "short-rate trajectories on the fig1 drivers")):
+        p = command(name, cmd_fig12, help, model=False)
+        p.add_argument("--dt", type=float, default=1e-3)
+        p.add_argument("--horizon", type=float, default=10.0)
 
-    p = sub.add_parser("fig2", help="short-rate trajectories on the fig1 drivers")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=10.0)
-    _add_out_args(p, "fig2")
-    p.set_defaults(func=cmd_fig12)
-
-    p = sub.add_parser("fig3", help="bond curves across stability indices")
+    p = command("fig3", cmd_fig3, "bond curves across stability indices",
+                model=False)
     p.add_argument("--tmax", type=float, default=30.0)
     p.add_argument("--points", type=int, default=121)
-    _add_out_args(p, "fig3")
-    p.set_defaults(func=cmd_fig3)
 
-    p = sub.add_parser("fig4", help="first-large-jump survival curves")
+    p = command("fig4", cmd_fig4, "first-large-jump survival curves",
+                model=False)
     p.add_argument("--tmax", type=float, default=30.0)
     p.add_argument("--points", type=int, default=301)
     p.add_argument("--y-bar", type=float, default=0.1)
-    _add_out_args(p, "fig4")
-    p.set_defaults(func=cmd_fig4)
 
-    p = sub.add_parser("fig5", help="expected first-large-jump time vs alpha")
+    p = command("fig5", cmd_fig5, "expected first-large-jump time vs alpha",
+                model=False)
     p.add_argument("--alpha-min", type=float, default=1.1)
     p.add_argument("--alpha-max", type=float, default=1.9)
     p.add_argument("--points", type=int, default=9)
     p.add_argument("--y-bar", type=float, default=0.1)
-    _add_out_args(p, "fig5")
-    p.set_defaults(func=cmd_fig5)
 
-    p = sub.add_parser("selfcheck", help="quick analytic-vs-MC concordance")
+    p = command("selfcheck", cmd_selfcheck, "quick analytic-vs-MC concordance",
+                model=False, out=False)
     p.add_argument("--n-paths", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selfcheck)
 
     return top
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv, run the subcommand and write its envelope; returns the
+    exit code."""
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        params = _params(args) if args.model else None
+        out = args.func(args, params)
+        if out is not None:
+            config, result = out
+            write_sidecar(args.out + ".json", args.command, params, config,
+                          args.seed, time.time() - t0, __version__)
+            if result is not None:
+                with open(args.out + "_result.json", "w") as fh:
+                    json.dump(result, fh, indent=2)
+                    fh.write("\n")
+                print(json.dumps(result))
     except RuntimeError as exc:
-        # a failed ODE solve, a dual-route disagreement (RouteDisagreement)
-        # or the Hawkes event overflow guard
+        # a failed ODE solve, a dual-route disagreement (RouteDisagreement),
+        # a non-finite put transform, the Hawkes event overflow guard or a
+        # failed selfcheck
         print(f"numerical diagnostic failure: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 def main() -> None:

@@ -53,6 +53,8 @@ from .mechanism import JumpSpec, ModelParams, psi, psi_prime, root_psi_equals_on
 
 _GAUSS64_X, _GAUSS64_W = np.polynomial.legendre.leggauss(64)
 _GAUSS32_X, _GAUSS32_W = np.polynomial.legendre.leggauss(32)
+# the R spline's log-spaced grid in h = z - q1: its upper end and size
+_H_MAX, _H_NODES = 1e9, 4000
 
 
 def _check_finite(**values) -> None:
@@ -86,8 +88,7 @@ class _HCache:
     smooth remainder R(z) = int_{q1+eps}^z [g(u) - beta/(u - q1)] du with
     g(u) = (ab u + theta)/(Psi(u) - 1)."""
 
-    def __init__(self, theta: float, params: ModelParams, eps: Optional[float],
-                 z_max: float = 1e9, n_nodes: int = 4000):
+    def __init__(self, theta: float, params: ModelParams, eps: Optional[float]):
         if theta <= 0.0:
             raise ValueError("theta must be positive")
         self.theta = theta
@@ -100,9 +101,7 @@ class _HCache:
         self.eps = self.q1 / 10.0 if eps is None else eps
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
-        self.z_max = z_max
-        # log-spaced grid in h = z - q1 covering [tiny, z_max]
-        h = np.geomspace(self.q1 * 1e-12, z_max, n_nodes)
+        h = np.geomspace(self.q1 * 1e-12, _H_MAX, _H_NODES)
         # integrand g(q1 + h) - beta/h of R; below the cut it is replaced by
         # its limit as h -> 0, where Psi(q1 + h) - 1 loses every digit
         far = h >= 1e-9 * max(self.q1, 1.0)
@@ -124,7 +123,7 @@ class _HCache:
                 + psi(self.q1 - d, self.params, self.spec)) / (d * d)
 
     def r_smooth(self, h):
-        return self._r_spline(np.clip(h, self._h_lo, self.z_max))
+        return self._r_spline(np.clip(h, self._h_lo, _H_MAX))
 
     def h_value(self, x: float, tail: Optional[_HTail] = None) -> float:
         """H_eps(theta, x) for x >= 0 by singular panel plus adaptive tail;
@@ -153,7 +152,7 @@ class _HCache:
             log_i = (tail.neg_xz + beta * tail.log_h_eps
                      + self.r_smooth(tail.h) - tail.log_psi1) + tail.log_h
             m = float(np.max(log_i))
-            if log_i[-1] < m - 60.0 or tail.z[-1] > 0.5 * self.z_max:
+            if log_i[-1] < m - 60.0 or tail.z[-1] > 0.5 * _H_MAX:
                 break
             tail = _HTail(self, x, tail.s_hi + 5.0)
             shared.grids += 1
@@ -180,13 +179,8 @@ class _HTail:
 
 
 @lru_cache(maxsize=64)
-def _cached_h(theta: float, params_key, eps: Optional[float]) -> _HCache:
-    return _HCache(theta, ModelParams(*params_key), eps)
-
-
-def _params_key(params: ModelParams):
-    return (params.a, params.b, params.sigma, params.sigma_z,
-            params.alpha, params.r0)
+def _cached_h(theta: float, params: ModelParams, eps: Optional[float]) -> _HCache:
+    return _HCache(theta, params, eps)
 
 
 def h_scale(theta: float, x: float, eps: Optional[float],
@@ -196,7 +190,7 @@ def h_scale(theta: float, x: float, eps: Optional[float],
     _check_finite(theta=theta, x=x)
     if x < 0.0:
         raise ValueError("x must be nonnegative")
-    cache = _cached_h(theta, _params_key(params), eps)
+    cache = _cached_h(theta, params, eps)
     return cache.h_value(x)
 
 
@@ -211,7 +205,7 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
         raise ValueError("theta must be positive")
     if y >= r0:
         return 1.0
-    cache = _cached_h(theta, _params_key(params), eps)
+    cache = _cached_h(theta, params, eps)
     return cache.h_value(r0) / cache.h_value(y)
 
 
@@ -252,8 +246,8 @@ class _MCache:
 
 
 @lru_cache(maxsize=64)
-def _cached_m(theta: float, params_key) -> _MCache:
-    return _MCache(theta, ModelParams(*params_key))
+def _cached_m(theta: float, params: ModelParams) -> _MCache:
+    return _MCache(theta, params)
 
 
 def bond_transform_M(theta: float, y: float, params: ModelParams) -> float:
@@ -261,7 +255,7 @@ def bond_transform_M(theta: float, y: float, params: ModelParams) -> float:
     _check_finite(theta=theta, y=y)
     if y < 0.0:
         raise ValueError("y must be nonnegative")
-    return _cached_m(theta, _params_key(params)).value(float(y))
+    return _cached_m(theta, params).value(float(y))
 
 
 def effective_strike(kappa: float, K: float, params: ModelParams):
@@ -286,8 +280,7 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
     diag = {"kbar": k_bar, "void": k_bar <= 0.0}
     vals = np.zeros_like(thetas)
     if k_bar > 0.0:
-        key = _params_key(params)
-        hcs = [_cached_h(th, key, eps) for th in thetas.tolist()]
+        hcs = [_cached_h(th, params, eps) for th in thetas.tolist()]
         ys = 0.5 * k_bar * (_GAUSS64_X + 1.0)
         ws = 0.5 * k_bar * _GAUSS64_W
         below = ys < r0
@@ -301,7 +294,7 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
         ratios = np.ones((thetas.size, ys.size))
         ratios[:, below] = h[:, :1] / h[:, 1:]
         for i, th in enumerate(thetas.tolist()):
-            m_vals = _cached_m(th, key).value(ys)
+            m_vals = _cached_m(th, params).value(ys)
             vals[i] = nominal * float(np.dot(ws, ratios[i] * m_vals))
         bad = thetas[~np.isfinite(vals)]
         if bad.size:

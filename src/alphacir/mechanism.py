@@ -132,20 +132,6 @@ class JumpSpec:
     def tempered(cls, theta: float) -> "JumpSpec":
         return cls(TEMPERED, theta=theta)
 
-    def to_json(self) -> dict:
-        out = {"variant": self.variant}
-        if self.y is not None:
-            out["y"] = self.y
-        if self.theta is not None:
-            out["theta"] = self.theta
-        return out
-
-    @classmethod
-    def from_json(cls, obj) -> "JumpSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj["variant"], y=obj.get("y"), theta=obj.get("theta"))
-
 
 @dataclass(frozen=True)
 class MechanismReport:

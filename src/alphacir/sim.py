@@ -323,11 +323,14 @@ def first_passage_thinned(params: ModelParams, y: float, dt: float,
 
 def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
                        n_paths: int, rng: np.random.Generator,
-                       keep_paths: bool = False):
+                       keep_paths: bool = False,
+                       events: Optional[list] = None):
     """Locally equivalent Levy-OU: the thinned step at mark threshold y with
     its coefficients frozen at r0 and no positivity clamp.
 
-    Returns (lambda_T, first_event_time[, paths, times]).
+    Returns (lambda_T, first_event_time[, paths, times]).  When events is a
+    list, every big jump is appended to it as (path, time, size), as in
+    simulate_thinned_batch.
     """
     step = _ThinnedStep(params, y, dt, frozen=True)
     n_steps, times = _grid(dt, horizon)
@@ -337,10 +340,12 @@ def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
     if keep_paths:
         out[:, 0] = lam
     for k in range(n_steps):
-        _, lam, idx, t_ev, _ = step(lam, times[k], rng)
+        _, lam, idx, t_ev, sizes = step(lam, times[k], rng)
         if idx.size:
             newly = first_event[idx] == np.inf
             first_event[idx[newly]] = t_ev[newly]
+            if events is not None:
+                events.extend(zip(idx.tolist(), t_ev.tolist(), sizes.tolist()))
         if keep_paths:
             out[:, k + 1] = lam
     if keep_paths:
@@ -419,12 +424,12 @@ def simulate_lou(params: ModelParams, config: SimConfig,
                  rng: Optional[np.random.Generator] = None) -> Path:
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     y = config.y if config.y is not None else 1.0
-    lam, first, out, times = simulate_lou_batch(
-        params, y, config.dt, config.horizon, 1, rng, keep_paths=True)
-    path = Path(times=times, values=out[0])
-    if np.isfinite(first[0]):
-        path.events = [(float(first[0]), float("nan"))]
-    return path
+    log = []
+    _, _, out, times = simulate_lou_batch(
+        params, y, config.dt, config.horizon, 1, rng, keep_paths=True,
+        events=log)
+    return Path(times=times, values=out[0],
+                events=[(t, size) for _, t, size in log])
 
 
 def simulate_hawkes(a: float, b: float, sigma_z: float, horizon: float,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,15 @@ from alphacir.cli import run, write_sidecar
 
 JUMP_FLAGS = ["--a", "0.1", "--b", "0.1", "--sigma", "0.1", "--sigma-z",
               "0.1", "--r0", "0.2"]
+
+# sidecar "params" at the default model flags and at JUMP_FLAGS
+DEFAULT_PARAMS = {"a": 0.1, "b": 0.3, "sigma": 0.1, "sigma_z": 0.3,
+                  "alpha": 1.5, "r0": 0.05}
+JUMP_PARAMS = {**DEFAULT_PARAMS, "b": 0.1, "sigma_z": 0.1, "r0": 0.2}
+# the presets' fixed parameter sets, echoed in their sidecar "config"
+FIG12 = {"a": 0.1, "b": 0.3, "sigma": 0.1, "sigma_z": 0.3, "r0": 0.1}
+FIG3 = {**FIG12, "r0": 0.05}
+FIG45 = {"a": 0.1, "b": 0.1, "sigma": 0.1, "sigma_z": 0.1, "r0": 0.2}
 
 
 def _in_tmp(tmp_path, monkeypatch):
@@ -47,6 +57,21 @@ def test_simulate_accepts_scientific_notation(tmp_path, monkeypatch):
     _in_tmp(tmp_path, monkeypatch)
     assert run(["simulate", "--scheme", "thinned", "--dt", "5e-3",
                 "--horizon", "2", "--y", "1.0"] + JUMP_FLAGS) == 0
+
+
+@pytest.mark.parametrize("scheme", ["root", "thinned", "lou", "hawkes"])
+def test_simulate_writes_finite_files(tmp_path, monkeypatch, scheme):
+    # seed 2 gives the LOU path big jumps, whose sizes once were written as nan
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["simulate", "--scheme", scheme, "--seed", "2", "--dt", "1e-2",
+                "--horizon", "20", "--n-agents", "5"] + JUMP_FLAGS) == 0
+    for path in tmp_path.iterdir():
+        if path.suffix == ".csv":
+            arr = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert np.all(np.isfinite(arr)), path.name
+        else:
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, path.name
 
 
 def test_validation_error_exit_code(tmp_path, monkeypatch):
@@ -215,3 +240,170 @@ def test_hawkes_overflow_guard_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "simulate_hawkes_batch", guarded)
     assert run(["hawkes-limit", "--n-paths", "10"]) == 3
     assert "overflow guard" in capsys.readouterr().err
+
+
+# The run envelope of every subcommand at tiny sizes: exit code, the files
+# written and the sidecar's (command, params, config, seed).  The values were
+# recorded from the CLI before its commands shared one envelope in run().
+ENVELOPE = {
+    "simulate-root": (
+        ["simulate", "--scheme", "root", "--dt", "1e-2", "--horizon", "1",
+         "--seed", "3"], 0, {"simulate.csv", "simulate.json"},
+        ("simulate", DEFAULT_PARAMS, {"dt": 0.01, "horizon": 1.0,
+                                      "scheme": "root", "y": None, "seed": 3},
+         3)),
+    "simulate-thinned": (
+        ["simulate", "--scheme", "thinned", "--dt", "5e-3", "--horizon", "2"]
+        + JUMP_FLAGS, 0, {"simulate.csv", "simulate.json"},
+        ("simulate", JUMP_PARAMS, {"dt": 0.005, "horizon": 2.0,
+                                   "scheme": "thinned", "y": 1.0, "seed": 0},
+         0)),
+    "simulate-lou": (
+        ["simulate", "--scheme", "lou", "--seed", "2", "--dt", "1e-2",
+         "--horizon", "20"] + JUMP_FLAGS,
+        0, {"simulate.csv", "simulate.json", "simulate_events.csv"},
+        ("simulate", JUMP_PARAMS, {"dt": 0.01, "horizon": 20.0,
+                                   "scheme": "lou", "y": 1.0, "seed": 2}, 2)),
+    "simulate-hawkes": (
+        ["simulate", "--scheme", "hawkes", "--horizon", "0.5", "--n-agents",
+         "5"], 0, {"simulate.csv", "simulate.json"},
+        ("simulate", DEFAULT_PARAMS, {"scheme": "hawkes", "horizon": 0.5,
+                                      "n_agents": 5, "seed": 0}, 0)),
+    "bond": (
+        ["bond", "--tmax", "5", "--points", "6"], 0, {"bond.csv", "bond.json"},
+        ("bond", DEFAULT_PARAMS, {"tmax": 5.0, "points": 6}, 0)),
+    "yield": (
+        ["yield", "--kappa", "1"], 0, {"yield.json", "yield_result.json"},
+        ("yield", DEFAULT_PARAMS, {"kappa": 1.0, "rate": 0.05}, 0)),
+    "yield-rate-out": (
+        ["yield", "--kappa", "2", "--rate", "0.03", "--out", "y2"], 0,
+        {"y2.json", "y2_result.json"},
+        ("yield", DEFAULT_PARAMS, {"kappa": 2.0, "rate": 0.03}, 0)),
+    "put-laplace": (
+        ["put-laplace", "--theta", "1", "--strike", "0.04"], 0,
+        {"put_laplace.json", "put_laplace_result.json"},
+        ("put-laplace", DEFAULT_PARAMS, {"theta": 1.0, "kappa": 1.0,
+                                         "K": 0.04}, 0)),
+    "put-laplace-void": (
+        ["put-laplace", "--theta", "1", "--strike", "0.005"], 0,
+        {"put_laplace.json", "put_laplace_result.json"},
+        ("put-laplace", DEFAULT_PARAMS, {"theta": 1.0, "kappa": 1.0,
+                                         "K": 0.005}, 0)),
+    "put-laplace-nan": (
+        ["put-laplace", "--theta", "400", "--strike", "0.04"], 3, set(), None),
+    "put-price": (
+        ["put-price", "--maturity", "1", "--strike", "0.04", "--n-terms", "6"],
+        0, {"put_price.json", "put_price_result.json"},
+        ("put-price", DEFAULT_PARAMS, {"T": 1.0, "kappa": 1.0, "K": 0.04,
+                                       "n_terms": 6}, 0)),
+    "stationary": (
+        ["stationary", "--pmax", "5", "--points", "4"], 0,
+        {"stationary.csv", "stationary.json"},
+        ("stationary", DEFAULT_PARAMS, {"pmax": 5.0, "points": 4}, 0)),
+    "boundary": (
+        ["boundary"], 0, {"boundary.json", "boundary_result.json"},
+        ("boundary", DEFAULT_PARAMS, {}, 0)),
+    "measure-change": (
+        ["measure-change", "--eta", "0.5", "--theta", "0.2"], 0,
+        {"measure_change.json", "measure_change_result.json"},
+        ("measure-change", DEFAULT_PARAMS, {"eta": 0.5, "theta": 0.2}, 0)),
+    "jump-survival": (
+        ["jump-survival", "--tmax", "5", "--points", "6"] + JUMP_FLAGS, 0,
+        {"jump_survival.csv", "jump_survival.json"},
+        ("jump-survival", JUMP_PARAMS, {"y_bar": 0.1, "tmax": 5.0,
+                                        "points": 6}, 0)),
+    "jump-counter": (
+        ["jump-counter", "--p", "1", "--tmax", "5", "--points", "6"]
+        + JUMP_FLAGS, 0, {"jump_counter.csv", "jump_counter.json"},
+        ("jump-counter", JUMP_PARAMS, {"p": 1.0, "y_bar": 0.1, "tmax": 5.0,
+                                       "points": 6}, 0)),
+    "jump-expectation": (
+        ["jump-expectation", "--y-bar", "0.1"] + JUMP_FLAGS, 0,
+        {"jump_expectation.json", "jump_expectation_result.json"},
+        ("jump-expectation", JUMP_PARAMS, {"y_bar": 0.1}, 0)),
+    "hawkes-limit": (
+        ["hawkes-limit", "--n-paths", "20", "--horizon", "0.5", "--n-agents",
+         "5", "--seed", "4"], 0,
+        {"hawkes_limit.json", "hawkes_limit_result.json"},
+        ("hawkes-limit", None, {"a": 0.1, "b": 0.3, "sigma_z": 0.3,
+                                "horizon": 0.5, "n_agents": 5, "n_paths": 20},
+         4)),
+    "fig1": (
+        ["fig1", "--horizon", "0.5", "--dt", "1e-2"], 0,
+        {"fig1.csv", "fig1.json"},
+        ("fig1", None, {**FIG12, "dt": 0.01, "horizon": 0.5}, 0)),
+    "fig2": (
+        ["fig2", "--horizon", "0.5", "--dt", "1e-2", "--seed", "7"], 0,
+        {"fig2.csv", "fig2.json"},
+        ("fig2", None, {**FIG12, "dt": 0.01, "horizon": 0.5}, 7)),
+    "fig3": (
+        ["fig3", "--tmax", "2", "--points", "3"], 0, {"fig3.csv", "fig3.json"},
+        ("fig3", None, {**FIG3, "tmax": 2.0, "points": 3}, 0)),
+    "fig4": (
+        ["fig4", "--tmax", "5", "--points", "6"], 0, {"fig4.csv", "fig4.json"},
+        ("fig4", None, {**FIG45, "y_bar": 0.1, "tmax": 5.0, "points": 6}, 0)),
+    "fig5": (
+        ["fig5", "--points", "2", "--alpha-min", "1.5", "--alpha-max", "1.6"],
+        0, {"fig5.csv", "fig5.json"},
+        ("fig5", None, {**FIG45, "y_bar": 0.1, "alpha_min": 1.5,
+                        "alpha_max": 1.6, "points": 2}, 0)),
+    "selfcheck": (["selfcheck", "--n-paths", "500"], 0, set(), None),
+    "bond-invalid": (["bond", "--tmax", "-1"], 2, set(), None),
+    "simulate-invalid": (["simulate", "--dt", "0"], 2, set(), None),
+}
+
+
+@pytest.mark.parametrize("argv, code, files, sidecar",
+                         [pytest.param(*case, id=name)
+                          for name, case in ENVELOPE.items()])
+def test_run_envelope(tmp_path, monkeypatch, capsys, argv, code, files,
+                      sidecar):
+    _in_tmp(tmp_path, monkeypatch)
+    with np.errstate(all="ignore"):     # put-laplace-nan overflows H
+        assert run(argv) == code
+    assert {p.name for p in tmp_path.iterdir()} == files
+    out = capsys.readouterr().out
+    if sidecar is None:
+        return
+    stem = next(f[:-5] for f in files
+                if f.endswith(".json") and not f.endswith("_result.json"))
+    doc = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert (doc["command"], doc["params"], doc["config"], doc["seed"]) \
+        == sidecar
+    result = tmp_path / f"{stem}_result.json"
+    if result.exists():
+        assert json.loads(out) == json.loads(result.read_text())
+    else:
+        assert out == ""
+
+
+def test_jump_survival_route_gap_exits_three(tmp_path, monkeypatch, capsys):
+    # the second survival route pushed 1e-3 off the curve's own value
+    from alphacir import cli
+    via_rhat = cli.survival_tau_via_rhat
+    monkeypatch.setattr(cli, "survival_tau_via_rhat",
+                        lambda *args: via_rhat(*args) + 1e-3)
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["jump-survival", "--tmax", "5", "--points", "6"]
+               + JUMP_FLAGS) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical diagnostic failure:")
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_selfcheck_failure_exits_three(tmp_path, monkeypatch, capsys):
+    # a bond estimate 10 standard errors off fails the 3-SE concordance
+    from alphacir import cli
+    mc_bond = cli.mc_bond
+
+    def biased(*args, **kwargs):
+        est = mc_bond(*args, **kwargs)
+        return replace(est, value=est.value + 10.0 * est.std_error)
+
+    monkeypatch.setattr(cli, "mc_bond", biased)
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["selfcheck", "--n-paths", "500"]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("selfcheck FAILED: bond ")
+    assert err.startswith("numerical diagnostic failure:")

@@ -152,6 +152,19 @@ def test_lou_intensity_not_clamped_at_zero(jump_params):
     assert path.values.min() < 0.0
 
 
+def test_lou_single_path_reports_every_jump(jump_params):
+    # the LOU path reports each big jump the kernel drew, with its
+    # rate-space size, and its earliest event is the batch's first-event time
+    p = jump_params(alpha=1.5)
+    config = SimConfig(dt=1e-2, horizon=20.0, seed=2, y=1.0)
+    path = simulate_lou(p, config)
+    _, first = simulate_lou_batch(p, 1.0, 1e-2, 20.0, 1,
+                                  np.random.default_rng(2))
+    assert len(path.events) > 1
+    assert all(size > p.sigma_z * 1.0 for _, size in path.events)
+    assert path.events[0][0] == first_large_jump(path) == first[0]
+
+
 def test_hawkes_rescaled_mean_near_limit():
     rng = np.random.default_rng(8)
     lam = simulate_hawkes_batch(0.1, 0.3, 0.3, 1.0, 50, 20_000, rng)
