@@ -131,6 +131,8 @@ def bond_yield(t: float, kappa: float, r_t: float, params: ModelParams) -> float
 
 def yield_from_curve(curve: OdeCurve, kappa: float, r_t):
     """Yield as a function of the current rate; r_t may be an array."""
+    if not np.all(np.isfinite(r_t)):
+        raise ValueError("rate r_t must be finite")
     p = curve.params
     out = (r_t * curve(kappa) + p.a * p.b * curve.integral(kappa)) / kappa
     return float(out) if np.isscalar(r_t) else out
@@ -142,8 +144,8 @@ def stationary_laplace(p: float, params: ModelParams) -> float:
     Phi/Psi extends continuously to 0 with value a*b/Psi'(0+), so the
     quadrature sees no singularity.
     """
-    if p < 0.0:
-        raise ValueError("p must be nonnegative")
+    if not (np.isfinite(p) and p >= 0.0):
+        raise ValueError("p must be finite and nonnegative")
     if p == 0.0:
         return 1.0
     limit0 = params.b        # a b / Psi'(0+), with Psi'(0+) = a

@@ -39,7 +39,7 @@ from .jumps import (
     survival_tau,
     survival_tau_via_rhat,
 )
-from .mc import mc_bond, mc_survival
+from .mc import _mean_se, mc_bond, mc_survival
 from .mechanism import (
     ModelParams,
     boundary_classification,
@@ -219,10 +219,10 @@ def cmd_hawkes_limit(args, params):
     rng = np.random.default_rng(args.seed)
     lam = simulate_hawkes_batch(args.a, args.b, args.sigma_z, args.horizon,
                                 args.n_agents, args.n_paths, rng)
+    est = _mean_se(lam, "hawkes-limit")
     limit_mean = args.b * (1.0 - np.exp(-args.a * args.horizon))
     result = {"n_agents": args.n_agents, "horizon": args.horizon,
-              "mc_mean": float(np.mean(lam)),
-              "mc_se": float(np.std(lam, ddof=1) / np.sqrt(len(lam))),
+              "mc_mean": est.value, "mc_se": est.std_error,
               "limit_mean": limit_mean}
     return ({"a": args.a, "b": args.b, "sigma_z": args.sigma_z,
              "horizon": args.horizon, "n_agents": args.n_agents,

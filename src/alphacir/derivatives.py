@@ -372,6 +372,9 @@ def put_price(T: float, kappa: float, K: float, r0: Optional[float],
     _check_finite(T=T)
     if T <= 0.0:
         raise ValueError("maturity must be positive")
+    if n_terms < 4 or n_terms % 2:
+        raise ValueError("n_terms must be even and at least 4 (the n - 2 "
+                         "check needs two terms)")
     # one put_laplace call at every abscissa of the n-term sum, which the
     # n - 2 check reuses; any other theta raises KeyError
     thetas = [float(th) for th in _stehfest_abscissae(T, n_terms)[1]]

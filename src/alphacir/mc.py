@@ -42,6 +42,8 @@ class McEstimate:
 
 def _mean_se(samples: np.ndarray, label: str) -> McEstimate:
     n = samples.size
+    if n < 2:
+        raise ValueError("a standard error needs at least two paths")
     return McEstimate(float(np.mean(samples)),
                       float(np.std(samples, ddof=1) / np.sqrt(n)), n, label)
 

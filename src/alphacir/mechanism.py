@@ -30,9 +30,9 @@ from scipy.optimize import brentq
 from .stable import (
     _check_alpha,
     _scaled_upper_gammas,
+    _truncation,
     big_jump_mass,
     big_jump_mean,
-    levy_density_coefficient,
     small_jump_compensated_integral,
 )
 
@@ -179,13 +179,13 @@ def psi(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     a, s, sz, alpha = params.a, params.sigma, params.sigma_z, params.alpha
     if params.is_diffusion:
         return a * q + 0.5 * params.sigma_eff ** 2 * q * q
+    if spec.variant == TRUNCATED:
+        return (truncated_drift(params, spec.y) * q + 0.5 * s * s * q * q
+                + small_jump_compensated_integral(q, spec.y, alpha, sz))
     cos_a = np.cos(np.pi * alpha / 2.0)
     th = spec.theta
     if spec.variant == FULL or (spec.variant == TEMPERED and th == 0.0):
         return a * q + 0.5 * s * s * q * q - power(sz * q, alpha) / cos_a
-    if spec.variant == TRUNCATED:
-        return (truncated_drift(params, spec.y) * q + 0.5 * s * s * q * q
-                + small_jump_compensated_integral(q, spec.y, alpha, sz))
     jump = -(power(sz * q + th, alpha) - th ** alpha
              - alpha * th ** (alpha - 1.0) * sz * q) / cos_a
     return a * q + 0.5 * s * s * q * q + jump
@@ -209,9 +209,10 @@ def psi_prime(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     full = a + s * s * q - alpha * sz ** alpha * power(q, alpha - 1.0) / cos_a
     if spec.variant == TRUNCATED:
         y = spec.y
+        tr = _truncation(alpha, y)
         # a scalar q goes through the same NumPy loops as an array element
-        _, g1 = _scaled_upper_gammas(alpha, np.asarray(q * sz * y, dtype=float))
-        return full + sz * levy_density_coefficient(alpha) * y ** (1.0 - alpha) * g1
+        _, g1 = _scaled_upper_gammas(tr, np.asarray(q * sz * y, dtype=float))
+        return full + sz * tr.k * tr.y_1ma * g1
     return full
 
 

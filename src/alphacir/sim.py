@@ -353,6 +353,17 @@ def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
     return lam, first_event
 
 
+def _check_hawkes(a: float, b: float, sigma_z: float, horizon: float,
+                  n: int) -> None:
+    """Inputs of the rescaled Hawkes intensity: a NaN or infinite horizon
+    or rate would keep the event loop from ever reaching n * horizon."""
+    if n < 1:
+        raise ValueError("rescaling index n must be >= 1")
+    if not (np.all(np.isfinite([a, b, sigma_z, horizon])) and horizon > 0.0):
+        raise ValueError("a, b, sigma_z must be finite and horizon finite "
+                         "and positive")
+
+
 def simulate_hawkes_batch(a: float, b: float, sigma_z: float, horizon: float,
                           n: int, n_paths: int, rng: np.random.Generator,
                           max_rounds: int = 2_000_000):
@@ -366,8 +377,7 @@ def simulate_hawkes_batch(a: float, b: float, sigma_z: float, horizon: float,
     path is max(current intensity, c), valid because the intensity is
     monotone toward c between events.
     """
-    if n < 1:
-        raise ValueError("rescaling index n must be >= 1")
+    _check_hawkes(a, b, sigma_z, horizon, n)
     kappa = a / n + sigma_z
     c = a * b / kappa           # background asymptote: (a/n)*(n*b)/kappa
     t_end = n * horizon
@@ -437,6 +447,7 @@ def simulate_hawkes(a: float, b: float, sigma_z: float, horizon: float,
                     seed: int = 0, grid_points: int = 201) -> Path:
     """Single rescaled Hawkes intensity path sampled on a uniform grid of
     t in [0, horizon] (grid evaluation is exact between events)."""
+    _check_hawkes(a, b, sigma_z, horizon, n)
     rng = rng if rng is not None else np.random.default_rng(seed)
     kappa = a / n + sigma_z
     c = a * b / kappa

@@ -20,12 +20,23 @@ full-measure value K Gamma(-alpha) c^alpha less that tail and its
 compensator.  Gamma(-alpha, x) comes from scipy's gammaincc by recurrence.
 Below c y = 1 the small-jump closed form cancels, so its power series is
 summed there instead.
+
+The constants of the measure truncated at y (K y^-alpha, the series
+coefficients, Gamma(-alpha), ...) are built once per (alpha, y) by the
+cached _truncation, which big_jump_mean, the two integrals and the
+truncated mechanism's psi and psi_prime all read.  A scalar argument to the
+small-jump integral evaluates only the branch it falls in, on a
+one-element array: NumPy's SIMD power and exp may differ from libm's pow
+and exp by one ulp, so the scalar value stays that of an array element
+only if it goes through the same NumPy loops.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaincc
@@ -83,24 +94,7 @@ def big_jump_mass(alpha: float, y: float) -> float:
 def big_jump_mean(alpha: float, y: float) -> float:
     """Theta(alpha, y) = int_y^inf z mu_alpha(dz)
     = (2/pi) * alpha * Gamma(alpha-1) * sin(pi*alpha/2) * y^(1-alpha)."""
-    _check_alpha(alpha, allow_two=False)
-    if y <= 0.0:
-        raise ValueError("threshold y must be positive")
-    return levy_density_coefficient(alpha) * y ** (1.0 - alpha) / (alpha - 1.0)
-
-
-def _scaled_upper_gammas(alpha: float, x):
-    """(x^alpha Gamma(-alpha, x), x^(alpha-1) Gamma(1-alpha, x)) for x >= 0.
-
-    Two recurrence steps Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s
-    down from Gamma(2-alpha, x) = gammaincc(2-alpha, x) Gamma(2-alpha),
-    scaled so that both stay finite at x = 0 (values 1/alpha, 1/(alpha-1)).
-    Each step cancels about log10(x) digits for large x, where the values
-    are below exp(-x)."""
-    e = np.exp(-x)
-    g1 = (e - x ** (alpha - 1.0) * (gammaincc(2.0 - alpha, x)
-                                    * gamma_fn(2.0 - alpha))) / (alpha - 1.0)
-    return (e - x * g1) / alpha, g1
+    return _truncation(alpha, y).theta
 
 
 # x below which the small-jump integral is summed as a series, and its terms
@@ -109,6 +103,63 @@ def _scaled_upper_gammas(alpha: float, x):
 _SERIES_CUT = 1.0
 _SERIES_K = np.arange(2, 21)
 _SERIES_SIGN_FACT = np.array([(-1.0) ** k / math.factorial(k) for k in _SERIES_K])
+
+
+class _Truncation(NamedTuple):
+    """Constants of mu_alpha truncated at the jump mark y."""
+
+    alpha: float
+    k: float              # K
+    k_y: float            # K y^(-alpha)
+    y_1ma: float          # y^(1-alpha)
+    theta: float          # Theta(alpha, y) = K y^(1-alpha) / (alpha-1)
+    series: np.ndarray    # (-1)^k / (k! (k-alpha)), k = 2..20
+    gamma_neg: float      # Gamma(-alpha)
+    gamma_2ma: float      # Gamma(2-alpha)
+    inv_alpha: float      # 1/alpha
+    alpha_m1: float       # alpha-1
+
+
+# typed: y**(-alpha) rounds through NumPy for a NumPy-scalar alpha or y and
+# through libm for floats, so each keeps an entry of its own
+@lru_cache(maxsize=64, typed=True)
+def _truncation(alpha: float, y: float) -> _Truncation:
+    """The constants at (alpha, y), after checking both."""
+    _check_alpha(alpha, allow_two=False)
+    if y <= 0.0:
+        raise ValueError("threshold y must be positive")
+    k = levy_density_coefficient(alpha)
+    y_1ma = y ** (1.0 - alpha)
+    series = _SERIES_SIGN_FACT / (_SERIES_K - alpha)
+    series.flags.writeable = False
+    return _Truncation(alpha, k, k * y ** (-alpha), y_1ma,
+                       k * y_1ma / (alpha - 1.0), series, gamma_fn(-alpha),
+                       gamma_fn(2.0 - alpha), 1.0 / alpha, alpha - 1.0)
+
+
+def _scaled_upper_gammas(tr: _Truncation, x):
+    """(x^alpha Gamma(-alpha, x), x^(alpha-1) Gamma(1-alpha, x)) for x >= 0.
+
+    Two recurrence steps Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s
+    down from Gamma(2-alpha, x) = gammaincc(2-alpha, x) Gamma(2-alpha),
+    scaled so that both stay finite at x = 0 (values 1/alpha, 1/(alpha-1)).
+    Each step cancels about log10(x) digits for large x, where the values
+    are below exp(-x)."""
+    e = np.exp(-x)
+    g1 = (e - x ** tr.alpha_m1 * (gammaincc(2.0 - tr.alpha, x)
+                                  * tr.gamma_2ma)) / tr.alpha_m1
+    return (e - x * g1) / tr.alpha, g1
+
+
+def _small_jump_series(x: np.ndarray, tr: _Truncation) -> np.ndarray:
+    """f(x) of the small-jump integral by its series, for 0 <= x < 1."""
+    return (x[:, None] ** _SERIES_K * tr.series).sum(axis=-1)
+
+
+def _small_jump_closed(x: np.ndarray, tr: _Truncation) -> np.ndarray:
+    """f(x) of the small-jump integral in closed form, for x >= 1."""
+    return (x ** tr.alpha * tr.gamma_neg - _scaled_upper_gammas(tr, x)[0]
+            + tr.inv_alpha - x / tr.alpha_m1)
 
 
 def small_jump_compensated_integral(q, y: float, alpha: float, sigma_z: float):
@@ -125,34 +176,33 @@ def small_jump_compensated_integral(q, y: float, alpha: float, sigma_z: float):
     order one, so the closed form loses about 2*log10(1/x) digits (1e-8
     relative at x = 1e-4); below x = 1 the series is summed instead.
     """
-    _check_alpha(alpha, allow_two=False)
-    if y <= 0.0:
-        raise ValueError("threshold y must be positive")
+    tr = _truncation(alpha, y)
+    if isinstance(q, float):
+        if q < 0.0:
+            raise ValueError("q must be nonnegative")
+        x = np.array([q * sigma_z * y])
+        f = (_small_jump_series if x[0] < _SERIES_CUT else _small_jump_closed)(x, tr)
+        return float(tr.k_y * f[0])
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("q must be nonnegative")
     x = q * sigma_z * y
     f = np.empty_like(x)
     low = x < _SERIES_CUT
-    xs, xl = x[low], x[~low]
-    f[low] = (xs[:, None] ** _SERIES_K
-              * (_SERIES_SIGN_FACT / (_SERIES_K - alpha))).sum(axis=-1)
-    f[~low] = (xl ** alpha * gamma_fn(-alpha) - _scaled_upper_gammas(alpha, xl)[0]
-               + 1.0 / alpha - xl / (alpha - 1.0))
-    out = levy_density_coefficient(alpha) * y ** (-alpha) * f
+    f[low] = _small_jump_series(x[low], tr)
+    f[~low] = _small_jump_closed(x[~low], tr)
+    out = tr.k_y * f
     return float(out) if out.ndim == 0 else out
 
 
 def big_jump_laplace_tail(c: float, y: float, alpha: float) -> float:
     """int_y^inf exp(-c*z) mu_alpha(dz) = K c^alpha Gamma(-alpha, c*y), for
     c >= 0; at c = 0 it is nu(y)."""
-    _check_alpha(alpha, allow_two=False)
-    if y <= 0.0:
-        raise ValueError("threshold y must be positive")
+    tr = _truncation(alpha, y)
     if c < 0.0:
         raise ValueError("c must be nonnegative")
-    g0, _ = _scaled_upper_gammas(alpha, c * y)
-    return float(levy_density_coefficient(alpha) * y ** (-alpha) * g0)
+    g0, _ = _scaled_upper_gammas(tr, c * y)
+    return float(tr.k_y * g0)
 
 
 def sample_stable_increment(spec: StableSpec, dt: float, rng: np.random.Generator,

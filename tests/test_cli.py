@@ -98,6 +98,21 @@ def test_validation_error_exit_code(tmp_path, monkeypatch):
     pytest.param(["jump-expectation", "--a", "0.1", "--b", "0", "--sigma",
                   "0.1", "--sigma-z", "0.1", "--r0", "0.2", "--alpha", "1.5",
                   "--y-bar", "0.1"], id="jump-expectation-b-zero"),
+    pytest.param(["yield", "--rate", "nan"], id="yield-rate"),
+    pytest.param(["stationary", "--pmax", "nan"], id="stationary-pmax"),
+    # one path has no standard error
+    pytest.param(["hawkes-limit", "--n-paths", "1"], id="hawkes-limit-one-path"),
+    pytest.param(["simulate", "--scheme", "hawkes", "--n-agents", "0"],
+                 id="simulate-hawkes-n-zero"),
+    pytest.param(["simulate", "--scheme", "hawkes", "--horizon", "nan"],
+                 id="simulate-hawkes-horizon"),
+    pytest.param(["hawkes-limit", "--horizon", "nan", "--n-paths", "10"],
+                 id="hawkes-limit-horizon"),
+    pytest.param(["hawkes-limit", "--a", "nan", "--n-paths", "10"],
+                 id="hawkes-limit-a"),
+    # the n - 2 stability check needs n >= 4
+    pytest.param(["put-price", "--maturity", "1", "--strike", "0.04",
+                  "--n-terms", "2"], id="put-price-n-terms"),
 ])
 def test_non_finite_input_exits_two(tmp_path, monkeypatch, argv):
     _in_tmp(tmp_path, monkeypatch)

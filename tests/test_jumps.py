@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from alphacir import jumps
 from alphacir.jumps import (
     counter_laplace,
     expected_tau,
@@ -14,6 +15,15 @@ from alphacir.jumps import (
 from alphacir.stable import big_jump_mass
 
 Y_BAR = 0.1
+
+
+def test_survival_ode_evaluation_count(jump_params):
+    # the RK45 path of a jump-law solve: any change to its right side (the
+    # truncated psi) moves the number of evaluations
+    p = jump_params(alpha=1.5)
+    y = Y_BAR / p.sigma_z
+    nu = big_jump_mass(p.alpha, y)
+    assert jumps._solve_l(p, y, lambda l: nu, 30.0).nfev == 752
 
 
 def test_counter_laplace_degenerate_points(jump_params):

@@ -68,6 +68,9 @@ ARRAY_CASES = pytest.mark.parametrize("alpha, spec, overrides", [
     (1.5, JumpSpec.full(), {"sigma_z": 0.0}),
     (1.5, JumpSpec.truncated(1.0), {}),
     (1.9, JumpSpec.truncated(0.05), {}),
+    (1.1, JumpSpec.truncated(0.5), {}),
+    (1.25, JumpSpec.truncated(2.0), {}),
+    (1.75, JumpSpec.truncated(10.0), {}),
 ])
 
 
