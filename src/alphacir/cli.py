@@ -50,6 +50,7 @@ from .sim import (
     ROOT_EULER,
     SimConfig,
     THINNED,
+    _grid,
     simulate_hawkes,
     simulate_hawkes_batch,
     simulate_lou,
@@ -248,7 +249,8 @@ def cmd_fig12(args, params):
     """fig1 writes the stable driver paths Z, fig2 the short rates built
     from the same seed's Brownian and stable increments."""
     fig1 = args.command == "fig1"
-    dt, n = args.dt, int(round(args.horizon / args.dt))
+    dt = args.dt
+    n, times = _grid(dt, args.horizon)
     alphas = (2.0, 1.5, 1.2)
     cols = []
     for alpha in alphas:
@@ -258,7 +260,7 @@ def cmd_fig12(args, params):
         cols.append(np.concatenate([[0.0], np.cumsum(dz)]) if fig1
                     else _fig2_rate(alpha, dt, dB, dz))
     names = [f"{'z' if fig1 else 'r'}_alpha_{alpha}" for alpha in alphas]
-    _write_csv(args.out, "t," + ",".join(names), [dt * np.arange(n + 1)] + cols)
+    _write_csv(args.out, "t," + ",".join(names), [times] + cols)
     return {**FIG12_PARAMS, "dt": dt, "horizon": args.horizon}, None
 
 

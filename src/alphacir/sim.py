@@ -5,11 +5,13 @@ Three engines:
 * root Euler: discretizes dr = a(b-r)dt + sigma sqrt(r) dB + sigma_z r^(1/alpha) dZ
   with full truncation (coefficients at r+, then clamp at 0);
 * thinned: evolves the truncated dynamics (drift a_tilde(b_tilde - r)) with an
-  Asmussen-Rosinski small-jump approximation and superposes the big jumps
-  (mark > y) by thinning against a per-step intensity bound; big jumps are
-  recorded as events.  The locally equivalent Levy-OU (LOU) benchmark is
-  the same step with its volatility and jump coefficients frozen at r0 and
-  no clamp (Vasicek-type);
+  Asmussen-Rosinski small-jump approximation and the mid-band jumps of all
+  paths as one superposed Poisson draw.  The big jumps (mark > y) run on a
+  compensator clock: a path jumps where its integrated big-jump intensity
+  crosses an Exp(1) level, the Cox-time construction of the first large
+  jump, and every big jump is recorded as an event.  The locally equivalent
+  Levy-OU (LOU) benchmark is the same step with its volatility and jump
+  coefficients frozen at r0 and no clamp (Vasicek-type);
 * Hawkes: exact event-driven simulation of the exponential-kernel
   self-exciting intensity whose rescaling converges to the diffusion limit.
 
@@ -94,6 +96,11 @@ def first_large_jump(path: Path) -> Optional[float]:
 
 
 def _grid(dt: float, horizon: float):
+    """Step count and time grid of [0, horizon] at step dt; a step count
+    that is not finite cannot be built and is rejected."""
+    if not (dt > 0.0 and horizon >= 0.0 and np.isfinite(horizon / dt)):
+        raise ValueError("need dt > 0, horizon >= 0 and a finite step count "
+                         "horizon / dt")
     n_steps = int(round(horizon / dt))
     return n_steps, dt * np.arange(n_steps + 1)
 
@@ -158,22 +165,37 @@ class _ThinnedStep:
 
     Truncated dynamics with the small jumps (< eps) as extra Gaussian
     variance, the mid-band jumps (eps, y) as a compensated compound Poisson
-    draw, and the big jumps (> y) as a Poisson draw at the start-of-step
-    intensity; two big arrivals in one step are an O(dt^2) event, collapsed
-    to one.  The constants are fixed at construction.
+    draw and the big jumps (> y) on a compensator clock.  The constants are
+    fixed at construction.
+
+    Mid band: independent Poisson(lambda_i) counts over the paths are one
+    Poisson(sum lambda_i) total whose jumps belong to path i with
+    probability lambda_i / sum lambda, independently.  The owners come from
+    sorted uniform keys, the normalised cumulative sums of tot + 1 standard
+    exponentials (uniform order statistics; Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. V), located in the cumulative intensities.
+
+    Big jumps: each path carries gap = E - Lambda, the distance from its
+    clock Lambda, the integrated big-jump intensity, to its level
+    E ~ Exp(1).  A step runs the clock by r+ * nu_big * dt; where that
+    crosses the level the path jumps at the matching fraction of the step,
+    takes a Pareto mark and a fresh Exp(1) is added to its level, repeated
+    while the clock still crosses, so every arrival in the step counts.
 
     Every coefficient is taken at the clamped start value r+ (the big-jump
     compensator sits in the truncated drift a_tilde) and the end value is
     clamped at 0.  With frozen=True it is the LOU step: the mean reversion
     a(b - r) acts on the unclamped r, the Gaussian variance, both
-    compensators and both Poisson intensities are taken at r0, and nothing
-    is clamped.
+    compensators and both intensities are taken at r0, and nothing is
+    clamped.
     """
 
     def __init__(self, params: ModelParams, y: float, dt: float,
                  frozen: bool = False):
         alpha, sz = params.alpha, params.sigma_z
         _check_alpha(alpha, allow_two=False)
+        if not (np.isfinite(y) and y > 0.0):
+            raise ValueError("the mark threshold y must be finite and positive")
         if not frozen and sz <= 0.0:
             raise ValueError("thinned scheme needs sigma_z > 0")
         eps = y / 100.0                   # small-jump cutoff (variance-matched below)
@@ -182,51 +204,77 @@ class _ThinnedStep:
         mean_mid = (levy_density_coefficient(alpha)
                     * (eps ** (1.0 - alpha) - y ** (1.0 - alpha)) / (alpha - 1.0))
         self.dt, self.y, self.sz, self.eps, self.alpha = dt, y, sz, eps, alpha
-        self.ab = params.a * params.b
-        self.s2 = params.sigma ** 2
-        self.v_small = sz ** 2 * truncated_second_moment(alpha, eps)
+        var = params.sigma ** 2 + sz ** 2 * truncated_second_moment(alpha, eps)
+        self.var_dt = var * dt
         self.nu_mid_dt = nu_mid * dt
         self.nu_big_dt = nu_big * dt
         self.frozen, self.r0 = frozen, params.r0
+        self.frozen_terms = None   # built once per path count: r0 is fixed
+        # the drift over the step is c0 - c1 * rp
+        ab = params.a * params.b
         if frozen:
-            self.a_r = params.a
-            self.comp = sz * (mean_mid + big_jump_mean(alpha, y))
+            comp = sz * (mean_mid + big_jump_mean(alpha, y))
+            self.c0, self.c1 = (ab - comp * params.r0) * dt, params.a * dt
         else:
-            self.a_r = truncated_drift(params, y)
-            self.comp = sz * mean_mid          # mid-band compensator
+            comp = sz * mean_mid               # mid-band compensator
+            self.c0 = ab * dt
+            self.c1 = (truncated_drift(params, y) + comp) * dt
 
-    def __call__(self, r: np.ndarray, t0: float, rng: np.random.Generator):
+    def _rate_terms(self, rc: np.ndarray):
+        """Cumulative mid-band weights, diffusion scale and clock advance of
+        paths at rates rc."""
+        return rc.cumsum(), np.sqrt(self.var_dt * rc), rc * self.nu_big_dt
+
+    def __call__(self, r: np.ndarray, gap: np.ndarray, t0: float,
+                 rng: np.random.Generator, every: bool = True):
         """Advance the paths r by one step from time t0.
 
-        Returns (rp, r_new, idx, t_ev, sizes): the clamped start values
-        (unclamped when frozen), the end values, the positions in r of the
-        paths with a big jump in the step, and those jumps' times in
-        [t0, t0 + dt) and rate-space sizes.
+        gap holds each path's E - Lambda and is run down in place.  Returns
+        (rp, r_new, idx, t_ev, sizes): the clamped start values (unclamped
+        when frozen), the end values, the positions in r of the big jumps in
+        the step (a path once per jump), and those jumps' times in
+        [t0, t0 + dt) and rate-space sizes.  With every=False only each
+        path's first jump is reported and no mark is drawn (sizes is None
+        in a step with jumps), for a caller that retires the path there.
         """
         n, dt = r.size, self.dt
-        frozen = self.frozen
-        rp = r if frozen else np.maximum(r, 0.0)
-        # a frozen rate is one scalar, the fast path of Generator.poisson
-        rc, size = (self.r0, n) if frozen else (rp, None)
-        drift = self.ab - self.a_r * rp - self.comp * rc
-        gauss_var = self.s2 * rc + self.v_small * rc
-        incr = drift * dt + np.sqrt(gauss_var * dt) * rng.standard_normal(n)
-        counts = rng.poisson(rc * self.nu_mid_dt, size=size)
-        tot = int(counts.sum())
+        if self.frozen:
+            rp = r
+            if self.frozen_terms is None or self.frozen_terms[0].size != n:
+                self.frozen_terms = self._rate_terms(np.full(n, self.r0))
+            cum, vol, clock = self.frozen_terms
+        else:
+            rp = np.maximum(r, 0.0)
+            cum, vol, clock = self._rate_terms(rp)
+        incr = self.c0 - self.c1 * rp + vol * rng.standard_normal(n)
+        tot = rng.poisson(cum[-1] * self.nu_mid_dt) if n else 0
         if tot:
+            keys = rng.standard_exponential(tot + 1).cumsum()
+            # the last path owns every key past the others' cumulative sum
+            owners = cum[:-1].searchsorted(keys[:-1] * (cum[-1] / keys[-1]),
+                                           side="right")
             marks = sample_truncated_band(self.alpha, self.eps, self.y, rng,
                                           size=tot)
-            owners = np.repeat(np.arange(n), counts)
             incr += self.sz * np.bincount(owners, weights=marks, minlength=n)
-        idx = np.flatnonzero(rng.poisson(rc * self.nu_big_dt, size=size))
+        idx = (gap < clock).nonzero()[0]
         sizes = t_ev = idx                         # empty unless a path jumps
         if idx.size:
-            sizes = self.sz * sample_pareto_tail(self.alpha, self.y, rng,
-                                                 size=idx.size)
-            incr[idx] += sizes
-            t_ev = t0 + dt * rng.uniform(size=idx.size)
+            hits, fracs, new = [idx], [gap[idx] / clock[idx]], idx
+            while every and new.size:
+                gap[new] += rng.standard_exponential(new.size)
+                new = new[gap[new] < clock[new]]
+                hits.append(new)
+                fracs.append(gap[new] / clock[new])
+            idx = np.concatenate(hits)
+            t_ev = t0 + dt * np.concatenate(fracs)
+            sizes = None
+            if every:
+                sizes = self.sz * sample_pareto_tail(self.alpha, self.y, rng,
+                                                     size=idx.size)
+                np.add.at(incr, idx, sizes)
+        gap -= clock
         r_new = r + incr
-        return rp, r_new if frozen else np.maximum(r_new, 0.0), idx, t_ev, sizes
+        return rp, r_new if self.frozen else np.maximum(r_new, 0.0), idx, t_ev, sizes
 
 
 def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
@@ -234,16 +282,19 @@ def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
                            rng: np.random.Generator,
                            keep_paths: bool = False,
                            events: Optional[list] = None):
-    """Truncated dynamics plus thinned big jumps.
+    """Truncated dynamics with superposed mid-band jumps and big jumps on a
+    compensator clock (see _ThinnedStep).
 
     Returns (r_T, integral, first_event_time, n_events[, paths, times]).
-    first_event_time is +inf for paths without a big jump.  When events is
-    a list, every big jump is appended to it as (path, time, size) with the
-    time and rate-space size the kernel drew.
+    first_event_time is +inf for paths without a big jump; n_events counts
+    every big jump, two in one step included.  When events is a list, every
+    big jump is appended to it as (path, time, size) with the time and
+    rate-space size the kernel drew.
     """
     step = _ThinnedStep(params, y, dt)
     n_steps, times = _grid(dt, horizon)
     r = np.full(n_paths, params.r0)
+    gap = rng.standard_exponential(n_paths)
     integral = np.zeros(n_paths)
     first_event = np.full(n_paths, np.inf)
     n_events = np.zeros(n_paths, dtype=np.int64)
@@ -252,11 +303,10 @@ def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
         out[:, 0] = r
     half_dt = 0.5 * dt
     for k in range(n_steps):
-        rp, r, idx, t_ev, sizes = step(r, times[k], rng)
+        rp, r, idx, t_ev, sizes = step(r, gap, times[k], rng)
         if idx.size:
-            newly = first_event[idx] == np.inf
-            first_event[idx[newly]] = t_ev[newly]
-            n_events[idx] += 1
+            np.minimum.at(first_event, idx, t_ev)
+            np.add.at(n_events, idx, 1)
             if events is not None:
                 events.extend(zip(idx.tolist(), t_ev.tolist(), sizes.tolist()))
         integral += half_dt * (rp + r)
@@ -272,13 +322,15 @@ class FirstPassage:
     """A thinned batch run until each path's first big jump.
 
     first holds the first-event time of every path (+inf while it has none);
-    active and r are the indices and current values of the paths still
-    waiting; steps is the number of grid steps taken.
+    active, r and gap are the indices, current values and clock gaps
+    E - Lambda (see _ThinnedStep) of the paths still waiting; steps is the
+    number of grid steps taken.
     """
 
     first: np.ndarray
     active: np.ndarray
     r: np.ndarray
+    gap: np.ndarray
     steps: int = 0
 
     @property
@@ -294,29 +346,31 @@ def first_passage_thinned(params: ModelParams, y: float, dt: float,
     """First big-jump times of n_paths thinned paths up to horizon.
 
     Only the paths without an event are evolved; a path leaves the active
-    set at its first big jump and the loop ends once none is left.  Passing
-    the returned state back with a longer horizon (and the same params, y,
-    dt and rng) continues the batch from its last step, with the same
-    draws as one run to the longer horizon.
+    set where its compensator clock first crosses its level, with no mark
+    drawn, and the loop ends once none is left.  Passing the returned state
+    back with a longer horizon (and the same params, y, dt and rng)
+    continues the batch from its last step, with the same draws as one run
+    to the longer horizon.
     """
     step = _ThinnedStep(params, y, dt)
+    n_steps, times = _grid(dt, horizon)
     if state is None:
         state = FirstPassage(np.full(n_paths, np.inf), np.arange(n_paths),
-                             np.full(n_paths, params.r0))
+                             np.full(n_paths, params.r0),
+                             rng.standard_exponential(n_paths))
     elif state.first.size != n_paths:
         raise ValueError("state holds a different number of paths")
-    n_steps = int(round(horizon / dt))
-    active, r = state.active, state.r
+    active, r, gap = state.active, state.r, state.gap
     for k in range(state.steps, n_steps):
         if not active.size:
             break
-        _, r, idx, t_ev, _ = step(r, k * dt, rng)
+        _, r, idx, t_ev, _ = step(r, gap, times[k], rng, every=False)
         if idx.size:
             state.first[active[idx]] = t_ev
             stay = np.ones(active.size, dtype=bool)
             stay[idx] = False
-            active, r = active[stay], r[stay]
-    state.active, state.r = active, r
+            active, r, gap = active[stay], r[stay], gap[stay]
+    state.active, state.r, state.gap = active, r, gap
     state.steps = max(state.steps, n_steps)
     return state
 
@@ -326,7 +380,8 @@ def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
                        keep_paths: bool = False,
                        events: Optional[list] = None):
     """Locally equivalent Levy-OU: the thinned step at mark threshold y with
-    its coefficients frozen at r0 and no positivity clamp.
+    its coefficients frozen at r0 and no positivity clamp, so its big jumps
+    are a Poisson process of rate r0 * nu_big on the compensator clock.
 
     Returns (lambda_T, first_event_time[, paths, times]).  When events is a
     list, every big jump is appended to it as (path, time, size), as in
@@ -335,15 +390,15 @@ def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
     step = _ThinnedStep(params, y, dt, frozen=True)
     n_steps, times = _grid(dt, horizon)
     lam = np.full(n_paths, params.r0)
+    gap = rng.standard_exponential(n_paths)
     first_event = np.full(n_paths, np.inf)
     out = np.empty((n_paths, n_steps + 1)) if keep_paths else None
     if keep_paths:
         out[:, 0] = lam
     for k in range(n_steps):
-        _, lam, idx, t_ev, sizes = step(lam, times[k], rng)
+        _, lam, idx, t_ev, sizes = step(lam, gap, times[k], rng)
         if idx.size:
-            newly = first_event[idx] == np.inf
-            first_event[idx[newly]] = t_ev[newly]
+            np.minimum.at(first_event, idx, t_ev)
             if events is not None:
                 events.extend(zip(idx.tolist(), t_ev.tolist(), sizes.tolist()))
         if keep_paths:

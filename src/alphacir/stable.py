@@ -239,7 +239,7 @@ def sample_stable_increment(spec: StableSpec, dt: float, rng: np.random.Generato
 def sample_pareto_tail(alpha: float, y: float, rng: np.random.Generator, size=None):
     """Jump marks above y under the normalized tail of mu_alpha: z = y * U^(-1/alpha)."""
     _check_alpha(alpha, allow_two=False)
-    u = rng.uniform(size=size)
+    u = rng.random(size)
     return y * u ** (-1.0 / alpha)
 
 
@@ -249,7 +249,7 @@ def sample_truncated_band(alpha: float, lo: float, hi: float,
     _check_alpha(alpha, allow_two=False)
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
-    u = rng.uniform(size=size)
+    u = rng.random(size)
     ratio = (lo / hi) ** alpha
     return lo * (1.0 - u * (1.0 - ratio)) ** (-1.0 / alpha)
 

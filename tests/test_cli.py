@@ -113,6 +113,16 @@ def test_validation_error_exit_code(tmp_path, monkeypatch):
     # the n - 2 stability check needs n >= 4
     pytest.param(["put-price", "--maturity", "1", "--strike", "0.04",
                   "--n-terms", "2"], id="put-price-n-terms"),
+    # the jump kernels need a finite positive mark threshold
+    pytest.param(["simulate", "--scheme", "lou", "--y", "inf"],
+                 id="simulate-lou-y-inf"),
+    pytest.param(["simulate", "--scheme", "lou", "--y", "nan"],
+                 id="simulate-lou-y-nan"),
+    # a step count horizon / dt that is not finite cannot be built
+    pytest.param(["simulate", "--horizon", "inf"], id="simulate-horizon-inf"),
+    pytest.param(["simulate", "--scheme", "thinned", "--horizon", "1e300",
+                  "--dt", "1e-300"], id="simulate-thinned-step-count"),
+    pytest.param(["fig1", "--horizon", "inf"], id="fig1-horizon-inf"),
 ])
 def test_non_finite_input_exits_two(tmp_path, monkeypatch, argv):
     _in_tmp(tmp_path, monkeypatch)

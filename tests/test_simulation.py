@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from alphacir.jumps import lou_first_jump_cdf
 from alphacir.sim import (
     Path,
     ROOT_EULER,
@@ -17,6 +18,7 @@ from alphacir.sim import (
     simulate_thinned,
     simulate_thinned_batch,
 )
+from alphacir.stable import big_jump_mass
 
 
 def test_config_validation():
@@ -165,6 +167,81 @@ def test_lou_single_path_reports_every_jump(jump_params):
     assert path.events[0][0] == first_large_jump(path) == first[0]
 
 
+def test_lou_one_step_counts_every_arrival(jump_params):
+    # one step of length T with r0 * nu_big * T = 1: the big jumps are
+    # Poisson(1) per path, so the mean number of logged events is 1; counting
+    # at most one arrival per step would give 1 - exp(-1)
+    p = jump_params(alpha=1.2)
+    T = 1.0 / (p.r0 * big_jump_mass(p.alpha, 1.0))
+    n_paths, log = 4000, []
+    simulate_lou_batch(p, 1.0, T, T, n_paths, np.random.default_rng(17),
+                       events=log)
+    counts = np.bincount([i for i, _, _ in log], minlength=n_paths)
+    se = counts.std(ddof=1) / np.sqrt(n_paths)
+    assert abs(counts.mean() - 1.0) < 4.0 * se
+    assert counts.max() > 2
+
+
+def test_lou_first_event_times_follow_exact_law(jump_params):
+    # at dt = 1 a path meets a big jump in most steps (r0 * nu_big = 0.77);
+    # the clock still places the first one at its exact exponential time
+    p = jump_params(alpha=1.2)
+    y_bar = 0.02
+    _, first = simulate_lou_batch(p, y_bar / p.sigma_z, 1.0, 2.0, 4000,
+                                  np.random.default_rng(5))
+    for t in (0.25, 0.5, 1.5):
+        hit = first <= t
+        se = hit.std(ddof=1) / np.sqrt(hit.size)
+        assert abs(hit.mean() - lou_first_jump_cdf(y_bar, t, p)) < 4.0 * se
+
+
+@pytest.mark.parametrize("batch", [simulate_thinned_batch, simulate_lou_batch])
+def test_events_lie_in_their_own_step(jump_params, batch):
+    # the first k steps draw the same variates whatever the horizon, so the
+    # events a run to (k + 1) dt adds to a run to k dt are those of step k
+    p, dt = jump_params(alpha=1.2), 1.0
+    logs = []
+    for k in range(5):
+        logs.append([])
+        batch(p, 0.2, dt, k * dt, 200, np.random.default_rng(9),
+              events=logs[-1])
+    repeats = 0
+    for k in range(4):
+        before, after = logs[k], logs[k + 1]
+        assert after[:len(before)] == before
+        new = after[len(before):]
+        assert all(k * dt <= t < (k + 1) * dt for _, t, _ in new)
+        repeats += len(new) - len({i for i, _, _ in new})
+    assert repeats > 0
+
+
+@pytest.mark.parametrize("batch", [simulate_thinned_batch, simulate_lou_batch])
+def test_jump_batches_of_no_paths(jump_params, batch):
+    out = batch(jump_params(alpha=1.5), 1.0, 1e-2, 0.1, 0,
+                np.random.default_rng(0))
+    assert all(a.shape == (0,) for a in out)
+
+
+@pytest.mark.parametrize("batch", [simulate_thinned_batch, simulate_lou_batch])
+@pytest.mark.parametrize("y", [np.inf, np.nan, 0.0, -1.0])
+def test_jump_kernels_reject_bad_threshold(jump_params, batch, y):
+    with pytest.raises(ValueError, match="threshold"):
+        batch(jump_params(alpha=1.5), y, 1e-2, 1.0, 4,
+              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("run", [
+    lambda p, dt, h, rng: simulate_root_batch(p, dt, h, 4, rng),
+    lambda p, dt, h, rng: simulate_thinned_batch(p, 1.0, dt, h, 4, rng),
+    lambda p, dt, h, rng: first_passage_thinned(p, 1.0, dt, h, 4, rng),
+    lambda p, dt, h, rng: simulate_lou_batch(p, 1.0, dt, h, 4, rng),
+], ids=["root", "thinned", "first_passage", "lou"])
+@pytest.mark.parametrize("dt, horizon", [(1e-2, np.inf), (0.0, 1.0)])
+def test_step_count_must_be_finite(jump_params, run, dt, horizon):
+    with pytest.raises(ValueError, match="step count"):
+        run(jump_params(alpha=1.5), dt, horizon, np.random.default_rng(0))
+
+
 def test_hawkes_rescaled_mean_near_limit():
     rng = np.random.default_rng(8)
     lam = simulate_hawkes_batch(0.1, 0.3, 0.3, 1.0, 50, 20_000, rng)
@@ -194,28 +271,28 @@ def test_thinned_batch_pinned(jump_params):
     r, integ, first, n_ev = simulate_thinned_batch(
         jump_params(alpha=1.5), 0.5, 1e-2, 10.0, 64, np.random.default_rng(1))
     hit = np.isfinite(first)
-    assert (hit.sum(), n_ev.sum()) == (41, 98)
+    assert (hit.sum(), n_ev.sum()) == (40, 185)
     _pinned([r.sum(), integ.sum(), first[hit].sum()],
-            [5.400464357571611, 82.47833809304373, 121.87797417630908])
+            [14.224578094555081, 168.49286166832422, 114.15030700054037])
 
 
 def test_first_passage_pinned(jump_params):
     st = first_passage_thinned(jump_params(alpha=1.5), 1.0, 1e-2, 20.0, 200,
                                np.random.default_rng(2))
     hit = np.isfinite(st.first)
-    assert (hit.sum(), st.active.size) == (91, 109)
+    assert (hit.sum(), st.active.size) == (90, 110)
     _pinned([st.first[hit].sum(), st.r.sum()],
-            [548.8182886230002, 4.472028787477518])
+            [568.264497759778, 4.777431288718548])
 
 
 def test_lou_batch_pinned(jump_params):
     lam, first = simulate_lou_batch(jump_params(alpha=1.5), 1.0, 1e-2, 20.0,
                                     200, np.random.default_rng(3))
     hit = np.isfinite(first)
-    assert hit.sum() == 158
+    assert hit.sum() == 149
     _pinned([lam.sum(), (lam ** 2).sum(), lam.min(), first[hit].sum()],
-            [17.789782712260944, 16.521181778489726, -0.36056858221372423,
-             1264.6411902987356])
+            [17.47808745166356, 29.676311299717636, -0.4655989836843277,
+             1211.972001975832])
 
 
 def test_path_csv_round_trip(tmp_path):
