@@ -226,16 +226,14 @@ class _ThinnedStep:
         return rc.cumsum(), np.sqrt(self.var_dt * rc), rc * self.nu_big_dt
 
     def __call__(self, r: np.ndarray, gap: np.ndarray, t0: float,
-                 rng: np.random.Generator, every: bool = True):
+                 rng: np.random.Generator):
         """Advance the paths r by one step from time t0.
 
         gap holds each path's E - Lambda and is run down in place.  Returns
         (rp, r_new, idx, t_ev, sizes): the clamped start values (unclamped
         when frozen), the end values, the positions in r of the big jumps in
         the step (a path once per jump), and those jumps' times in
-        [t0, t0 + dt) and rate-space sizes.  With every=False only each
-        path's first jump is reported and no mark is drawn (sizes is None
-        in a step with jumps), for a caller that retires the path there.
+        [t0, t0 + dt) and rate-space sizes.
         """
         n, dt = r.size, self.dt
         if self.frozen:
@@ -260,18 +258,16 @@ class _ThinnedStep:
         sizes = t_ev = idx                         # empty unless a path jumps
         if idx.size:
             hits, fracs, new = [idx], [gap[idx] / clock[idx]], idx
-            while every and new.size:
+            while new.size:
                 gap[new] += rng.standard_exponential(new.size)
                 new = new[gap[new] < clock[new]]
                 hits.append(new)
                 fracs.append(gap[new] / clock[new])
             idx = np.concatenate(hits)
             t_ev = t0 + dt * np.concatenate(fracs)
-            sizes = None
-            if every:
-                sizes = self.sz * sample_pareto_tail(self.alpha, self.y, rng,
-                                                     size=idx.size)
-                np.add.at(incr, idx, sizes)
+            sizes = self.sz * sample_pareto_tail(self.alpha, self.y, rng,
+                                                 size=idx.size)
+            np.add.at(incr, idx, sizes)
         gap -= clock
         r_new = r + incr
         return rp, r_new if self.frozen else np.maximum(r_new, 0.0), idx, t_ev, sizes
@@ -346,8 +342,8 @@ def first_passage_thinned(params: ModelParams, y: float, dt: float,
     """First big-jump times of n_paths thinned paths up to horizon.
 
     Only the paths without an event are evolved; a path leaves the active
-    set where its compensator clock first crosses its level, with no mark
-    drawn, and the loop ends once none is left.  Passing the returned state
+    set at the end of the step in which its compensator clock first crosses
+    its level, and the loop ends once none is left.  Passing the returned state
     back with a longer horizon (and the same params, y, dt and rng)
     continues the batch from its last step, with the same draws as one run
     to the longer horizon.
@@ -364,9 +360,9 @@ def first_passage_thinned(params: ModelParams, y: float, dt: float,
     for k in range(state.steps, n_steps):
         if not active.size:
             break
-        _, r, idx, t_ev, _ = step(r, gap, times[k], rng, every=False)
+        _, r, idx, t_ev, _ = step(r, gap, times[k], rng)
         if idx.size:
-            state.first[active[idx]] = t_ev
+            np.minimum.at(state.first, active[idx], t_ev)
             stay = np.ones(active.size, dtype=bool)
             stay[idx] = False
             active, r, gap = active[stay], r[stay], gap[stay]
