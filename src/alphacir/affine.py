@@ -85,12 +85,18 @@ def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
     return curve
 
 
+def _check_rate(r: float) -> None:
+    """A rate the transforms can start from: NaN or inf would come back as a
+    NaN or 0 that looks like a result."""
+    if not (np.isfinite(r) and r >= 0.0):
+        raise ValueError("short rate must be finite and nonnegative")
+
+
 def joint_laplace(x: float, t: float, xi: float, theta: float,
                   params: ModelParams, spec: JumpSpec = JumpSpec.full()) -> float:
     """E_x[exp(-xi r_t - theta int_0^t r_s ds)]
     = exp(-x v(t,xi,theta) - int_0^t Phi(v(s,xi,theta)) ds)."""
-    if x < 0.0:
-        raise ValueError("initial value x must be nonnegative")
+    _check_rate(x)
     if t == 0.0:
         return float(np.exp(-xi * x))
     if xi == 0.0 and theta == 0.0:
@@ -103,8 +109,7 @@ def bond_price(t: float, T: float, r_t: float, params: ModelParams) -> float:
     """Zero-coupon price B(t, T) = exp(-r_t v(T-t) - a b int_0^(T-t) v(s) ds)."""
     if T < t:
         raise ValueError("maturity precedes valuation date")
-    if r_t < 0.0:
-        raise ValueError("short rate must be nonnegative")
+    _check_rate(r_t)
     tau = T - t
     if tau == 0.0:
         return 1.0
@@ -113,7 +118,11 @@ def bond_price(t: float, T: float, r_t: float, params: ModelParams) -> float:
 
 
 def bond_price_from_curve(curve: OdeCurve, tau: float, r_t: float) -> float:
-    """Bond price reusing a precomputed (xi=0, theta=1) curve; tau <= horizon."""
+    """Bond price reusing a precomputed (xi=0, theta=1) curve; tau must lie
+    in [0, horizon]."""
+    if not 0.0 <= tau <= curve.grid[-1]:     # the curve is clipped past it
+        raise ValueError(f"tau {tau} outside the curve's [0, {curve.grid[-1]}]")
+    _check_rate(r_t)
     if tau == 0.0:
         return 1.0
     p = curve.params
@@ -130,7 +139,10 @@ def bond_yield(t: float, kappa: float, r_t: float, params: ModelParams) -> float
 
 
 def yield_from_curve(curve: OdeCurve, kappa: float, r_t):
-    """Yield as a function of the current rate; r_t may be an array."""
+    """Yield as a function of the current rate; r_t may be an array, and
+    kappa must lie in (0, horizon]."""
+    if not 0.0 < kappa <= curve.grid[-1]:
+        raise ValueError(f"kappa {kappa} outside the curve's (0, {curve.grid[-1]}]")
     if not np.all(np.isfinite(r_t)):
         raise ValueError("rate r_t must be finite")
     p = curve.params

@@ -29,6 +29,9 @@ from .mechanism import (JumpSpec, ModelParams, fixed_point_truncated, psi,
 from .stable import _check_alpha, big_jump_laplace_tail, big_jump_mass
 
 
+_ROUTE_TOL = 1e-3      # largest relative gap of the two E[tau] routes
+
+
 @dataclass
 class JumpLawCurve:
     """Solution of a jump-law ODE on a time grid, with the derived survival
@@ -141,10 +144,10 @@ class RouteDisagreement(RuntimeError):
     signal of a convention or quadrature error."""
 
 
-def expected_tau(y_bar: float, params: ModelParams,
-                 rel_tol: float = 1e-3) -> ExpectedTau:
+def expected_tau(y_bar: float, params: ModelParams) -> ExpectedTau:
     """E[tau_ybar] by two independent routes; the survival-integral route is
-    the returned value.  Needs a b > 0: else S(t) = P(tau > t) tends to
+    the returned value, and routes further apart than _ROUTE_TOL relative
+    raise RouteDisagreement.  Needs a b > 0: else S(t) = P(tau > t) tends to
     exp(-l* r0) > 0 and E[tau] is infinite.
 
     Route 1 is Simpson's rule for S on linspace(0, t_max, 4001) from one ODE
@@ -187,7 +190,7 @@ def expected_tau(y_bar: float, params: ModelParams,
     secondary = float(simpson(outer, x=s))
     secondary += float(np.exp(-l_star * params.r0 - inner[-1]) / (ab * l_star))
 
-    if abs(primary - secondary) > rel_tol * max(abs(primary), 1e-12):
+    if abs(primary - secondary) > _ROUTE_TOL * max(abs(primary), 1e-12):
         raise RouteDisagreement(
             f"expected_tau routes disagree: {primary} vs {secondary}")
     return ExpectedTau(primary, primary, secondary)

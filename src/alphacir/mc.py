@@ -48,6 +48,12 @@ def _mean_se(samples: np.ndarray, label: str) -> McEstimate:
                       float(np.std(samples, ddof=1) / np.sqrt(n)), n, label)
 
 
+def _check_finite(name: str, value: float) -> None:
+    """A NaN or infinite transform argument would return a NaN estimate."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
 def mc_bond(params: ModelParams, T: float, n_paths: int = 100_000,
             dt: float = 1e-3, seed: int = 0,
             antithetic: bool = True) -> McEstimate:
@@ -66,6 +72,7 @@ def mc_laplace(params: ModelParams, p: float, t: float,
                n_paths: int = 100_000, dt: float = 1e-3, seed: int = 0,
                scheme: str = "root", y: float = 1.0) -> McEstimate:
     """E[exp(-p r_t)] under the requested scheme."""
+    _check_finite("p", p)
     rng = np.random.default_rng(seed)
     if scheme == "root":
         r, _ = simulate_root_batch(params, dt, t, n_paths, rng)
@@ -95,6 +102,7 @@ def mc_survival(params: ModelParams, y_bar: float, t_grid, n_paths: int = 100_00
 def mc_counter(params: ModelParams, p: float, y_bar: float, t: float,
                n_paths: int = 100_000, dt: float = 2e-3, seed: int = 0) -> McEstimate:
     """Empirical E[exp(-p J_t)] for the big-jump counter."""
+    _check_finite("p", p)
     y = _mark_threshold(params, y_bar)
     rng = np.random.default_rng(seed)
     _, _, _, n_ev = simulate_thinned_batch(params, y, dt, t, n_paths, rng)
@@ -126,6 +134,7 @@ def mc_stationary_laplace(params: ModelParams, p: float, t: float = 200.0,
                           n_paths: int = 10_000, dt: float = 0.01,
                           seed: int = 0) -> McEstimate:
     """E[exp(-p r_t)] at a large t as a stationary-law proxy (root scheme)."""
+    _check_finite("p", p)
     rng = np.random.default_rng(seed)
     r, _ = simulate_root_batch(params, dt, t, n_paths, rng)
     return _mean_se(np.exp(-p * r), "mc_stationary_laplace")
@@ -157,6 +166,7 @@ def mc_running_min_put(params: ModelParams, T: float, kappa: float, K: float,
     Kbar = (kappa K - ab int_0^kappa v) / v(kappa).  Both use the same paths;
     the identity makes them equal path by path up to rounding.
     """
+    _check_finite("K", K)
     rng = np.random.default_rng(seed)
     curve = solve_v(0.0, 1.0, kappa, params)
     v_k = curve(kappa)

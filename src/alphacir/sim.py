@@ -3,7 +3,8 @@
 Three engines:
 
 * root Euler: discretizes dr = a(b-r)dt + sigma sqrt(r) dB + sigma_z r^(1/alpha) dZ
-  with full truncation (coefficients at r+, then clamp at 0);
+  with full truncation (coefficients at r+, then clamp at 0), the step
+  kernel _RootStep;
 * thinned: evolves the truncated dynamics (drift a_tilde(b_tilde - r)) with an
   Asmussen-Rosinski small-jump approximation and the mid-band jumps of all
   paths as one superposed Poisson draw.  The big jumps (mark > y) run on a
@@ -11,17 +12,23 @@ Three engines:
   crosses an Exp(1) level, the Cox-time construction of the first large
   jump, and every big jump is recorded as an event.  The locally equivalent
   Levy-OU (LOU) benchmark is the same step with its volatility and jump
-  coefficients frozen at r0 and no clamp (Vasicek-type);
+  coefficients frozen at r0 and no clamp (Vasicek-type).  The step kernel
+  is _ThinnedStep;
 * Hawkes: exact event-driven simulation of the exponential-kernel
   self-exciting intensity whose rescaling converges to the diffusion limit.
 
-Batch functions return arrays over paths and drive everything from one
-Generator; the single-path wrappers return Path objects for the CLI.
+The root, thinned and LOU batch functions run their step kernel through one
+loop, _run, which keeps the trapezoid integral, the first-event times and
+event log, the running minimum and the kept paths; first passage keeps its
+own loop because its path set shrinks.  Batch functions return arrays over
+paths and drive everything from one Generator; the single-path wrappers are
+the batch functions at n = 1 and return Path objects for the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,6 +48,7 @@ from .stable import (
 
 ROOT_EULER = "root_euler"
 THINNED = "thinned"
+_HAWKES_GRID_POINTS = 201       # grid of the single Hawkes path
 
 
 @dataclass
@@ -105,12 +113,91 @@ def _grid(dt: float, horizon: float):
     return n_steps, dt * np.arange(n_steps + 1)
 
 
+_NO_EVENTS = np.empty(0, dtype=np.intp)
+
+
+class _RootStep:
+    """The one step kernel of the root scheme: full-truncation Euler at step
+    dt, with the call shape of _ThinnedStep and no events.
+
+    The drift and both volatilities are taken at the clamped start value r+
+    and the end value is clamped at 0.  With antithetic=True the Gaussian
+    driver of the second half of the paths mirrors the first half; the
+    stable increments are drawn independently.
+    """
+
+    def __init__(self, params: ModelParams, dt: float, antithetic: bool):
+        self.spec = StableSpec(params.alpha)
+        self.params, self.dt, self.antithetic = params, dt, antithetic
+        self.sqrt_dt = np.sqrt(dt)
+
+    def __call__(self, r: np.ndarray, gap, t0: float, rng: np.random.Generator):
+        """Advance the paths r by one step; gap and t0 are not used.  Returns
+        (rp, r_new, idx, t_ev, sizes) as _ThinnedStep does, the last three
+        empty."""
+        p, dt, n = self.params, self.dt, r.size
+        rp = np.maximum(r, 0.0)
+        if self.antithetic:
+            g = rng.standard_normal(n // 2)
+            gauss = np.concatenate([g, -g])
+        else:
+            gauss = rng.standard_normal(n)
+        dz = sample_stable_increment(self.spec, dt, rng, size=n)
+        r_new = (r + p.a * (p.b - rp) * dt
+                 + p.sigma * np.sqrt(rp) * self.sqrt_dt * gauss)
+        if p.sigma_z > 0.0:       # at alpha = 2, ** 0.5 is NumPy's sqrt
+            r_new += p.sigma_z * rp ** (1.0 / p.alpha) * dz
+        return rp, np.maximum(r_new, 0.0), _NO_EVENTS, _NO_EVENTS, _NO_EVENTS
+
+
+def _run(step, r0: float, horizon: float, n_paths: int,
+         rng: np.random.Generator, gap: Optional[np.ndarray] = None,
+         integral: bool = True, running_min: bool = False,
+         keep_paths: bool = False, events: Optional[list] = None):
+    """The batch loop of every step kernel but first passage: n_paths paths
+    from r0 over the grid of [0, horizon] at the step's dt, with the clock
+    gaps gap of a jump step.
+
+    Returns (r_T, integral, run_min, first_event, n_events, kept): the
+    trapezoid integral of the clamped rate (None unless integral), the
+    minimum over the grid with r0 (None unless running_min), the first big
+    jump of each path (+inf without one), the count of big jumps, and
+    (paths, times) with keep_paths=True, else ().  When events is a list,
+    every big jump is appended to it as (path, time, size).
+    """
+    n_steps, times = _grid(step.dt, horizon)
+    r = np.full(n_paths, r0)
+    acc = np.zeros(n_paths) if integral else None
+    run_min = r.copy() if running_min else None
+    first_event = np.full(n_paths, np.inf)
+    n_events = np.zeros(n_paths, dtype=np.int64)
+    out = np.empty((n_paths, n_steps + 1)) if keep_paths else None
+    if keep_paths:
+        out[:, 0] = r
+    half_dt = 0.5 * step.dt
+    for k in range(n_steps):
+        rp, r, idx, t_ev, sizes = step(r, gap, times[k], rng)
+        if idx.size:
+            np.minimum.at(first_event, idx, t_ev)
+            np.add.at(n_events, idx, 1)
+            if events is not None:
+                events.extend(zip(idx.tolist(), t_ev.tolist(), sizes.tolist()))
+        if integral:
+            acc += half_dt * (rp + r)
+        if running_min:
+            np.minimum(run_min, r, out=run_min)
+        if keep_paths:
+            out[:, k + 1] = r
+    kept = (out, times) if keep_paths else ()
+    return r, acc, run_min, first_event, n_events, kept
+
+
 def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
                         n_paths: int, rng: np.random.Generator,
                         antithetic: bool = False,
                         keep_paths: bool = False,
                         running_min: bool = False):
-    """Full-truncation Euler for the root representation.
+    """Full-truncation Euler for the root representation (see _RootStep).
 
     Returns (r_T, integral[, run_min][, paths, times]): terminal values, the
     trapezoid integral of r over [0, horizon], with running_min=True the
@@ -121,43 +208,12 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
     mirrors the first half (n_paths must be even); the stable increments are
     drawn independently, only the Brownian component is paired.
     """
-    n_steps, times = _grid(dt, horizon)
     if antithetic and n_paths % 2:
         raise ValueError("antithetic batches need an even n_paths")
-    spec = StableSpec(params.alpha)
-    r = np.full(n_paths, params.r0)
-    integral = np.zeros(n_paths)
-    run_min = r.copy() if running_min else None
-    out = np.empty((n_paths, n_steps + 1)) if keep_paths else None
-    if keep_paths:
-        out[:, 0] = r
-    sqrt_dt = np.sqrt(dt)
-    half = n_paths // 2
-    for k in range(n_steps):
-        rp = np.maximum(r, 0.0)
-        if antithetic:
-            g = rng.standard_normal(half)
-            gauss = np.concatenate([g, -g])
-        else:
-            gauss = rng.standard_normal(n_paths)
-        dz = sample_stable_increment(spec, dt, rng, size=n_paths)
-        r_new = (r + params.a * (params.b - rp) * dt
-                 + params.sigma * np.sqrt(rp) * sqrt_dt * gauss)
-        if params.sigma_z > 0.0:       # at alpha = 2, ** 0.5 is NumPy's sqrt
-            r_new += params.sigma_z * rp ** (1.0 / params.alpha) * dz
-        r_new = np.maximum(r_new, 0.0)
-        integral += 0.5 * dt * (np.maximum(r, 0.0) + r_new)
-        r = r_new
-        if running_min:
-            np.minimum(run_min, r, out=run_min)
-        if keep_paths:
-            out[:, k + 1] = r
-    res = (r, integral)
-    if running_min:
-        res += (run_min,)
-    if keep_paths:
-        res += (out, times)
-    return res
+    r, integral, run_min, _, _, kept = _run(
+        _RootStep(params, dt, antithetic), params.r0, horizon, n_paths, rng,
+        running_min=running_min, keep_paths=keep_paths)
+    return (r, integral) + ((run_min,) if running_min else ()) + kept
 
 
 class _ThinnedStep:
@@ -288,29 +344,10 @@ def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
     rate-space size the kernel drew.
     """
     step = _ThinnedStep(params, y, dt)
-    n_steps, times = _grid(dt, horizon)
-    r = np.full(n_paths, params.r0)
-    gap = rng.standard_exponential(n_paths)
-    integral = np.zeros(n_paths)
-    first_event = np.full(n_paths, np.inf)
-    n_events = np.zeros(n_paths, dtype=np.int64)
-    out = np.empty((n_paths, n_steps + 1)) if keep_paths else None
-    if keep_paths:
-        out[:, 0] = r
-    half_dt = 0.5 * dt
-    for k in range(n_steps):
-        rp, r, idx, t_ev, sizes = step(r, gap, times[k], rng)
-        if idx.size:
-            np.minimum.at(first_event, idx, t_ev)
-            np.add.at(n_events, idx, 1)
-            if events is not None:
-                events.extend(zip(idx.tolist(), t_ev.tolist(), sizes.tolist()))
-        integral += half_dt * (rp + r)
-        if keep_paths:
-            out[:, k + 1] = r
-    if keep_paths:
-        return r, integral, first_event, n_events, out, times
-    return r, integral, first_event, n_events
+    r, integral, _, first_event, n_events, kept = _run(
+        step, params.r0, horizon, n_paths, rng, rng.standard_exponential(n_paths),
+        keep_paths=keep_paths, events=events)
+    return (r, integral, first_event, n_events) + kept
 
 
 @dataclass
@@ -384,24 +421,10 @@ def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
     simulate_thinned_batch.
     """
     step = _ThinnedStep(params, y, dt, frozen=True)
-    n_steps, times = _grid(dt, horizon)
-    lam = np.full(n_paths, params.r0)
-    gap = rng.standard_exponential(n_paths)
-    first_event = np.full(n_paths, np.inf)
-    out = np.empty((n_paths, n_steps + 1)) if keep_paths else None
-    if keep_paths:
-        out[:, 0] = lam
-    for k in range(n_steps):
-        _, lam, idx, t_ev, sizes = step(lam, gap, times[k], rng)
-        if idx.size:
-            np.minimum.at(first_event, idx, t_ev)
-            if events is not None:
-                events.extend(zip(idx.tolist(), t_ev.tolist(), sizes.tolist()))
-        if keep_paths:
-            out[:, k + 1] = lam
-    if keep_paths:
-        return lam, first_event, out, times
-    return lam, first_event
+    lam, _, _, first_event, _, kept = _run(
+        step, params.r0, horizon, n_paths, rng, rng.standard_exponential(n_paths),
+        integral=False, keep_paths=keep_paths, events=events)
+    return (lam, first_event) + kept
 
 
 def _check_hawkes(a: float, b: float, sigma_z: float, horizon: float,
@@ -460,58 +483,58 @@ def simulate_hawkes_batch(a: float, b: float, sigma_z: float, horizon: float,
     return lam / n
 
 
+def _path(run, config: SimConfig, rng: Optional[np.random.Generator],
+          log=()) -> Path:
+    """The n = 1 body of the single-path functions: run is a batch function
+    with its model bound, log the event list it appends to."""
+    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    *_, out, times = run(config.dt, config.horizon, 1, rng, keep_paths=True)
+    return Path(times=times, values=out[0],
+                events=[(t, size) for _, t, size in log])
+
+
 def simulate_root(params: ModelParams, config: SimConfig,
                   rng: Optional[np.random.Generator] = None) -> Path:
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    _, _, out, times = simulate_root_batch(params, config.dt, config.horizon,
-                                           1, rng, keep_paths=True)
-    return Path(times=times, values=out[0])
+    return _path(partial(simulate_root_batch, params), config, rng)
 
 
 def simulate_thinned(params: ModelParams, config: SimConfig,
                      rng: Optional[np.random.Generator] = None) -> Path:
     if config.scheme != THINNED:
         raise ValueError("config.scheme must be 'thinned'")
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
     log = []
-    _, _, _, _, out, times = simulate_thinned_batch(
-        params, config.y, config.dt, config.horizon, 1, rng, keep_paths=True,
-        events=log)
-    return Path(times=times, values=out[0],
-                events=[(t, size) for _, t, size in log])
+    return _path(partial(simulate_thinned_batch, params, config.y, events=log),
+                 config, rng, log)
 
 
 def simulate_lou(params: ModelParams, config: SimConfig,
                  rng: Optional[np.random.Generator] = None) -> Path:
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
     y = config.y if config.y is not None else 1.0
     log = []
-    _, _, out, times = simulate_lou_batch(
-        params, y, config.dt, config.horizon, 1, rng, keep_paths=True,
-        events=log)
-    return Path(times=times, values=out[0],
-                events=[(t, size) for _, t, size in log])
+    return _path(partial(simulate_lou_batch, params, y, events=log),
+                 config, rng, log)
 
 
 def simulate_hawkes(a: float, b: float, sigma_z: float, horizon: float,
                     n: int, rng: Optional[np.random.Generator] = None,
-                    seed: int = 0, grid_points: int = 201) -> Path:
+                    seed: int = 0) -> Path:
     """Single rescaled Hawkes intensity path sampled on a uniform grid of
-    t in [0, horizon] (grid evaluation is exact between events)."""
+    _HAWKES_GRID_POINTS times in [0, horizon] (grid evaluation is exact
+    between events)."""
     _check_hawkes(a, b, sigma_z, horizon, n)
     rng = rng if rng is not None else np.random.default_rng(seed)
     kappa = a / n + sigma_z
     c = a * b / kappa
     t_end = n * horizon
-    times = np.linspace(0.0, t_end, grid_points)
-    values = np.empty(grid_points)
+    times = np.linspace(0.0, t_end, _HAWKES_GRID_POINTS)
+    values = np.empty(_HAWKES_GRID_POINTS)
     t_cur, lam = 0.0, 0.0
     gi = 0
-    while gi < grid_points:
+    while gi < _HAWKES_GRID_POINTS:
         bound = max(lam, c)
         w = rng.exponential(1.0) / bound
         t_next = t_cur + w
-        while gi < grid_points and times[gi] <= t_next:
+        while gi < _HAWKES_GRID_POINTS and times[gi] <= t_next:
             values[gi] = c + (lam - c) * np.exp(-kappa * (times[gi] - t_cur))
             gi += 1
         if t_next >= t_end:

@@ -206,34 +206,27 @@ def big_jump_laplace_tail(c: float, y: float, alpha: float) -> float:
 
 
 def sample_stable_increment(spec: StableSpec, dt: float, rng: np.random.Generator,
-                            size=None):
-    """Draw Z_{t+dt} - Z_t, zero mean, spectrally positive.
+                            size: int):
+    """Draw size increments Z_{t+dt} - Z_t, zero mean, spectrally positive.
 
     Uses the Chambers-Mallows-Stuck transform for S_alpha(dt^(1/alpha), 1, 0)
     in the 1-parametrization; for alpha > 1 that law already has mean zero.
     alpha = 2 is Gaussian with variance 2*dt.
     """
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
     alpha = spec.alpha
-    scalar = size is None
-    n = 1 if scalar else size
-    if dt == 0.0:
-        out = np.zeros(n)
-        return float(out[0]) if scalar else out
     if alpha == 2.0:
-        out = rng.normal(0.0, np.sqrt(2.0 * dt), size=n)
-        return float(out[0]) if scalar else out
+        return rng.normal(0.0, np.sqrt(2.0 * dt), size=size)
 
-    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
-    w = rng.exponential(1.0, size=n)
+    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
+    w = rng.exponential(1.0, size=size)
     tb = np.tan(np.pi * alpha / 2.0)          # beta = 1
     b = np.arctan(tb) / alpha
     s = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
     x = (s * np.sin(alpha * (u + b)) / np.cos(u) ** (1.0 / alpha)
          * (np.cos(u - alpha * (u + b)) / w) ** ((1.0 - alpha) / alpha))
-    out = dt ** (1.0 / alpha) * x
-    return float(out[0]) if scalar else out
+    return dt ** (1.0 / alpha) * x
 
 
 def sample_pareto_tail(alpha: float, y: float, rng: np.random.Generator, size=None):

@@ -108,6 +108,28 @@ def test_yield_from_curve_vectorizes(bond_params):
     assert np.all(np.diff(ys) > 0.0)
 
 
+@pytest.mark.parametrize("tenor", [5.0, -0.5, float("nan")])
+def test_curve_readers_reject_tenor_off_the_curve(bond_params, tenor):
+    # past its horizon the curve used to be read at the horizon, so a
+    # 5-year price came back as the 1-year one
+    curve = solve_v(0.0, 1.0, 1.0, bond_params(alpha=1.5))
+    with pytest.raises(ValueError):
+        bond_price_from_curve(curve, tenor, 0.05)
+    with pytest.raises(ValueError):
+        yield_from_curve(curve, tenor, 0.05)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+@pytest.mark.parametrize("price", [
+    lambda p, r: bond_price(0.0, 1.0, r, p),
+    lambda p, r: joint_laplace(r, 1.0, 0.0, 1.0, p),
+    lambda p, r: bond_price_from_curve(solve_v(0.0, 1.0, 1.0, p), 1.0, r),
+], ids=["bond_price", "joint_laplace", "bond_price_from_curve"])
+def test_transforms_reject_non_finite_rate(bond_params, price, rate):
+    with pytest.raises(ValueError):
+        price(bond_params(alpha=1.5), rate)
+
+
 def test_stationary_laplace_basics(bond_params):
     p = bond_params(alpha=1.5)
     assert stationary_laplace(0.0, p) == 1.0

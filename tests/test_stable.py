@@ -113,6 +113,12 @@ def test_increment_sampler_laplace_transform(alpha, rng):
         assert abs(samples.mean() - stable_laplace(q, dt, alpha)) < 4.0 * se
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+def test_increment_sampler_rejects_non_positive_step(rng, dt):
+    with pytest.raises(ValueError):
+        sample_stable_increment(StableSpec(alpha=1.5), dt, rng, size=4)
+
+
 def test_increment_sampler_time_scaling(rng):
     # increments over dt are dt^{1/alpha} copies of unit increments
     alpha, dt, q = 1.5, 0.01, 1.0
