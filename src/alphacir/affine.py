@@ -37,9 +37,15 @@ class OdeCurve:
     _sol: object = field(repr=False, default=None)
     _cum: np.ndarray = field(repr=False, default=None)
 
+    def _check(self, t: np.ndarray) -> None:
+        """The curve is solved on [0, grid[-1]] only; NaN fails both bounds."""
+        if not np.all((t >= 0.0) & (t <= self.grid[-1])):
+            raise ValueError(f"t outside the curve's [0, {self.grid[-1]}]")
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = self._sol(np.clip(t, 0.0, self.grid[-1]))[0]
+        self._check(t)
+        out = self._sol(t)[0]
         return float(out) if out.ndim == 0 else out
 
     def _gauss_pieces(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -55,7 +61,8 @@ class OdeCurve:
         """int_0^t v(s) ds by composite Gauss on the solver's own steps; t
         may be an array, the result then has its shape."""
         ts = np.asarray(t, dtype=float)
-        flat = np.clip(ts.ravel(), 0.0, self.grid[-1])
+        flat = ts.ravel()
+        self._check(flat)
         i = np.searchsorted(self.grid, flat, side="right") - 1
         out = self._cum[i] + self._gauss_pieces(self.grid[i], flat)
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
@@ -120,8 +127,6 @@ def bond_price(t: float, T: float, r_t: float, params: ModelParams) -> float:
 def bond_price_from_curve(curve: OdeCurve, tau: float, r_t: float) -> float:
     """Bond price reusing a precomputed (xi=0, theta=1) curve; tau must lie
     in [0, horizon]."""
-    if not 0.0 <= tau <= curve.grid[-1]:     # the curve is clipped past it
-        raise ValueError(f"tau {tau} outside the curve's [0, {curve.grid[-1]}]")
     _check_rate(r_t)
     if tau == 0.0:
         return 1.0
@@ -141,8 +146,8 @@ def bond_yield(t: float, kappa: float, r_t: float, params: ModelParams) -> float
 def yield_from_curve(curve: OdeCurve, kappa: float, r_t):
     """Yield as a function of the current rate; r_t may be an array, and
     kappa must lie in (0, horizon]."""
-    if not 0.0 < kappa <= curve.grid[-1]:
-        raise ValueError(f"kappa {kappa} outside the curve's (0, {curve.grid[-1]}]")
+    if kappa <= 0.0:         # the curve itself rejects kappa past its horizon
+        raise ValueError("tenor must be positive")
     if not np.all(np.isfinite(r_t)):
         raise ValueError("rate r_t must be finite")
     p = curve.params

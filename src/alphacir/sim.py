@@ -4,7 +4,8 @@ Three engines:
 
 * root Euler: discretizes dr = a(b-r)dt + sigma sqrt(r) dB + sigma_z r^(1/alpha) dZ
   with full truncation (coefficients at r+, then clamp at 0), the step
-  kernel _RootStep;
+  kernel _RootStep, which draws its increments for a block of steps at a
+  time;
 * thinned: evolves the truncated dynamics (drift a_tilde(b_tilde - r)) with an
   Asmussen-Rosinski small-jump approximation and the mid-band jumps of all
   paths as one superposed Poisson draw.  The big jumps (mark > y) run on a
@@ -114,35 +115,52 @@ def _grid(dt: float, horizon: float):
 
 
 _NO_EVENTS = np.empty(0, dtype=np.intp)
+_BLOCK = 2 ** 14       # root increments drawn per refill, in elements
 
 
 class _RootStep:
     """The one step kernel of the root scheme: full-truncation Euler at step
-    dt, with the call shape of _ThinnedStep and no events.
+    dt over the n_steps steps of a batch, with the call shape of
+    _ThinnedStep and no events.
 
     The drift and both volatilities are taken at the clamped start value r+
-    and the end value is clamped at 0.  With antithetic=True the Gaussian
-    driver of the second half of the paths mirrors the first half; the
-    stable increments are drawn independently.
+    and the end value is clamped at 0.  The increments do not depend on the
+    state, so they are drawn for a block of steps at a time: at each refill
+    min(_BLOCK // n, steps left) rows (at least one) of n Gaussians, then
+    as many stable increments, and each step reads its row.  With
+    antithetic=True the Gaussian rows of the second half of the paths
+    mirror the first half; the stable increments are drawn independently.
     """
 
-    def __init__(self, params: ModelParams, dt: float, antithetic: bool):
+    def __init__(self, params: ModelParams, dt: float, antithetic: bool,
+                 n_steps: int):
         self.spec = StableSpec(params.alpha)
         self.params, self.dt, self.antithetic = params, dt, antithetic
         self.sqrt_dt = np.sqrt(dt)
+        self.left, self.row, self.gauss, self.dz = n_steps, 0, (), ()
+
+    def _refill(self, n: int, rng: np.random.Generator) -> None:
+        rows = min(max(_BLOCK // max(n, 1), 1), self.left)
+        if self.antithetic:
+            g = rng.standard_normal((rows, n // 2))
+            self.gauss = np.concatenate([g, -g], axis=1)
+        else:
+            self.gauss = rng.standard_normal((rows, n))
+        self.dz = sample_stable_increment(self.spec, self.dt, rng,
+                                          size=(rows, n))
+        self.left -= rows
+        self.row = 0
 
     def __call__(self, r: np.ndarray, gap, t0: float, rng: np.random.Generator):
         """Advance the paths r by one step; gap and t0 are not used.  Returns
         (rp, r_new, idx, t_ev, sizes) as _ThinnedStep does, the last three
         empty."""
-        p, dt, n = self.params, self.dt, r.size
+        if self.row == len(self.gauss):
+            self._refill(r.size, rng)
+        gauss, dz = self.gauss[self.row], self.dz[self.row]
+        self.row += 1
+        p, dt = self.params, self.dt
         rp = np.maximum(r, 0.0)
-        if self.antithetic:
-            g = rng.standard_normal(n // 2)
-            gauss = np.concatenate([g, -g])
-        else:
-            gauss = rng.standard_normal(n)
-        dz = sample_stable_increment(self.spec, dt, rng, size=n)
         r_new = (r + p.a * (p.b - rp) * dt
                  + p.sigma * np.sqrt(rp) * self.sqrt_dt * gauss)
         if p.sigma_z > 0.0:       # at alpha = 2, ** 0.5 is NumPy's sqrt
@@ -207,11 +225,20 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
     With antithetic=True the Gaussian driver of the second half of the batch
     mirrors the first half (n_paths must be even); the stable increments are
     drawn independently, only the Brownian component is paired.
+
+    Draw order: the increments come in blocks of min(_BLOCK // n_paths,
+    steps left) steps (at least one), each block's standard normals
+    (n_paths // 2 per step when antithetic) drawn before its stable
+    increments.  A batch of more than _BLOCK // 2 paths thus draws one step
+    at a time.  Below that size a run over a shorter horizon is not a
+    prefix of a longer one at the same seed, since the last block is cut
+    at the horizon.
     """
     if antithetic and n_paths % 2:
         raise ValueError("antithetic batches need an even n_paths")
+    step = _RootStep(params, dt, antithetic, _grid(dt, horizon)[0])
     r, integral, run_min, _, _, kept = _run(
-        _RootStep(params, dt, antithetic), params.r0, horizon, n_paths, rng,
+        step, params.r0, horizon, n_paths, rng,
         running_min=running_min, keep_paths=keep_paths)
     return (r, integral) + ((run_min,) if running_min else ()) + kept
 

@@ -57,14 +57,13 @@ def test_curve_integral_matches_trapezoid(bond_params):
 
 def test_curve_integral_of_array_equals_scalar_loop(bond_params):
     curve = solve_v(0.0, 1.0, 30.0, bond_params(alpha=1.5))
-    ts = np.concatenate(([-1.0, 0.0], np.linspace(0.0, 40.0, 1001),
-                         curve.grid))
+    ts = np.concatenate(([0.0], np.linspace(0.0, 30.0, 1001), curve.grid))
     scalar = np.array([curve.integral(float(t)) for t in ts])
     assert np.array_equal(curve.integral(ts), scalar)
     assert np.array_equal(curve.integral(ts[:1000].reshape(20, 50)),
                           scalar[:1000].reshape(20, 50))
     assert isinstance(curve.integral(2.0), float)
-    assert curve.integral(0.0) == 0.0 and curve.integral(-1.0) == 0.0
+    assert curve.integral(0.0) == 0.0
 
 
 def test_joint_laplace_at_time_zero(bond_params):
@@ -111,12 +110,19 @@ def test_yield_from_curve_vectorizes(bond_params):
 @pytest.mark.parametrize("tenor", [5.0, -0.5, float("nan")])
 def test_curve_readers_reject_tenor_off_the_curve(bond_params, tenor):
     # past its horizon the curve used to be read at the horizon, so a
-    # 5-year price came back as the 1-year one
+    # 5-year price came back as the 1-year one; the curve itself and every
+    # reader through it refuse such a tenor
     curve = solve_v(0.0, 1.0, 1.0, bond_params(alpha=1.5))
     with pytest.raises(ValueError):
         bond_price_from_curve(curve, tenor, 0.05)
     with pytest.raises(ValueError):
         yield_from_curve(curve, tenor, 0.05)
+    with pytest.raises(ValueError):
+        curve(tenor)
+    with pytest.raises(ValueError):
+        curve.integral(tenor)
+    with pytest.raises(ValueError):
+        curve.integral(np.array([0.5, tenor]))
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf")])

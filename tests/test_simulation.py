@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from oracles import root_euler_paths
 
 from alphacir.jumps import lou_first_jump_cdf
 from alphacir.sim import (
+    _BLOCK,
     Path,
     ROOT_EULER,
     SimConfig,
@@ -18,7 +20,7 @@ from alphacir.sim import (
     simulate_thinned,
     simulate_thinned_batch,
 )
-from alphacir.stable import big_jump_mass
+from alphacir.stable import StableSpec, big_jump_mass, sample_stable_increment
 
 
 def test_config_validation():
@@ -93,6 +95,54 @@ def test_root_running_min_matches_kept_paths(bond_params):
     np.testing.assert_array_equal(run_min, out.min(axis=1))
     np.testing.assert_array_equal(r, r2)
     np.testing.assert_array_equal(integ, integ2)
+
+
+def _block_increments(p, dt, n_steps, n, rng, antithetic):
+    """The root kernel's draws in their documented order: blocks of
+    min(_BLOCK // n, steps left) rows, the normals of a block before its
+    stable increments."""
+    gauss, dz, left = [], [], n_steps
+    while left:
+        rows = min(max(_BLOCK // n, 1), left)
+        if antithetic:
+            g = rng.standard_normal((rows, n // 2))
+            gauss.append(np.concatenate([g, -g], axis=1))
+        else:
+            gauss.append(rng.standard_normal((rows, n)))
+        dz.append(sample_stable_increment(StableSpec(p.alpha), dt, rng,
+                                          size=(rows, n)))
+        left -= rows
+    return np.concatenate(gauss), np.concatenate(dz)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("n, n_steps, antithetic", [
+    (1, _BLOCK + 7, False),
+    (3, _BLOCK // 3 + 5, False),
+    (4, _BLOCK // 4 + 9, True),
+], ids=["n1", "n3", "n4_antithetic"])
+def test_root_batch_matches_euler_oracle_across_blocks(bond_params, alpha, n,
+                                                       n_steps, antithetic):
+    # every horizon here runs into a second, shorter block
+    p, dt = bond_params(alpha=alpha), 1e-3
+    got = simulate_root_batch(p, dt, n_steps * dt, n, np.random.default_rng(17),
+                              antithetic=antithetic, running_min=True,
+                              keep_paths=True)
+    incr = _block_increments(p, dt, n_steps, n, np.random.default_rng(17),
+                             antithetic)
+    want = root_euler_paths(p, dt, *incr)
+    assert got[3].shape == (n, n_steps + 1)
+    for g, w in zip(got, want):       # r_T, integral, run_min, paths
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+def test_root_batch_of_no_steps_draws_nothing(bond_params):
+    p, rng = bond_params(alpha=1.5), np.random.default_rng(3)
+    before = rng.bit_generator.state
+    r, integ = simulate_root_batch(p, 1e-3, 0.0, 8, rng)
+    assert rng.bit_generator.state == before
+    np.testing.assert_array_equal(r, p.r0)
+    np.testing.assert_array_equal(integ, 0.0)
 
 
 def test_first_passage_continuation_is_bit_identical(jump_params):
@@ -215,11 +265,14 @@ def test_events_lie_in_their_own_step(jump_params, batch):
     assert repeats > 0
 
 
-@pytest.mark.parametrize("batch", [simulate_thinned_batch, simulate_lou_batch])
-def test_jump_batches_of_no_paths(jump_params, batch):
-    out = batch(jump_params(alpha=1.5), 1.0, 1e-2, 0.1, 0,
-                np.random.default_rng(0))
-    assert all(a.shape == (0,) for a in out)
+@pytest.mark.parametrize("batch", [
+    lambda p, *args: simulate_root_batch(p, *args, running_min=True),
+    lambda p, *args: simulate_thinned_batch(p, 1.0, *args),
+    lambda p, *args: simulate_lou_batch(p, 1.0, *args),
+], ids=["simulate_root_batch", "simulate_thinned_batch", "simulate_lou_batch"])
+def test_batches_of_no_paths(jump_params, batch):
+    out = batch(jump_params(alpha=1.5), 1e-2, 0.1, 0, np.random.default_rng(0))
+    assert len(out) >= 2 and all(a.shape == (0,) for a in out)
 
 
 @pytest.mark.parametrize("batch", [simulate_thinned_batch, simulate_lou_batch])
@@ -265,6 +318,21 @@ def test_hawkes_single_path_grid():
 def _pinned(got, want):
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, n, antithetic, want", [
+    (1.5, 10_000, False,
+     [509.02620440903456, 25.28700936004258, 438.27767530397597]),
+    (1.2, 16_384, True,
+     [817.0433085012919, 41.11701437923202, 733.1621421324189]),
+])
+def test_wide_root_batch_pinned(bond_params, alpha, n, antithetic, want):
+    # a root batch of more than _BLOCK // 2 paths draws one row per block,
+    # so it keeps the per-step draw order these values were recorded with
+    r, integ, run_min = simulate_root_batch(
+        bond_params(alpha=alpha), 1e-2, 0.05, n, np.random.default_rng(5),
+        antithetic=antithetic, running_min=True)
+    _pinned([r.sum(), integ.sum(), run_min.sum()], want)
 
 
 def test_thinned_batch_pinned(jump_params):
