@@ -2,8 +2,11 @@
 """Analytic-vs-Monte-Carlo concordance sweep across stability indices.
 
 Compares the affine bond price, the Laplace functional under both path
-schemes, and the first-large-jump survival probability against their
-simulation estimates, printing a z-score per cell.  Slower and wider than
+schemes, the first-large-jump survival probability, the Levy-OU first-jump
+CDF and the expected first-jump time against their simulation estimates,
+printing a z-score per cell.  The last three are the three outputs of the
+thinned step kernel: its first passage, its frozen (LOU) mode and the
+continued first passage of E[tau].  Slower and wider than
 `alphacir selfcheck`; meant for an occasional full shake-out.
 
 Usage: python3 scripts/concordance_sweep.py [n_paths]
@@ -17,9 +20,13 @@ import numpy as np
 from alphacir import (
     ModelParams,
     bond_price,
+    expected_tau,
     joint_laplace,
+    lou_first_jump_cdf,
     mc_bond,
+    mc_expected_tau,
     mc_laplace,
+    mc_lou_first_jump_cdf,
     mc_survival,
     survival_tau,
 )
@@ -59,6 +66,11 @@ def main() -> int:
         print(f"alpha={alpha} (jump fixture)")
         est = mc_survival(p, 0.1, [2.0], n_paths=N_PATHS, dt=2e-3, seed=4)[0]
         ok &= cell("survival t=2", est, survival_tau(0.1, 2.0, p))
+        est = mc_lou_first_jump_cdf(p, 0.1, [2.0], n_paths=N_PATHS, dt=2e-3,
+                                    seed=5)[0]
+        ok &= cell("LOU first-jump cdf t=2", est, lou_first_jump_cdf(0.1, 2.0, p))
+        ok &= cell("E[tau]", mc_expected_tau(p, 0.1, n_paths=N_PATHS, seed=6),
+                   expected_tau(0.1, p).value)
     print(f"{'all within 3 SE' if ok else 'VIOLATIONS FOUND'} "
           f"({time.time() - t0:.1f}s, {N_PATHS} paths/cell)")
     return 0 if ok else 1

@@ -11,7 +11,9 @@ Three engines:
   paths as one superposed Poisson draw.  The big jumps (mark > y) run on a
   compensator clock: a path jumps where its integrated big-jump intensity
   crosses an Exp(1) level, the Cox-time construction of the first large
-  jump, and every big jump is recorded as an event.  The locally equivalent
+  jump (Lando, Rev. Derivatives Res. 2, 1998), and every big jump is
+  recorded as an event.  The per-step normals, mid-band keys and marks are
+  read from streams drawn _BLOCK at a time.  The locally equivalent
   Levy-OU (LOU) benchmark is the same step with its volatility and jump
   coefficients frozen at r0 and no clamp (Vasicek-type).  The step kernel
   is _ThinnedStep;
@@ -123,9 +125,10 @@ class _RootStep:
     dt over the n_steps steps of a batch, with the call shape of
     _ThinnedStep and no events.
 
-    The drift and both volatilities are taken at the clamped start value r+
-    and the end value is clamped at 0.  The increments do not depend on the
-    state, so they are drawn for a block of steps at a time: at each refill
+    The drift and both volatilities are taken at the start value r, which
+    is >= 0 because r0 >= 0 and the end value is clamped at 0.  The
+    increments do not depend on the state, so they are drawn for a block of
+    steps at a time: at each refill
     min(_BLOCK // n, steps left) rows (at least one) of n Gaussians, then
     as many stable increments, and each step reads its row.  With
     antithetic=True the Gaussian rows of the second half of the paths
@@ -151,39 +154,43 @@ class _RootStep:
         self.left -= rows
         self.row = 0
 
+    def levels(self, n: int, rng: np.random.Generator) -> None:
+        """The root scheme has no compensator clock and draws no levels."""
+        return None
+
     def __call__(self, r: np.ndarray, gap, t0: float, rng: np.random.Generator):
         """Advance the paths r by one step; gap and t0 are not used.  Returns
-        (rp, r_new, idx, t_ev, sizes) as _ThinnedStep does, the last three
+        (r_new, idx, t_ev, sizes) as _ThinnedStep does, the last three
         empty."""
         if self.row == len(self.gauss):
             self._refill(r.size, rng)
         gauss, dz = self.gauss[self.row], self.dz[self.row]
         self.row += 1
         p, dt = self.params, self.dt
-        rp = np.maximum(r, 0.0)
-        r_new = (r + p.a * (p.b - rp) * dt
-                 + p.sigma * np.sqrt(rp) * self.sqrt_dt * gauss)
+        r_new = (r + p.a * (p.b - r) * dt
+                 + p.sigma * np.sqrt(r) * self.sqrt_dt * gauss)
         if p.sigma_z > 0.0:       # at alpha = 2, ** 0.5 is NumPy's sqrt
-            r_new += p.sigma_z * rp ** (1.0 / p.alpha) * dz
-        return rp, np.maximum(r_new, 0.0), _NO_EVENTS, _NO_EVENTS, _NO_EVENTS
+            r_new += p.sigma_z * r ** (1.0 / p.alpha) * dz
+        return np.maximum(r_new, 0.0), _NO_EVENTS, _NO_EVENTS, _NO_EVENTS
 
 
 def _run(step, r0: float, horizon: float, n_paths: int,
-         rng: np.random.Generator, gap: Optional[np.ndarray] = None,
-         integral: bool = True, running_min: bool = False,
-         keep_paths: bool = False, events: Optional[list] = None):
+         rng: np.random.Generator, integral: bool = True,
+         running_min: bool = False, keep_paths: bool = False,
+         events: Optional[list] = None):
     """The batch loop of every step kernel but first passage: n_paths paths
     from r0 over the grid of [0, horizon] at the step's dt, with the clock
-    gaps gap of a jump step.
+    levels the step draws once the step count is checked.
 
     Returns (r_T, integral, run_min, first_event, n_events, kept): the
-    trapezoid integral of the clamped rate (None unless integral), the
-    minimum over the grid with r0 (None unless running_min), the first big
-    jump of each path (+inf without one), the count of big jumps, and
-    (paths, times) with keep_paths=True, else ().  When events is a list,
-    every big jump is appended to it as (path, time, size).
+    trapezoid integral of the rate (None unless integral), the minimum over
+    the grid with r0 (None unless running_min), the first big jump of each
+    path (+inf without one), the count of big jumps, and (paths, times)
+    with keep_paths=True, else ().  When events is a list, every big jump is
+    appended to it as (path, time, size).
     """
     n_steps, times = _grid(step.dt, horizon)
+    gap = step.levels(n_paths, rng)
     r = np.full(n_paths, r0)
     acc = np.zeros(n_paths) if integral else None
     run_min = r.copy() if running_min else None
@@ -194,14 +201,15 @@ def _run(step, r0: float, horizon: float, n_paths: int,
         out[:, 0] = r
     half_dt = 0.5 * step.dt
     for k in range(n_steps):
-        rp, r, idx, t_ev, sizes = step(r, gap, times[k], rng)
+        r_new, idx, t_ev, sizes = step(r, gap, times[k], rng)
         if idx.size:
             np.minimum.at(first_event, idx, t_ev)
             np.add.at(n_events, idx, 1)
             if events is not None:
                 events.extend(zip(idx.tolist(), t_ev.tolist(), sizes.tolist()))
         if integral:
-            acc += half_dt * (rp + r)
+            acc += half_dt * (r + r_new)
+        r = r_new
         if running_min:
             np.minimum(run_min, r, out=run_min)
         if keep_paths:
@@ -243,6 +251,27 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
     return (r, integral) + ((run_min,) if running_min else ()) + kept
 
 
+class _Stream:
+    """Variates handed out in order from a flat buffer that draw(rng, size)
+    refills when a request runs past its end: the rest of the buffer is kept
+    and max(_BLOCK, k) fresh variates are appended."""
+
+    __slots__ = ("draw", "buf", "pos")
+
+    def __init__(self, draw):
+        self.draw, self.buf, self.pos = draw, np.empty(0), 0
+
+    def take(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        end = self.pos + k
+        if end > self.buf.size:
+            self.buf = np.concatenate([self.buf[self.pos:],
+                                       self.draw(rng, max(_BLOCK, k))])
+            self.pos, end = 0, k
+        out = self.buf[self.pos:end]
+        self.pos = end
+        return out
+
+
 class _ThinnedStep:
     """The one step kernel of the thinned scheme at threshold y and step dt.
 
@@ -258,19 +287,31 @@ class _ThinnedStep:
     exponentials (uniform order statistics; Devroye, Non-Uniform Random
     Variate Generation, 1986, ch. V), located in the cumulative intensities.
 
-    Big jumps: each path carries gap = E - Lambda, the distance from its
-    clock Lambda, the integrated big-jump intensity, to its level
-    E ~ Exp(1).  A step runs the clock by r+ * nu_big * dt; where that
-    crosses the level the path jumps at the matching fraction of the step,
-    takes a Pareto mark and a fresh Exp(1) is added to its level, repeated
-    while the clock still crosses, so every arrival in the step counts.
+    Big jumps run on a clock in rate units: a path's clock is the sum of
+    its start rates r+ (r0 when frozen) over the steps, so its integrated
+    big-jump intensity is Lambda = nu_big * dt * clock, and its levels are
+    E / (nu_big * dt) with E ~ Exp(1) (+inf when nu_big * dt is 0).  Each
+    path carries gap, the distance from its clock to its next level, and a
+    step runs gap down by r+; where it falls below 0 the path jumps at the
+    matching fraction of the step, takes a Pareto mark and a fresh level is
+    added to its gap, repeated while the gap is still negative, so every
+    arrival in the step counts.
 
-    Every coefficient is taken at the clamped start value r+ (the big-jump
-    compensator sits in the truncated drift a_tilde) and the end value is
-    clamped at 0.  With frozen=True it is the LOU step: the mean reversion
-    a(b - r) acts on the unclamped r, the Gaussian variance, both
-    compensators and both intensities are taken at r0, and nothing is
-    clamped.
+    Draw order: the normals, the mid band's Exp(1) keys and its marks come
+    from three flat streams (_Stream), each refilled max(_BLOCK, k) at a
+    time at the point of the step that runs it dry.  A step of n paths
+    takes n normals (pre-scaled by sqrt(var * dt), by sqrt(var * dt * r0)
+    when frozen), draws the mid-band total directly, takes tot + 1 keys and
+    tot marks (pre-scaled by sigma_z), and draws the Exp(1) levels and
+    Pareto marks of its big jumps directly.  A batch run to a shorter
+    horizon thus draws a prefix of a longer one.
+
+    Every coefficient is taken at the start value r, which is >= 0 because
+    r0 >= 0 and the end value is clamped at 0, and the big-jump compensator
+    sits in the truncated drift a_tilde.  With frozen=True it is the LOU
+    step: the mean reversion a(b - r) acts on the unclamped r, the Gaussian
+    variance, both compensators and both intensities are taken at r0, and
+    nothing is clamped.
     """
 
     def __init__(self, params: ModelParams, y: float, dt: float,
@@ -286,74 +327,81 @@ class _ThinnedStep:
         nu_mid = big_jump_mass(alpha, eps) - nu_big
         mean_mid = (levy_density_coefficient(alpha)
                     * (eps ** (1.0 - alpha) - y ** (1.0 - alpha)) / (alpha - 1.0))
-        self.dt, self.y, self.sz, self.eps, self.alpha = dt, y, sz, eps, alpha
+        self.model = (params, y, dt)
+        self.dt, self.y, self.sz, self.alpha = dt, y, sz, alpha
         var = params.sigma ** 2 + sz ** 2 * truncated_second_moment(alpha, eps)
-        self.var_dt = var * dt
         self.nu_mid_dt = nu_mid * dt
-        self.nu_big_dt = nu_big * dt
+        nu_big_dt = nu_big * dt           # 0 for a vanishing dt or big-jump mass
+        self.level = 1.0 / nu_big_dt if nu_big_dt > 0.0 else np.inf
         self.frozen, self.r0 = frozen, params.r0
-        self.frozen_terms = None   # built once per path count: r0 is fixed
-        # the drift over the step is c0 - c1 * rp
+        self.frozen_rates = None   # built once per path count: r0 is fixed
+        scale = np.sqrt(var * dt * (params.r0 if frozen else 1.0))
+        self.normals = _Stream(lambda rng, k: scale * rng.standard_normal(k))
+        self.keys = _Stream(lambda rng, k: rng.standard_exponential(k))
+        self.marks = _Stream(lambda rng, k: sz * sample_truncated_band(
+            alpha, eps, y, rng, size=k))
+        # the step is r -> r * k1 + c0 + noise
         ab = params.a * params.b
         if frozen:
             comp = sz * (mean_mid + big_jump_mean(alpha, y))
-            self.c0, self.c1 = (ab - comp * params.r0) * dt, params.a * dt
+            self.c0, self.k1 = (ab - comp * params.r0) * dt, 1.0 - params.a * dt
         else:
             comp = sz * mean_mid               # mid-band compensator
             self.c0 = ab * dt
-            self.c1 = (truncated_drift(params, y) + comp) * dt
+            self.k1 = 1.0 - (truncated_drift(params, y) + comp) * dt
 
-    def _rate_terms(self, rc: np.ndarray):
-        """Cumulative mid-band weights, diffusion scale and clock advance of
-        paths at rates rc."""
-        return rc.cumsum(), np.sqrt(self.var_dt * rc), rc * self.nu_big_dt
+    def levels(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Fresh gaps of n paths: Exp(1) levels in rate units."""
+        return self.level * rng.standard_exponential(n)
 
     def __call__(self, r: np.ndarray, gap: np.ndarray, t0: float,
                  rng: np.random.Generator):
         """Advance the paths r by one step from time t0.
 
-        gap holds each path's E - Lambda and is run down in place.  Returns
-        (rp, r_new, idx, t_ev, sizes): the clamped start values (unclamped
-        when frozen), the end values, the positions in r of the big jumps in
-        the step (a path once per jump), and those jumps' times in
-        [t0, t0 + dt) and rate-space sizes.
+        gap holds each path's distance to its next level (see levels) and is
+        run down in place.  Returns (r_new, idx, t_ev, sizes): the end
+        values, the positions in r of the big jumps in the step (a path once
+        per jump), and those jumps' times in [t0, t0 + dt) and rate-space
+        sizes.
         """
-        n, dt = r.size, self.dt
+        n = r.size
+        x = r * self.k1
+        x += self.c0
         if self.frozen:
-            rp = r
-            if self.frozen_terms is None or self.frozen_terms[0].size != n:
-                self.frozen_terms = self._rate_terms(np.full(n, self.r0))
-            cum, vol, clock = self.frozen_terms
+            if self.frozen_rates is None or self.frozen_rates[0].size != n:
+                rates = np.full(n, self.r0)
+                self.frozen_rates = (rates.cumsum(), rates)
+            cum, rates = self.frozen_rates
+            x += self.normals.take(n, rng)
         else:
-            rp = np.maximum(r, 0.0)
-            cum, vol, clock = self._rate_terms(rp)
-        incr = self.c0 - self.c1 * rp + vol * rng.standard_normal(n)
+            cum, rates = r.cumsum(), r
+            x += np.sqrt(r) * self.normals.take(n, rng)
         tot = rng.poisson(cum[-1] * self.nu_mid_dt) if n else 0
         if tot:
-            keys = rng.standard_exponential(tot + 1).cumsum()
+            keys = self.keys.take(tot + 1, rng).cumsum()
             # the last path owns every key past the others' cumulative sum
             owners = cum[:-1].searchsorted(keys[:-1] * (cum[-1] / keys[-1]),
                                            side="right")
-            marks = sample_truncated_band(self.alpha, self.eps, self.y, rng,
-                                          size=tot)
-            incr += self.sz * np.bincount(owners, weights=marks, minlength=n)
-        idx = (gap < clock).nonzero()[0]
+            x += np.bincount(owners, weights=self.marks.take(tot, rng),
+                             minlength=n)
+        gap -= rates
+        idx = (gap < 0.0).nonzero()[0]
         sizes = t_ev = idx                         # empty unless a path jumps
         if idx.size:
-            hits, fracs, new = [idx], [gap[idx] / clock[idx]], idx
+            hits, fracs, new = [idx], [gap[idx] / rates[idx]], idx
             while new.size:
-                gap[new] += rng.standard_exponential(new.size)
-                new = new[gap[new] < clock[new]]
+                gap[new] += self.levels(new.size, rng)
+                new = new[gap[new] < 0.0]
                 hits.append(new)
-                fracs.append(gap[new] / clock[new])
+                fracs.append(gap[new] / rates[new])
             idx = np.concatenate(hits)
-            t_ev = t0 + dt * np.concatenate(fracs)
+            t_ev = t0 + self.dt * (1.0 + np.concatenate(fracs))
             sizes = self.sz * sample_pareto_tail(self.alpha, self.y, rng,
                                                  size=idx.size)
-            np.add.at(incr, idx, sizes)
-        gap -= clock
-        r_new = r + incr
-        return rp, r_new if self.frozen else np.maximum(r_new, 0.0), idx, t_ev, sizes
+            np.add.at(x, idx, sizes)
+        if not self.frozen:
+            np.maximum(x, 0.0, out=x)
+        return x, idx, t_ev, sizes
 
 
 def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
@@ -372,8 +420,8 @@ def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
     """
     step = _ThinnedStep(params, y, dt)
     r, integral, _, first_event, n_events, kept = _run(
-        step, params.r0, horizon, n_paths, rng, rng.standard_exponential(n_paths),
-        keep_paths=keep_paths, events=events)
+        step, params.r0, horizon, n_paths, rng, keep_paths=keep_paths,
+        events=events)
     return (r, integral, first_event, n_events) + kept
 
 
@@ -382,15 +430,17 @@ class FirstPassage:
     """A thinned batch run until each path's first big jump.
 
     first holds the first-event time of every path (+inf while it has none);
-    active, r and gap are the indices, current values and clock gaps
-    E - Lambda (see _ThinnedStep) of the paths still waiting; steps is the
-    number of grid steps taken.
+    active, r and gap are the indices, current values and clock gaps (see
+    _ThinnedStep) of the paths still waiting; step is the kernel, which
+    keeps the batch's variate streams, and steps the number of grid steps
+    taken.
     """
 
     first: np.ndarray
     active: np.ndarray
     r: np.ndarray
     gap: np.ndarray
+    step: _ThinnedStep
     steps: int = 0
 
     @property
@@ -410,21 +460,24 @@ def first_passage_thinned(params: ModelParams, y: float, dt: float,
     its level, and the loop ends once none is left.  Passing the returned state
     back with a longer horizon (and the same params, y, dt and rng)
     continues the batch from its last step, with the same draws as one run
-    to the longer horizon.
+    to the longer horizon; a state built with other params, y or dt is
+    rejected.
     """
-    step = _ThinnedStep(params, y, dt)
     n_steps, times = _grid(dt, horizon)
     if state is None:
+        step = _ThinnedStep(params, y, dt)
         state = FirstPassage(np.full(n_paths, np.inf), np.arange(n_paths),
                              np.full(n_paths, params.r0),
-                             rng.standard_exponential(n_paths))
+                             step.levels(n_paths, rng), step)
     elif state.first.size != n_paths:
         raise ValueError("state holds a different number of paths")
-    active, r, gap = state.active, state.r, state.gap
+    elif state.step.model != (params, y, dt):
+        raise ValueError("state was built with other params, y or dt")
+    active, r, gap, step = state.active, state.r, state.gap, state.step
     for k in range(state.steps, n_steps):
         if not active.size:
             break
-        _, r, idx, t_ev, _ = step(r, gap, times[k], rng)
+        r, idx, t_ev, _ = step(r, gap, times[k], rng)
         if idx.size:
             np.minimum.at(state.first, active[idx], t_ev)
             stay = np.ones(active.size, dtype=bool)
@@ -449,8 +502,8 @@ def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
     """
     step = _ThinnedStep(params, y, dt, frozen=True)
     lam, _, _, first_event, _, kept = _run(
-        step, params.r0, horizon, n_paths, rng, rng.standard_exponential(n_paths),
-        integral=False, keep_paths=keep_paths, events=events)
+        step, params.r0, horizon, n_paths, rng, integral=False,
+        keep_paths=keep_paths, events=events)
     return (lam, first_event) + kept
 
 

@@ -3,8 +3,10 @@ import pytest
 from oracles import root_euler_paths
 
 from alphacir.jumps import lou_first_jump_cdf
+from alphacir.mechanism import truncated_drift
 from alphacir.sim import (
     _BLOCK,
+    _ThinnedStep,
     Path,
     ROOT_EULER,
     SimConfig,
@@ -20,7 +22,12 @@ from alphacir.sim import (
     simulate_thinned,
     simulate_thinned_batch,
 )
-from alphacir.stable import StableSpec, big_jump_mass, sample_stable_increment
+from alphacir.stable import (
+    StableSpec,
+    big_jump_mass,
+    sample_stable_increment,
+    truncated_second_moment,
+)
 
 
 def test_config_validation():
@@ -162,6 +169,22 @@ def test_first_passage_continuation_is_bit_identical(jump_params):
     assert np.all(np.isinf(two.first[two.active]))
 
 
+@pytest.mark.parametrize("change", [
+    dict(params={"alpha": 1.2}), dict(params={"r0": 0.3}), dict(y=0.5),
+    dict(dt=0.02),
+], ids=["alpha", "r0", "y", "dt"])
+def test_first_passage_rejects_a_state_of_another_model(jump_params, change):
+    # a continuation runs the state's own kernel, so a state built with
+    # other params, y or dt cannot be continued under the new ones
+    rng = np.random.default_rng(11)
+    state = first_passage_thinned(jump_params(alpha=1.5), 1.0, 0.01, 1.0, 50,
+                                  rng)
+    params = jump_params(**{"alpha": 1.5, **change.get("params", {})})
+    with pytest.raises(ValueError, match="other params"):
+        first_passage_thinned(params, change.get("y", 1.0),
+                              change.get("dt", 0.01), 2.0, 50, rng, state)
+
+
 def test_first_passage_shares_the_thinned_step(jump_params):
     # one path draws the same variates in the batch and the first-passage
     # loop until its first event, so both report the same first-event time
@@ -197,24 +220,72 @@ def test_thinned_batch_first_event_consistent(jump_params):
 
 def test_lou_intensity_not_clamped_at_zero(jump_params):
     # the frozen-coefficient comparison process may go negative; it must not
-    # be clipped, that is the point of the comparison
-    p = jump_params(alpha=1.5)
-    config = SimConfig(dt=1e-3, horizon=30.0, seed=2, y=1.0)
-    path = simulate_lou(p, config)
-    assert path.values.min() < 0.0
+    # be clipped, that is the point of the comparison.  Its noise does not
+    # depend on the state, so one step with the same draws maps -1 and 0.5
+    # to values exactly 1.5 (1 - a dt) apart, the first below 0
+    p, dt = jump_params(alpha=1.5), 1e-2
+    ends = []
+    for start in (-1.0, 0.5):
+        step = _ThinnedStep(p, 1.0, dt, frozen=True)
+        rng = np.random.default_rng(2)
+        gap = step.levels(500, rng)
+        ends.append(step(np.full(500, start), gap, 0.0, rng)[0])
+    assert np.all(ends[0] < 0.0)
+    np.testing.assert_allclose(ends[1] - ends[0], 1.5 * (1.0 - p.a * dt),
+                               rtol=1e-12)
+    # and the batch from r0 reaches negative values
+    _, _, paths, _ = simulate_lou_batch(p, 1.0, dt, 30.0, 64,
+                                        np.random.default_rng(2),
+                                        keep_paths=True)
+    assert paths.min() < 0.0
 
 
 def test_lou_single_path_reports_every_jump(jump_params):
     # the LOU path reports each big jump the kernel drew, with its
     # rate-space size, and its earliest event is the batch's first-event time
     p = jump_params(alpha=1.5)
-    config = SimConfig(dt=1e-2, horizon=20.0, seed=2, y=1.0)
-    path = simulate_lou(p, config)
-    _, first = simulate_lou_batch(p, 1.0, 1e-2, 20.0, 1,
-                                  np.random.default_rng(2))
-    assert len(path.events) > 1
-    assert all(size > p.sigma_z * 1.0 for _, size in path.events)
-    assert path.events[0][0] == first_large_jump(path) == first[0]
+    many = 0
+    for seed in range(10):
+        config = SimConfig(dt=1e-2, horizon=20.0, seed=seed, y=1.0)
+        path = simulate_lou(p, config)
+        log = []
+        simulate_lou_batch(p, 1.0, 1e-2, 20.0, 1, np.random.default_rng(seed),
+                           events=log)
+        _, first = simulate_lou_batch(p, 1.0, 1e-2, 20.0, 1,
+                                      np.random.default_rng(seed))
+        assert path.events == [(t, size) for _, t, size in log]
+        assert all(size > p.sigma_z * 1.0 for _, size in path.events)
+        if path.events:
+            assert path.events[0][0] == first_large_jump(path) == first[0]
+        else:
+            assert np.isinf(first[0])
+        many += len(path.events) > 1
+    assert many > 0
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["thinned", "lou"])
+def test_thinned_step_one_step_law(jump_params, frozen):
+    # one step from a fixed r with the big jumps switched off (levels of
+    # +inf): mean ab dt - a_tilde r dt, variance
+    # (sigma^2 + sigma_z^2 int_0^y z^2 mu) r dt.  A narrow step leaves part
+    # of each stream behind, so the wide steps after it, each over more
+    # paths than _BLOCK, cross a refill.  At 16 wide steps a 10 % error in
+    # the Gaussian variance is about 6 SE and a 5 % error in the mid-band
+    # marks about 9 SE of the mean
+    p, y, dt = jump_params(alpha=1.5), 1.0, 1e-2
+    step = _ThinnedStep(p, y, dt, frozen=frozen)
+    rng = np.random.default_rng(31)
+    step(np.full(_BLOCK // 2, p.r0), np.full(_BLOCK // 2, np.inf), 0.0, rng)
+    n = _BLOCK + _BLOCK // 4
+    incr = np.concatenate([
+        step(np.full(n, p.r0), np.full(n, np.inf), dt * k, rng)[0] - p.r0
+        for k in range(1, 17)])
+    mean = (p.a * p.b - truncated_drift(p, y) * p.r0) * dt
+    var = ((p.sigma ** 2 + p.sigma_z ** 2 * truncated_second_moment(p.alpha, y))
+           * p.r0 * dt)
+    dev = incr - incr.mean()
+    assert abs(incr.mean() - mean) < 4.0 * incr.std(ddof=1) / np.sqrt(incr.size)
+    assert abs(dev.var(ddof=1) - var) < 4.0 * (dev ** 2).std() / np.sqrt(incr.size)
 
 
 def test_lou_one_step_counts_every_arrival(jump_params):
@@ -339,18 +410,18 @@ def test_thinned_batch_pinned(jump_params):
     r, integ, first, n_ev = simulate_thinned_batch(
         jump_params(alpha=1.5), 0.5, 1e-2, 10.0, 64, np.random.default_rng(1))
     hit = np.isfinite(first)
-    assert (hit.sum(), n_ev.sum()) == (40, 185)
+    assert (hit.sum(), n_ev.sum()) == (40, 125)
     _pinned([r.sum(), integ.sum(), first[hit].sum()],
-            [14.224578094555081, 168.49286166832422, 114.15030700054037])
+            [7.63012192378348, 97.89019257897802, 115.29123802153723])
 
 
 def test_first_passage_pinned(jump_params):
     st = first_passage_thinned(jump_params(alpha=1.5), 1.0, 1e-2, 20.0, 200,
                                np.random.default_rng(2))
     hit = np.isfinite(st.first)
-    assert (hit.sum(), st.active.size) == (92, 108)
+    assert (hit.sum(), st.active.size) == (90, 110)
     _pinned([st.first[hit].sum(), st.r.sum()],
-            [561.4336168404838, 4.380236793064629])
+            [599.0616423113764, 4.743938811061006])
 
 
 def test_lou_batch_pinned(jump_params):
@@ -359,8 +430,8 @@ def test_lou_batch_pinned(jump_params):
     hit = np.isfinite(first)
     assert hit.sum() == 149
     _pinned([lam.sum(), (lam ** 2).sum(), lam.min(), first[hit].sum()],
-            [17.47808745166356, 29.676311299717636, -0.4655989836843277,
-             1211.972001975832])
+            [23.068863297716504, 55.349469870924956, -0.46710552435975083,
+             1211.972001975848])
 
 
 def test_path_csv_round_trip(tmp_path):
