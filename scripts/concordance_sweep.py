@@ -6,8 +6,9 @@ schemes, the first-large-jump survival probability, the Levy-OU first-jump
 CDF and the expected first-jump time against their simulation estimates,
 printing a z-score per cell.  The last three are the three outputs of the
 thinned step kernel: its first passage, its frozen (LOU) mode and the
-continued first passage of E[tau].  Slower and wider than
-`alphacir selfcheck`; meant for an occasional full shake-out.
+continued first passage of E[tau].  Every (cell, alpha) has its own seed,
+cell number + 10 * alpha index, so no two cells share their draws.  Slower
+and wider than `alphacir selfcheck`; meant for an occasional full shake-out.
 
 Usage: python3 scripts/concordance_sweep.py [n_paths]
 """
@@ -45,31 +46,33 @@ def cell(label, est, target):
 def main() -> int:
     ok = True
     t0 = time.time()
-    for alpha in (1.2, 1.5, 2.0):
+    for i, alpha in enumerate((1.2, 1.5, 2.0)):
         p = ModelParams(a=0.1, b=0.3, sigma=0.1, sigma_z=0.3,
                         alpha=alpha, r0=0.05)
         print(f"alpha={alpha}")
-        ok &= cell("bond T=1", mc_bond(p, 1.0, n_paths=N_PATHS, seed=1),
+        ok &= cell("bond T=1", mc_bond(p, 1.0, n_paths=N_PATHS, seed=1 + 10 * i),
                    bond_price(0.0, 1.0, p.r0, p))
         ok &= cell("laplace(root)",
                    mc_laplace(p, 1.0, 1.0, scheme="root",
-                              n_paths=N_PATHS, seed=2),
+                              n_paths=N_PATHS, seed=2 + 10 * i),
                    joint_laplace(p.r0, 1.0, 1.0, 0.0, p))
         if alpha < 2.0:
             ok &= cell("laplace(thinned)",
                        mc_laplace(p, 1.0, 1.0, scheme="thinned", y=1.0,
-                                  n_paths=N_PATHS, seed=3),
+                                  n_paths=N_PATHS, seed=3 + 10 * i),
                        joint_laplace(p.r0, 1.0, 1.0, 0.0, p))
-    for alpha in (1.2, 1.5):
+    for i, alpha in enumerate((1.2, 1.5)):
         p = ModelParams(a=0.1, b=0.1, sigma=0.1, sigma_z=0.1,
                         alpha=alpha, r0=0.2)
         print(f"alpha={alpha} (jump fixture)")
-        est = mc_survival(p, 0.1, [2.0], n_paths=N_PATHS, dt=2e-3, seed=4)[0]
+        est = mc_survival(p, 0.1, [2.0], n_paths=N_PATHS, dt=2e-3,
+                          seed=4 + 10 * i)[0]
         ok &= cell("survival t=2", est, survival_tau(0.1, 2.0, p))
         est = mc_lou_first_jump_cdf(p, 0.1, [2.0], n_paths=N_PATHS, dt=2e-3,
-                                    seed=5)[0]
+                                    seed=5 + 10 * i)[0]
         ok &= cell("LOU first-jump cdf t=2", est, lou_first_jump_cdf(0.1, 2.0, p))
-        ok &= cell("E[tau]", mc_expected_tau(p, 0.1, n_paths=N_PATHS, seed=6),
+        ok &= cell("E[tau]", mc_expected_tau(p, 0.1, n_paths=N_PATHS,
+                                             seed=6 + 10 * i),
                    expected_tau(0.1, p).value)
     print(f"{'all within 3 SE' if ok else 'VIOLATIONS FOUND'} "
           f"({time.time() - t0:.1f}s, {N_PATHS} paths/cell)")

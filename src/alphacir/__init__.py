@@ -52,7 +52,6 @@ from .jumps import (
     tail_asymptotics,
 )
 from .derivatives import (
-    PutSpec,
     h_scale,
     hitting_time_laplace,
     bond_transform_M,
@@ -64,8 +63,6 @@ from .derivatives import (
 from .sim import (
     SimConfig,
     Path,
-    ROOT_EULER,
-    THINNED,
     simulate_root,
     simulate_thinned,
     simulate_lou,

@@ -47,9 +47,7 @@ from .mechanism import (
     mechanism_report,
 )
 from .sim import (
-    ROOT_EULER,
     SimConfig,
-    THINNED,
     _grid,
     simulate_hawkes,
     simulate_hawkes_batch,
@@ -114,15 +112,13 @@ def cmd_simulate(args, params):
         config = {"scheme": "hawkes", "horizon": args.horizon,
                   "n_agents": args.n_agents, "seed": args.seed}
     else:
-        scheme = THINNED if args.scheme == "thinned" else ROOT_EULER
-        config_obj = SimConfig(dt=args.dt, horizon=args.horizon, scheme=scheme,
-                               y=args.y if args.scheme != "root" else None,
-                               seed=args.seed)
+        y = args.y if args.scheme != "root" else None
         simulate = {"root": simulate_root, "thinned": simulate_thinned,
                     "lou": simulate_lou}[args.scheme]
-        path = simulate(params, config_obj)
-        config = config_obj.to_json()
-        config["scheme"] = args.scheme
+        path = simulate(params, SimConfig(dt=args.dt, horizon=args.horizon,
+                                          y=y, seed=args.seed))
+        config = {"dt": args.dt, "horizon": args.horizon,
+                  "scheme": args.scheme, "y": y, "seed": args.seed}
     path.to_csv(args.out + ".csv")
     if path.events:
         path.events_to_csv(args.out + "_events.csv")

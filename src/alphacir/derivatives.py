@@ -39,7 +39,6 @@ The array path therefore reproduces the scalar Psi bit for bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -63,24 +62,6 @@ def _check_finite(**values) -> None:
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PutSpec:
-    """Running-minimum yield put: tenor kappa, strike K, maturity T."""
-
-    kappa: float
-    strike: float
-    maturity: float
-    r0: float
-
-    def __post_init__(self):
-        _check_finite(kappa=self.kappa, K=self.strike, T=self.maturity,
-                      r0=self.r0)
-        if self.kappa <= 0.0 or self.maturity <= 0.0:
-            raise ValueError("kappa and maturity must be positive")
-        if self.r0 < 0.0:
-            raise ValueError("r0 must be nonnegative")
 
 
 class _HCache:

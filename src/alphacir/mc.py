@@ -112,15 +112,16 @@ def mc_counter(params: ModelParams, p: float, y_bar: float, t: float,
 def mc_expected_tau(params: ModelParams, y_bar: float, n_paths: int = 10_000,
                     dt: float = 0.01, seed: int = 0,
                     horizon: float = 50.0, max_horizon: float = 6400.0) -> McEstimate:
-    """Mean first-jump time.  While more than 1% of paths are censored the
-    horizon is doubled and the same batch is continued from where it stopped
+    """Mean first-jump time.  While any path is censored the horizon is
+    doubled and the same batch is continued from where it stopped
     (first-event times before a horizon do not depend on how far the batch
-    runs later).  Paths still censored at max_horizon contribute the horizon
-    (downward bias below the reported censoring fraction, warned about)."""
+    runs later), so a censored path costs no bias below max_horizon.  Paths
+    still censored at max_horizon contribute the horizon (a downward bias,
+    warned about when more than 1% of paths are censored)."""
     y = _mark_threshold(params, y_bar)
     rng = np.random.default_rng(seed)
     state = first_passage_thinned(params, y, dt, horizon, n_paths, rng)
-    while state.censored > 0.01 and horizon < max_horizon:
+    while state.censored > 0.0 and horizon < max_horizon:
         horizon *= 2.0
         state = first_passage_thinned(params, y, dt, horizon, n_paths, rng, state)
     if state.censored > 0.01:

@@ -4,26 +4,27 @@ Three engines:
 
 * root Euler: discretizes dr = a(b-r)dt + sigma sqrt(r) dB + sigma_z r^(1/alpha) dZ
   with full truncation (coefficients at r+, then clamp at 0), the step
-  kernel _RootStep, which draws its increments for a block of steps at a
-  time;
+  kernel _RootStep;
 * thinned: evolves the truncated dynamics (drift a_tilde(b_tilde - r)) with an
   Asmussen-Rosinski small-jump approximation and the mid-band jumps of all
   paths as one superposed Poisson draw.  The big jumps (mark > y) run on a
   compensator clock: a path jumps where its integrated big-jump intensity
   crosses an Exp(1) level, the Cox-time construction of the first large
   jump (Lando, Rev. Derivatives Res. 2, 1998), and every big jump is
-  recorded as an event.  The per-step normals, mid-band keys and marks are
-  read from streams drawn _BLOCK at a time.  The locally equivalent
-  Levy-OU (LOU) benchmark is the same step with its volatility and jump
-  coefficients frozen at r0 and no clamp (Vasicek-type).  The step kernel
-  is _ThinnedStep;
+  recorded as an event.  The locally equivalent Levy-OU (LOU) benchmark is
+  the same step with its volatility and jump coefficients frozen at r0 and
+  no clamp (Vasicek-type).  The step kernel is _ThinnedStep;
 * Hawkes: exact event-driven simulation of the exponential-kernel
   self-exciting intensity whose rescaling converges to the diffusion limit.
 
-The root, thinned and LOU batch functions run their step kernel through one
-loop, _run, which keeps the trapezoid integral, the first-event times and
-event log, the running minimum and the kept paths; first passage keeps its
-own loop because its path set shrinks.  Batch functions return arrays over
+Both step kernels read their per-step variates from flat streams (_Stream)
+refilled _BLOCK at a time at the step that runs one dry, so every scheme
+follows one draw-order rule: a batch run to a shorter horizon draws a
+prefix of a longer one at the same seed.  The root, thinned and LOU batch
+functions run their step kernel through one loop, _run, which keeps the
+trapezoid integral, the first-event times and event log, the running
+minimum and the kept paths; first passage keeps its own loop because its
+path set shrinks.  Batch functions return arrays over
 paths and drive everything from one Generator; the single-path wrappers are
 the batch functions at n = 1 and return Path objects for the CLI.
 """
@@ -49,37 +50,26 @@ from .stable import (
     _check_alpha,
 )
 
-ROOT_EULER = "root_euler"
-THINNED = "thinned"
 _HAWKES_GRID_POINTS = 201       # grid of the single Hawkes path
 
 
 @dataclass
 class SimConfig:
-    """Discretization and scheme choice.
+    """Discretization of one path.
 
-    dt: step in years; horizon: total length; scheme: root_euler | thinned;
-    y: mark-space truncation threshold for the thinned scheme (rate-space
-    recording threshold is sigma_z * y); seed feeds a PCG64 stream.
+    dt: step in years; horizon: total length; y: mark-space truncation
+    threshold of the thinned and LOU schemes (rate-space recording
+    threshold is sigma_z * y); seed feeds a PCG64 stream.
     """
 
     dt: float = 1e-3
     horizon: float = 1.0
-    scheme: str = ROOT_EULER
     y: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.horizon < self.dt:
             raise ValueError("need dt > 0 and horizon >= dt")
-        if self.scheme not in (ROOT_EULER, THINNED):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == THINNED and (self.y is None or self.y <= 0.0):
-            raise ValueError("thinned scheme needs y > 0")
-
-    def to_json(self) -> dict:
-        return {"dt": self.dt, "horizon": self.horizon, "scheme": self.scheme,
-                "y": self.y, "seed": self.seed}
 
 
 @dataclass
@@ -117,42 +107,55 @@ def _grid(dt: float, horizon: float):
 
 
 _NO_EVENTS = np.empty(0, dtype=np.intp)
-_BLOCK = 2 ** 14       # root increments drawn per refill, in elements
+_BLOCK = 2 ** 14       # variates drawn per stream refill, at least
+
+
+class _Stream:
+    """Variates handed out in order from a flat buffer that draw(rng, size)
+    refills when a request runs past its end: the rest of the buffer is kept
+    and max(_BLOCK, k) fresh variates are appended."""
+
+    __slots__ = ("draw", "buf", "pos")
+
+    def __init__(self, draw):
+        self.draw, self.buf, self.pos = draw, np.empty(0), 0
+
+    def take(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        end = self.pos + k
+        if end > self.buf.size:
+            self.buf = np.concatenate([self.buf[self.pos:],
+                                       self.draw(rng, max(_BLOCK, k))])
+            self.pos, end = 0, k
+        out = self.buf[self.pos:end]
+        self.pos = end
+        return out
 
 
 class _RootStep:
     """The one step kernel of the root scheme: full-truncation Euler at step
-    dt over the n_steps steps of a batch, with the call shape of
-    _ThinnedStep and no events.
+    dt, with the call shape of _ThinnedStep and no events.
 
     The drift and both volatilities are taken at the start value r, which
-    is >= 0 because r0 >= 0 and the end value is clamped at 0.  The
-    increments do not depend on the state, so they are drawn for a block of
-    steps at a time: at each refill
-    min(_BLOCK // n, steps left) rows (at least one) of n Gaussians, then
-    as many stable increments, and each step reads its row.  With
-    antithetic=True the Gaussian rows of the second half of the paths
-    mirror the first half; the stable increments are drawn independently.
+    is >= 0 because r0 >= 0 and the end value is clamped at 0.
+
+    Draw order: the standard normals and the stable increments come from
+    two flat streams (_Stream), each refilled max(_BLOCK, k) at a time at
+    the point of the step that runs it dry.  A step of n paths takes n
+    normals, then n stable increments; with antithetic=True it takes
+    n // 2 normals g and drives the paths with [g, -g], and the stable
+    increments stay independent.  A batch run to a shorter horizon thus
+    draws a prefix of a longer one, and a batch of at least _BLOCK paths
+    (2 * _BLOCK antithetic) refills both streams at every step.
     """
 
-    def __init__(self, params: ModelParams, dt: float, antithetic: bool,
-                 n_steps: int):
-        self.spec = StableSpec(params.alpha)
+    def __init__(self, params: ModelParams, dt: float, antithetic: bool):
+        spec = StableSpec(params.alpha)
         self.params, self.dt, self.antithetic = params, dt, antithetic
         self.sqrt_dt = np.sqrt(dt)
-        self.left, self.row, self.gauss, self.dz = n_steps, 0, (), ()
-
-    def _refill(self, n: int, rng: np.random.Generator) -> None:
-        rows = min(max(_BLOCK // max(n, 1), 1), self.left)
-        if self.antithetic:
-            g = rng.standard_normal((rows, n // 2))
-            self.gauss = np.concatenate([g, -g], axis=1)
-        else:
-            self.gauss = rng.standard_normal((rows, n))
-        self.dz = sample_stable_increment(self.spec, self.dt, rng,
-                                          size=(rows, n))
-        self.left -= rows
-        self.row = 0
+        self.normals = _Stream(lambda rng, k: rng.standard_normal(k))
+        # the sampler is looked up at each refill, so a wrapper sees the draws
+        self.dz = _Stream(lambda rng, k: sample_stable_increment(
+            spec, dt, rng, size=k))
 
     def levels(self, n: int, rng: np.random.Generator) -> None:
         """The root scheme has no compensator clock and draws no levels."""
@@ -162,10 +165,13 @@ class _RootStep:
         """Advance the paths r by one step; gap and t0 are not used.  Returns
         (r_new, idx, t_ev, sizes) as _ThinnedStep does, the last three
         empty."""
-        if self.row == len(self.gauss):
-            self._refill(r.size, rng)
-        gauss, dz = self.gauss[self.row], self.dz[self.row]
-        self.row += 1
+        n = r.size
+        if self.antithetic:
+            g = self.normals.take(n // 2, rng)
+            gauss = np.concatenate([g, -g])
+        else:
+            gauss = self.normals.take(n, rng)
+        dz = self.dz.take(n, rng)
         p, dt = self.params, self.dt
         r_new = (r + p.a * (p.b - r) * dt
                  + p.sigma * np.sqrt(r) * self.sqrt_dt * gauss)
@@ -234,42 +240,17 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
     mirrors the first half (n_paths must be even); the stable increments are
     drawn independently, only the Brownian component is paired.
 
-    Draw order: the increments come in blocks of min(_BLOCK // n_paths,
-    steps left) steps (at least one), each block's standard normals
-    (n_paths // 2 per step when antithetic) drawn before its stable
-    increments.  A batch of more than _BLOCK // 2 paths thus draws one step
-    at a time.  Below that size a run over a shorter horizon is not a
-    prefix of a longer one at the same seed, since the last block is cut
-    at the horizon.
+    Draw order: each step takes its standard normals (n_paths // 2 when
+    antithetic), then its n_paths stable increments, from streams refilled
+    _BLOCK at a time (see _RootStep), so a run to a shorter horizon draws a
+    prefix of a longer one at the same seed.
     """
     if antithetic and n_paths % 2:
         raise ValueError("antithetic batches need an even n_paths")
-    step = _RootStep(params, dt, antithetic, _grid(dt, horizon)[0])
     r, integral, run_min, _, _, kept = _run(
-        step, params.r0, horizon, n_paths, rng,
+        _RootStep(params, dt, antithetic), params.r0, horizon, n_paths, rng,
         running_min=running_min, keep_paths=keep_paths)
     return (r, integral) + ((run_min,) if running_min else ()) + kept
-
-
-class _Stream:
-    """Variates handed out in order from a flat buffer that draw(rng, size)
-    refills when a request runs past its end: the rest of the buffer is kept
-    and max(_BLOCK, k) fresh variates are appended."""
-
-    __slots__ = ("draw", "buf", "pos")
-
-    def __init__(self, draw):
-        self.draw, self.buf, self.pos = draw, np.empty(0), 0
-
-    def take(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        end = self.pos + k
-        if end > self.buf.size:
-            self.buf = np.concatenate([self.buf[self.pos:],
-                                       self.draw(rng, max(_BLOCK, k))])
-            self.pos, end = 0, k
-        out = self.buf[self.pos:end]
-        self.pos = end
-        return out
 
 
 class _ThinnedStep:
@@ -578,21 +559,25 @@ def simulate_root(params: ModelParams, config: SimConfig,
     return _path(partial(simulate_root_batch, params), config, rng)
 
 
+def _threshold(config: SimConfig) -> float:
+    """The mark threshold of a thinned or LOU path, which has no default."""
+    if config.y is None:
+        raise ValueError("the thinned and LOU schemes need a mark threshold y")
+    return config.y
+
+
 def simulate_thinned(params: ModelParams, config: SimConfig,
                      rng: Optional[np.random.Generator] = None) -> Path:
-    if config.scheme != THINNED:
-        raise ValueError("config.scheme must be 'thinned'")
     log = []
-    return _path(partial(simulate_thinned_batch, params, config.y, events=log),
-                 config, rng, log)
+    return _path(partial(simulate_thinned_batch, params, _threshold(config),
+                         events=log), config, rng, log)
 
 
 def simulate_lou(params: ModelParams, config: SimConfig,
                  rng: Optional[np.random.Generator] = None) -> Path:
-    y = config.y if config.y is not None else 1.0
     log = []
-    return _path(partial(simulate_lou_batch, params, y, events=log),
-                 config, rng, log)
+    return _path(partial(simulate_lou_batch, params, _threshold(config),
+                         events=log), config, rng, log)
 
 
 def simulate_hawkes(a: float, b: float, sigma_z: float, horizon: float,

@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 from alphacir.affine import solve_v
 from alphacir.derivatives import (
-    PutSpec,
     _stehfest_abscissae,
     bond_transform_M,
     effective_strike,
@@ -237,6 +236,3 @@ def test_put_rejects_non_finite_input(bond_params, field, bad):
     if field != "theta":
         with pytest.raises(ValueError, match="finite"):
             put_price(args["T"], args["kappa"], args["K"], args["r0"], p)
-        with pytest.raises(ValueError, match="finite"):
-            PutSpec(kappa=args["kappa"], strike=args["K"],
-                    maturity=args["T"], r0=args["r0"])

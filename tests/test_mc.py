@@ -13,7 +13,13 @@ from alphacir.mc import (
     mc_stationary_laplace,
     mc_survival,
 )
-from alphacir.jumps import counter_laplace, expected_tau, lou_first_jump_cdf
+from alphacir.jumps import (
+    _mark_threshold,
+    counter_laplace,
+    expected_tau,
+    lou_first_jump_cdf,
+)
+from alphacir.sim import first_passage_thinned
 
 
 def test_estimate_within_helper():
@@ -101,18 +107,29 @@ def test_mc_expected_tau_concordant(jump_params):
     assert est.within(expected_tau(0.1, p).value, n_se=4.0)
 
 
+def test_mc_expected_tau_scores_no_path_censored(jump_params):
+    # the horizon doubles until every path has jumped, so the estimate is
+    # the plain mean of one first-passage run long enough for all of them
+    p, dt = jump_params(alpha=1.2), 0.05
+    est = mc_expected_tau(p, 0.1, n_paths=400, dt=dt, seed=1)
+    fp = first_passage_thinned(p, _mark_threshold(p, 0.1), dt, 6400.0, 400,
+                               np.random.default_rng(1))
+    assert fp.active.size == 0
+    assert est.value == np.mean(fp.first)
+
+
 def test_running_min_put_pinned(bond_params):
-    # recorded with the root kernel drawing its increments in blocks (8
-    # steps per block at 2000 paths); 1e-12 leaves room for last-ulp
+    # recorded with the root kernel reading its increments from streams
+    # refilled _BLOCK variates at a time; 1e-12 leaves room for last-ulp
     # differences of libm and SIMD math elsewhere while any change of draws
     # shows
     p = bond_params(alpha=1.5)
     y_form, r_form = mc_running_min_put(p, 0.5, 1.0, 0.039941,
                                         n_paths=2000, dt=1e-3, seed=6)
-    pinned = [(y_form.value, 0.00621058767080587),
-              (y_form.std_error, 0.0001543897699526854),
-              (r_form.value, 0.006210587670805872),
-              (r_form.std_error, 0.0001543897699526854)]
+    pinned = [(y_form.value, 0.006384084424379509),
+              (y_form.std_error, 0.00015426058259634205),
+              (r_form.value, 0.006384084424379511),
+              (r_form.std_error, 0.00015426058259634205)]
     for got, want in pinned:
         assert got == pytest.approx(want, rel=1e-12)
 

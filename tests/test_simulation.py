@@ -8,9 +8,7 @@ from alphacir.sim import (
     _BLOCK,
     _ThinnedStep,
     Path,
-    ROOT_EULER,
     SimConfig,
-    THINNED,
     first_large_jump,
     first_passage_thinned,
     simulate_hawkes,
@@ -30,13 +28,14 @@ from alphacir.stable import (
 )
 
 
-def test_config_validation():
+def test_config_validation(jump_params):
     with pytest.raises(ValueError):
         SimConfig(dt=-1e-3)
-    with pytest.raises(ValueError):
-        SimConfig(scheme="exact")
-    with pytest.raises(ValueError):
-        SimConfig(scheme=THINNED)  # missing threshold
+    # the thinned and LOU paths need a mark threshold
+    with pytest.raises(ValueError, match="threshold"):
+        simulate_thinned(jump_params(), SimConfig())
+    with pytest.raises(ValueError, match="threshold"):
+        simulate_lou(jump_params(), SimConfig())
 
 
 def test_root_path_shape_and_positivity(bond_params):
@@ -68,7 +67,7 @@ def test_root_batch_antithetic_pairs_gaussian_only(bond_params):
 
 def test_thinned_records_events_above_threshold(jump_params):
     p = jump_params(alpha=1.2)
-    config = SimConfig(dt=1e-3, horizon=20.0, scheme=THINNED, y=0.5, seed=21)
+    config = SimConfig(dt=1e-3, horizon=20.0, y=0.5, seed=21)
     path = simulate_thinned(p, config)
     assert np.all(path.values >= 0.0)
     for t, size in path.events:
@@ -80,7 +79,7 @@ def test_thinned_single_path_returns_kernel_events(jump_params):
     # the events are the kernel's own draws: one per big jump it counted,
     # each larger than sigma_z * y and timed strictly inside its step
     p = jump_params(alpha=1.2)
-    config = SimConfig(dt=1e-3, horizon=20.0, scheme=THINNED, y=0.5, seed=21)
+    config = SimConfig(dt=1e-3, horizon=20.0, y=0.5, seed=21)
     path = simulate_thinned(p, config)
     n_ev = simulate_thinned_batch(p, 0.5, 1e-3, 20.0, 1,
                                   np.random.default_rng(21))[3]
@@ -104,43 +103,65 @@ def test_root_running_min_matches_kept_paths(bond_params):
     np.testing.assert_array_equal(integ, integ2)
 
 
-def _block_increments(p, dt, n_steps, n, rng, antithetic):
-    """The root kernel's draws in their documented order: blocks of
-    min(_BLOCK // n, steps left) rows, the normals of a block before its
-    stable increments."""
-    gauss, dz, left = [], [], n_steps
-    while left:
-        rows = min(max(_BLOCK // n, 1), left)
-        if antithetic:
-            g = rng.standard_normal((rows, n // 2))
-            gauss.append(np.concatenate([g, -g], axis=1))
-        else:
-            gauss.append(rng.standard_normal((rows, n)))
-        dz.append(sample_stable_increment(StableSpec(p.alpha), dt, rng,
-                                          size=(rows, n)))
-        left -= rows
-    return np.concatenate(gauss), np.concatenate(dz)
+def _stream_increments(p, dt, n_steps, n, rng, antithetic):
+    """The root kernel's draws in their documented order: a normal and a
+    stable stream, each refilled _BLOCK at a time at the step that runs it
+    dry, the normals before the stable increments; a step takes n // 2
+    normals g when antithetic and drives its paths with [g, -g]."""
+    m, spec = (n // 2 if antithetic else n), StableSpec(p.alpha)
+    gauss, dz = [], []
+    for k in range(1, n_steps + 1):
+        if len(gauss) * _BLOCK < k * m:
+            gauss.append(rng.standard_normal(_BLOCK))
+        if len(dz) * _BLOCK < k * n:
+            dz.append(sample_stable_increment(spec, dt, rng, size=_BLOCK))
+    g = np.concatenate(gauss)[:n_steps * m].reshape(n_steps, m)
+    if antithetic:
+        g = np.concatenate([g, -g], axis=1)
+    return g, np.concatenate(dz)[:n_steps * n].reshape(n_steps, n)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 @pytest.mark.parametrize("n, n_steps, antithetic", [
     (1, _BLOCK + 7, False),
     (3, _BLOCK // 3 + 5, False),
-    (4, _BLOCK // 4 + 9, True),
+    (4, _BLOCK // 2 + 9, True),
 ], ids=["n1", "n3", "n4_antithetic"])
 def test_root_batch_matches_euler_oracle_across_blocks(bond_params, alpha, n,
                                                        n_steps, antithetic):
-    # every horizon here runs into a second, shorter block
+    # every horizon here runs both streams past a refill, the antithetic
+    # one through two stable refills per normal refill
     p, dt = bond_params(alpha=alpha), 1e-3
     got = simulate_root_batch(p, dt, n_steps * dt, n, np.random.default_rng(17),
                               antithetic=antithetic, running_min=True,
                               keep_paths=True)
-    incr = _block_increments(p, dt, n_steps, n, np.random.default_rng(17),
-                             antithetic)
+    incr = _stream_increments(p, dt, n_steps, n, np.random.default_rng(17),
+                              antithetic)
     want = root_euler_paths(p, dt, *incr)
     assert got[3].shape == (n, n_steps + 1)
     for g, w in zip(got, want):       # r_T, integral, run_min, paths
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, antithetic", [
+    (1, False), (3000, False), (20_000, False), (64, True),
+], ids=["n1", "n3000", "n20000", "n64_antithetic"])
+def test_root_batch_draws_a_prefix_of_a_longer_run(bond_params, n, antithetic):
+    # the first k steps draw the same variates whatever the horizon
+    p, dt = bond_params(alpha=1.5), 1e-2
+    r, integ, run_min, paths, _ = simulate_root_batch(
+        p, dt, 0.2, n, np.random.default_rng(23), antithetic=antithetic,
+        running_min=True, keep_paths=True)
+    *_, longer, _ = simulate_root_batch(
+        p, dt, 0.5, n, np.random.default_rng(23), antithetic=antithetic,
+        keep_paths=True)
+    head = longer[:, :paths.shape[1]]
+    np.testing.assert_array_equal(paths, head)
+    np.testing.assert_array_equal(r, head[:, -1])
+    np.testing.assert_array_equal(run_min, head.min(axis=1))
+    np.testing.assert_allclose(
+        integ, 0.5 * dt * (head[:, :-1] + head[:, 1:]).sum(axis=1),
+        rtol=1e-12)
 
 
 def test_root_batch_of_no_steps_draws_nothing(bond_params):
@@ -393,13 +414,18 @@ def _pinned(got, want):
 
 @pytest.mark.parametrize("alpha, n, antithetic, want", [
     (1.5, 10_000, False,
-     [509.02620440903456, 25.28700936004258, 438.27767530397597]),
+     [513.79438700175, 25.3077785202398, 438.4131907073979]),
     (1.2, 16_384, True,
-     [817.0433085012919, 41.11701437923202, 733.1621421324189]),
+     [807.3230390258989, 40.722465830789645, 732.9532099391429]),
+    (2.0, 20_000, False,
+     [1025.1224489561293, 50.637532621800354, 770.9254434746153]),
+    (1.5, 32_768, True,
+     [1662.2757397148234, 82.496001505223, 1433.2972625307934]),
 ])
 def test_wide_root_batch_pinned(bond_params, alpha, n, antithetic, want):
-    # a root batch of more than _BLOCK // 2 paths draws one row per block,
-    # so it keeps the per-step draw order these values were recorded with
+    # a root batch of at least _BLOCK paths (2 * _BLOCK antithetic) refills
+    # its streams at every step, so it draws each step's normals and then
+    # its stable increments in one call each
     r, integ, run_min = simulate_root_batch(
         bond_params(alpha=alpha), 1e-2, 0.05, n, np.random.default_rng(5),
         antithetic=antithetic, running_min=True)
