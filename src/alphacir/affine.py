@@ -10,23 +10,90 @@ plus the integral of Phi(v) = a*b*v along the flow.  The bond exponent uses
 increasing toward the root x0 of Psi(q) = 1.  The flow is computed by an
 adaptive Runge-Kutta rather than by inverting f, which is numerically fragile
 near x0.
+
+Each (xi, theta, params, spec) has one RK45 run with no end, stepped on
+demand and kept in an lru_cache.  RK45 (Dormand-Prince, with the step-size
+control of Hairer, Norsett & Wanner, Solving ODEs I, II.4) is deterministic
+in its state, so a run to a horizon H takes the same steps as that run
+until a step's first attempt would pass H and be clipped.  solve_v(.., H)
+therefore shares those steps, with their dense output and Gauss pieces,
+and re-runs only the tail with the end at H.  Two traps: a step that was
+rejected and then accepted can end before H although its first attempt
+passed H, so the test is on the first attempt; and RK45's initial step
+depends on the interval length, so a short H may pick another first step,
+and then nothing is shared.  Every cut equals one solve_ivp run to H bit
+for bit: grid, values, dense output and integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import RK45, OdeSolution, quad
 
 from .mechanism import JumpSpec, ModelParams, phi, psi
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
+_RTOL, _ATOL = 1e-10, 1e-12
+
+
+class _Step:
+    """One accepted RK45 step [lo, hi] of a Riccati flow: the solver state
+    at hi (y, f and the next step size h_abs), the dense output, cum =
+    int_0^lo v and piece = int_lo^hi v by 12-point Gauss.  memo keeps
+    quantities built on the step (see cached)."""
+
+    __slots__ = ("lo", "hi", "y", "f", "h_abs", "dense", "cum", "piece", "memo")
+
+    def __init__(self, solver, cum: float):
+        self.lo, self.hi = solver.t_old, solver.t
+        self.y, self.f, self.h_abs = solver.y, solver.f, solver.h_abs
+        self.dense = solver.dense_output()
+        self.cum = cum
+        mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
+        self.piece = half * np.dot(_GAUSS_W, self.dense(mid + half * _GAUSS_X)[0])
+        self.memo = {}
+
+    def integral(self, t: np.ndarray) -> np.ndarray:
+        """int_0^t v for points t inside the step, rounded as
+        OdeCurve.integral rounds them: the Gauss nodes of all t are
+        evaluated as one sorted group, as OdeSolution evaluates a step."""
+        mid, half = 0.5 * (t + self.lo), 0.5 * (t - self.lo)
+        nodes = (mid[:, None] + half[:, None] * _GAUSS_X).ravel()
+        order = np.argsort(nodes)
+        vals = np.empty_like(nodes)
+        vals[order] = self.dense(nodes[order])[0]
+        vals = vals.reshape(t.size, _GAUSS_X.size)
+        return self.cum + half * np.array([np.dot(_GAUSS_W, row) for row in vals])
+
+    def cached(self, fn):
+        """fn(self), computed once per step: a step shared by many cuts of
+        its flow is evaluated once."""
+        if fn not in self.memo:
+            self.memo[fn] = fn(self)
+        return self.memo[fn]
+
+
+def _first_reach(t: float, h_abs: float) -> float:
+    """Where a step's first attempt from t ends: RK45 raises h_abs to ten
+    ulps of t."""
+    return t + max(h_abs, 10.0 * abs(np.nextafter(t, np.inf) - t))
+
+
+def _cum_after(steps: list) -> float:
+    """int_0 v up to the end of the last step."""
+    return steps[-1].cum + steps[-1].piece if steps else 0.0
 
 
 @dataclass
 class OdeCurve:
-    """Dense-output solution v(.) of v' = theta - Psi(v), v(0) = xi."""
+    """Dense-output solution v(.) of v' = theta - Psi(v), v(0) = xi.
+
+    steps are its RK45 steps.  The first `shared` of them belong to the
+    flow of (xi, theta, params, spec) that the curve was cut from, and so
+    to every other cut of that flow."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -36,6 +103,8 @@ class OdeCurve:
     spec: JumpSpec
     _sol: object = field(repr=False, default=None)
     _cum: np.ndarray = field(repr=False, default=None)
+    steps: list = field(repr=False, default=None)
+    shared: int = 0
 
     def _check(self, t: np.ndarray) -> None:
         """The curve is solved on [0, grid[-1]] only; NaN fails both bounds."""
@@ -68,28 +137,83 @@ class OdeCurve:
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
+class _Flow:
+    """The RK45 run of v' = theta - Psi(v) from v(0) = xi with no end,
+    stepped on demand.  RK45 is deterministic in (t, y, f, h_abs), so a run
+    to a horizon H takes the flow's steps until a step's first attempt
+    would pass H; cut(H) shares those and re-runs only the rest."""
+
+    def __init__(self, xi: float, theta: float, params: ModelParams,
+                 spec: JumpSpec):
+        def rhs(_t, v):
+            return [theta - psi(max(v[0], 0.0), params, spec)]
+
+        self.rhs, self.xi, self.theta = rhs, xi, theta
+        self.params, self.spec = params, spec
+        self.solver = RK45(rhs, 0.0, [xi], np.inf, rtol=_RTOL, atol=_ATOL)
+        self.h0 = self.solver.h_abs
+        self.steps = []
+        self.failure = None
+
+    def _advance(self) -> None:
+        """Take the flow's next step; a step that failed fails again."""
+        if self.failure is None:
+            message = self.solver.step()
+            if self.solver.status != "failed":
+                self.steps.append(_Step(self.solver, _cum_after(self.steps)))
+                return
+            self.failure = message
+        raise RuntimeError(f"Riccati flow failed: {self.failure}")
+
+    def cut(self, horizon: float) -> OdeCurve:
+        """The flow over [0, horizon], equal bit for bit to an RK45 run to
+        horizon.  A shorter interval can change RK45's first step; then
+        nothing is shared."""
+        solver = RK45(self.rhs, 0.0, [self.xi], horizon, rtol=_RTOL, atol=_ATOL)
+        steps, t = [], 0.0
+        if solver.h_abs == self.h0:
+            reach = _first_reach(0.0, self.h0)
+            while t < horizon and reach <= horizon:
+                if len(steps) == len(self.steps):
+                    self._advance()
+                last = self.steps[len(steps)]
+                steps.append(last)
+                t, reach = last.hi, _first_reach(last.hi, last.h_abs)
+            solver.t, solver.y, solver.f, solver.h_abs = (
+                last.hi, last.y, last.f, last.h_abs)
+        shared = len(steps)
+        while t < horizon:           # the tail, clipped at the horizon
+            message = solver.step()
+            if solver.status == "failed":
+                raise RuntimeError(f"Riccati flow failed: {message}")
+            steps.append(_Step(solver, _cum_after(steps)))
+            t = solver.t
+        grid = np.array([0.0] + [st.hi for st in steps])
+        values = np.array([self.xi] + [st.y[0] for st in steps], dtype=float)
+        return OdeCurve(grid=grid, values=values, xi=self.xi,
+                        theta=self.theta, params=self.params, spec=self.spec,
+                        _sol=OdeSolution(grid, [st.dense for st in steps]),
+                        _cum=np.array([st.cum for st in steps]
+                                      + [_cum_after(steps)]),
+                        steps=steps, shared=shared)
+
+
+@lru_cache(maxsize=64)
+def _flow(xi: float, theta: float, params: ModelParams, spec: JumpSpec) -> _Flow:
+    return _Flow(xi, theta, params, spec)
+
+
 def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
             spec: JumpSpec = JumpSpec.full()) -> OdeCurve:
-    """Flow of v' = theta - Psi(v) from v(0) = xi over [0, horizon]."""
+    """Flow of v' = theta - Psi(v) from v(0) = xi over [0, horizon], cut
+    from the shared flow of (xi, theta, params, spec)."""
     if not np.all(np.isfinite([xi, theta, horizon])):
         raise ValueError("xi, theta and horizon must be finite")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if xi < 0.0 or theta < 0.0:
         raise ValueError("xi and theta must be nonnegative")
-
-    def rhs(_t, v):
-        return [theta - psi(max(v[0], 0.0), params, spec)]
-
-    sol = solve_ivp(rhs, (0.0, horizon), [xi], method="RK45",
-                    rtol=1e-10, atol=1e-12, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"Riccati flow failed: {sol.message}")
-    curve = OdeCurve(grid=sol.t, values=sol.y[0], xi=xi, theta=theta,
-                     params=params, spec=spec, _sol=sol.sol)
-    pieces = curve._gauss_pieces(sol.t[:-1], sol.t[1:])
-    curve._cum = np.concatenate(([0.0], np.cumsum(pieces)))
-    return curve
+    return _flow(xi, theta, params, spec).cut(float(horizon))
 
 
 def _check_rate(r: float) -> None:

@@ -22,6 +22,13 @@ integrates it for every theta.  That tail grid z = q1 + eps e^s, s in
 (h = z - q1) involve only the params, eps and x; theta enters H only through
 beta and the spline R.
 
+M(theta, .) integrates over v on [0, max(50/(theta + ab x0), 5)], and the
+strike uses v on [0, kappa].  All these curves are cuts of the params' one
+(xi, theta) = (0, 1) Riccati flow (see affine), equal bit for bit to a
+solve_ivp run to each horizon.  The 16 Gauss nodes of M on a step the cuts
+share are kept with the step, with v and int v there, so they are evaluated
+once per params; each theta evaluates only its own tail steps.
+
 The integrand of H has an integrable (z - q1)^(beta - 1) singularity with
 beta = (ab q1 + theta)/Psi'(q1); it is made exact by splitting off the
 logarithmic part of the inner integral and substituting s = ((z-q1)/eps)^beta
@@ -38,13 +45,12 @@ The array path therefore reproduces the scalar Psi bit for bit.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from typing import Optional
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .affine import solve_v
@@ -52,6 +58,7 @@ from .mechanism import JumpSpec, ModelParams, psi, psi_prime, root_psi_equals_on
 
 _GAUSS64_X, _GAUSS64_W = np.polynomial.legendre.leggauss(64)
 _GAUSS32_X, _GAUSS32_W = np.polynomial.legendre.leggauss(32)
+_GAUSS16_X, _GAUSS16_W = np.polynomial.legendre.leggauss(16)
 # the R spline's log-spaced grid in h = z - q1: its upper end and size
 _H_MAX, _H_NODES = 1e9, 4000
 
@@ -137,13 +144,14 @@ class _HCache:
                 break
             tail = _HTail(self, x, tail.s_hi + 5.0)
             shared.grids += 1
-        return panel + np.exp(m) * float(simpson(np.exp(log_i - m), x=tail.s))
+        return panel + np.exp(m) * float(tail.simpson(np.exp(log_i - m)))
 
 
 class _HTail:
     """The theta-independent pieces of the tail of H_eps(., x) (see the
-    module docstring).  grids counts the grids built at x, including the own
-    grids of the thetas that outrun s_hi."""
+    module docstring), with the weights of scipy's irregular-grid Simpson
+    rule on s.  grids counts the grids built at x, including the own grids
+    of the thetas that outrun s_hi."""
 
     def __init__(self, hc: _HCache, x: float, s_hi: Optional[float] = None):
         q1, eps = hc.q1, hc.eps
@@ -157,6 +165,20 @@ class _HTail:
         self.log_psi1 = np.log(psi(self.z, hc.params, hc.spec) - 1.0)
         self.log_h = np.log(self.h)
         self.grids = 1
+        # scipy.integrate.simpson(y, x=s) on an odd number of points is
+        # sum(hsum/6 (y0 (2 - h1/h0) + y1 hsum^2/(h0 h1) + y2 (2 - h0/h1)))
+        # over the panels (h0, h1); its y-free factors, rounded as scipy
+        # rounds them
+        h = np.diff(self.s)
+        h0, h1 = h[0::2], h[1::2]
+        hsum, h0_h1 = h0 + h1, h0 / h1
+        self._simpson = (hsum / 6.0, 2.0 - 1.0 / h0_h1,
+                         hsum * (hsum / (h0 * h1)), 2.0 - h0_h1)
+
+    def simpson(self, y: np.ndarray) -> float:
+        """scipy.integrate.simpson(y, x=self.s), bit for bit."""
+        w, c0, c1, c2 = self._simpson
+        return np.sum(w * (y[0:-1:2] * c0 + y[1::2] * c1 + y[2::2] * c2))
 
 
 @lru_cache(maxsize=64)
@@ -190,10 +212,20 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
     return cache.h_value(r0) / cache.h_value(y)
 
 
+def _m_nodes(step) -> tuple:
+    """The 16 Gauss nodes u of M on one flow step, their weights, v(u) and
+    int_0^u v, rounded as a whole-curve evaluation rounds them."""
+    mid, half = 0.5 * (step.hi + step.lo), 0.5 * (step.hi - step.lo)
+    u = mid + half * _GAUSS16_X
+    return u, half * _GAUSS16_W, step.dense(u)[0], step.integral(u)
+
+
 class _MCache:
     """Shared v-curve machinery for M(theta, y) = int_0^inf e^{-theta u}
     B_y(0,u) du: the y-dependence is only exp(-y v(u)), so one curve serves
-    every y."""
+    every y.  The curve is cut from the (0, 1) flow of the params, and the
+    nodes of each step are kept with the step: the steps a theta shares
+    with the flow are evaluated once per params, only its tail per theta."""
 
     def __init__(self, theta: float, params: ModelParams):
         if theta <= 0.0:
@@ -203,20 +235,10 @@ class _MCache:
         x0 = root_psi_equals_one(params)
         decay = theta + params.a * params.b * x0
         horizon = max(50.0 / decay, 5.0)
-        curve = solve_v(0.0, 1.0, horizon, params)
+        self.curve = solve_v(0.0, 1.0, horizon, params)
         # composite 16-point Gauss on the solver's own steps
-        g = curve.grid
-        xs16, ws16 = np.polynomial.legendre.leggauss(16)
-        nodes, weights = [], []
-        for lo, hi in zip(g[:-1], g[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            nodes.append(mid + half * xs16)
-            weights.append(half * ws16)
-        self.u = np.concatenate(nodes)
-        self.w = np.concatenate(weights)
-        self.v_u = curve(self.u)
-        self.iv_u = curve.integral(self.u)
-        self.curve = curve
+        self.u, self.w, self.v_u, self.iv_u = map(np.concatenate, zip(
+            *(step.cached(_m_nodes) for step in self.curve.steps)))
 
     def value(self, y) -> float:
         ab = self.params.a * self.params.b
@@ -274,15 +296,22 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
             grids += tail.grids
         ratios = np.ones((thetas.size, ys.size))
         ratios[:, below] = h[:, :1] / h[:, 1:]
+        curves = []
         for i, th in enumerate(thetas.tolist()):
-            m_vals = _cached_m(th, params).value(ys)
-            vals[i] = nominal * float(np.dot(ws, ratios[i] * m_vals))
+            mc = _cached_m(th, params)
+            curves.append(mc.curve)
+            vals[i] = nominal * float(np.dot(ws, ratios[i] * mc.value(ys)))
         bad = thetas[~np.isfinite(vals)]
         if bad.size:
             raise RuntimeError(f"put Laplace transform not finite at theta = "
                                f"{', '.join(f'{th:g}' for th in bad)}")
+        # the M curves are cut from one flow: the steps they share with it
+        # (a prefix of its steps) and the tail steps each re-ran itself
         diag.update({"q1": hcs[0].q1, "eps": hcs[0].eps, "nodes": ys.size,
-                     "h_tail_grids": grids})
+                     "h_tail_grids": grids,
+                     "riccati_steps": max(c.shared for c in curves),
+                     "riccati_tail_steps": sum(len(c.steps) - c.shared
+                                               for c in curves)})
     val = float(vals[0]) if np.ndim(theta) == 0 else vals
     return (val, diag) if with_diagnostics else val
 
@@ -349,7 +378,8 @@ def put_price(T: float, kappa: float, K: float, r0: Optional[float],
               eps: Optional[float] = None,
               with_diagnostics: bool = False):
     """Price of the running-minimum yield put by Gaver-Stehfest inversion of
-    put_laplace at the maturity."""
+    put_laplace at the maturity.  Raises RuntimeError when the n-term and
+    (n - 2)-term prices differ by more than 5 % of the price."""
     _check_finite(T=T)
     if T <= 0.0:
         raise ValueError("maturity must be positive")
@@ -370,8 +400,9 @@ def put_price(T: float, kappa: float, K: float, r0: Optional[float],
     diag["stability_gap"] = abs(price - check)
     diag["transform_evals"] = len(values)
     if abs(price - check) > 0.05 * max(abs(price), 1e-12):
-        warnings.warn(f"Gaver-Stehfest inversion unstable: n={n_terms} gives "
-                      f"{price}, n={n_terms - 2} gives {check}")
+        raise RuntimeError(f"Gaver-Stehfest inversion unstable: n={n_terms} "
+                           f"gives {price}, n={n_terms - 2} gives {check}, "
+                           f"a gap above 5 % of the price")
     if price < 0.0 and abs(price) < 1e-12:
         price = 0.0
     return (price, diag) if with_diagnostics else price

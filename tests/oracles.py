@@ -1,12 +1,15 @@
 """Reference values the library must reproduce: in its degenerate corners
 the square-root-diffusion bond formula, its Gamma stationary law and the
 stable-driver Laplace transform; adaptive quadratures of the truncated
-Levy-measure integrals that the library evaluates in closed form; and a
-plain Euler loop of the root scheme driven by given increments."""
+Levy-measure integrals that the library evaluates in closed form; a plain
+Euler loop of the root scheme driven by given increments; and one
+solve_ivp run of the Riccati flow to its horizon."""
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
+from alphacir.affine import OdeCurve
+from alphacir.mechanism import JumpSpec, psi
 from alphacir.stable import levy_density_coefficient
 
 
@@ -84,3 +87,23 @@ def root_euler_paths(params, dt: float, gauss: np.ndarray, dz: np.ndarray):
         out[:, k + 1] = np.maximum(step, 0.0)
         acc += 0.5 * dt * (rp + out[:, k + 1])
     return out[:, -1], acc, out.min(axis=1), out
+
+
+def solve_v_ivp(xi: float, theta: float, horizon: float, params,
+                spec: JumpSpec = JumpSpec.full()) -> OdeCurve:
+    """v' = theta - Psi(v), v(0) = xi, by one solve_ivp RK45 run over
+    [0, horizon] with the library's tolerances: the curve that a cut of the
+    shared flow must equal bit for bit."""
+
+    def rhs(_t, v):
+        return [theta - psi(max(v[0], 0.0), params, spec)]
+
+    sol = solve_ivp(rhs, (0.0, horizon), [xi], method="RK45",
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"Riccati flow failed: {sol.message}")
+    curve = OdeCurve(grid=sol.t, values=sol.y[0], xi=xi, theta=theta,
+                     params=params, spec=spec, _sol=sol.sol)
+    pieces = curve._gauss_pieces(sol.t[:-1], sol.t[1:])
+    curve._cum = np.concatenate(([0.0], np.cumsum(pieces)))
+    return curve

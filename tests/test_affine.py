@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
+from alphacir import affine
 from alphacir.affine import (
     bond_price,
     bond_price_from_curve,
@@ -13,7 +14,14 @@ from alphacir.affine import (
     yield_from_curve,
 )
 from alphacir.mechanism import JumpSpec, ModelParams, root_psi_equals_one
-from oracles import cir_bond, cir_stationary_laplace
+from oracles import cir_bond, cir_stationary_laplace, solve_v_ivp
+
+# every cut of a shared Riccati flow equals one solve_ivp run to its horizon
+# on these (xi, theta) pairs, horizons and jump specs
+FLOW_PAIRS = [(0.0, 1.0), (1.0, 0.0), (0.5, 2.0), (10.0, 0.3), (0.0, 5.0),
+              (3.0, 3.0), (1e-3, 0.0)]
+FLOW_HORIZONS = (1e-5, 0.01, 0.7, 5.0, 33.3, 120.0)
+FLOW_SPECS = (JumpSpec.full(), JumpSpec.truncated(1.0))
 
 
 def test_bond_at_own_maturity_is_one(bond_params):
@@ -159,3 +167,53 @@ def test_truncated_spec_flows_below_full(jump_params):
     trunc = solve_v(0.0, 1.0, t, p, JumpSpec.truncated(1.0))(t)
     assert trunc == pytest.approx(full, rel=0.2)
     assert trunc != full
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
+def test_flow_cuts_equal_solve_ivp(bond_params, alpha):
+    # grid, values, dense output and integral, with the horizons requested
+    # on a fresh flow in ascending and in descending order
+    p = bond_params(alpha=alpha)
+    for spec in FLOW_SPECS:
+        for xi, theta in FLOW_PAIRS:
+            refs = {H: solve_v_ivp(xi, theta, H, p, spec) for H in FLOW_HORIZONS}
+            for order in (FLOW_HORIZONS, FLOW_HORIZONS[::-1]):
+                affine._flow.cache_clear()
+                for H in order:
+                    cut, ref = solve_v(xi, theta, H, p, spec), refs[H]
+                    t = np.linspace(0.0, H, 777)
+                    assert np.array_equal(cut.grid, ref.grid)
+                    assert np.array_equal(cut.values, ref.values)
+                    assert np.array_equal(cut(t), ref(t))
+                    assert np.array_equal(cut.integral(t), ref.integral(t))
+
+
+def test_flow_cuts_share_steps(bond_params):
+    p = bond_params(alpha=1.5)
+    affine._flow.cache_clear()
+    long, short = solve_v(0.0, 1.0, 30.0, p), solve_v(0.0, 1.0, 5.0, p)
+    assert 0 < short.shared < long.shared < len(long.steps)
+    assert all(a is b for a, b in zip(short.steps[:short.shared], long.steps))
+    assert short.steps[short.shared] is not long.steps[short.shared]
+
+
+def test_failed_flow_fails_again(bond_params, monkeypatch):
+    # a flow whose step failed stays cached and raises for every cut that
+    # needs the step, even once the solver works again
+    class Failing(affine.RK45):
+        def step(self):
+            self.status = "failed"
+            return "step failed"
+
+    p = bond_params(alpha=1.5)
+    affine._flow.cache_clear()
+    try:
+        monkeypatch.setattr(affine, "RK45", Failing)
+        with pytest.raises(RuntimeError, match="Riccati flow failed: step failed"):
+            solve_v(0.0, 1.0, 1.0, p)
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match="Riccati flow failed: step failed"):
+            solve_v(0.0, 1.0, 2.0, p)
+    finally:
+        affine._flow.cache_clear()
+    assert solve_v(0.0, 1.0, 2.0, p).grid[-1] == 2.0

@@ -4,7 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
+from alphacir import affine
 from alphacir.cli import run, write_sidecar
 
 JUMP_FLAGS = ["--a", "0.1", "--b", "0.1", "--sigma", "0.1", "--sigma-z",
@@ -139,6 +141,9 @@ def test_put_price_result_reports_tail_grids(tmp_path, monkeypatch):
     assert doc["price"] == 0.010466419185062768
     assert doc["diagnostics"]["h_tail_grids"] == 65
     assert doc["diagnostics"]["transform_evals"] == 14
+    # the 14 M curves share 161 steps of one Riccati flow and re-run 14
+    assert doc["diagnostics"]["riccati_steps"] == 161
+    assert doc["diagnostics"]["riccati_tail_steps"] == 14
 
 
 def test_put_laplace_void_strike(tmp_path, monkeypatch):
@@ -163,6 +168,16 @@ def test_non_finite_put_exits_three(tmp_path, monkeypatch, capsys, argv,
     with np.errstate(all="ignore"):
         assert run(argv) == 3
     assert f"theta = {theta}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unstable_put_exits_three(tmp_path, monkeypatch, capsys):
+    # 4 Stehfest terms are 12.7 % away from 2; the price is not written
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["put-price", "--maturity", "1", "--strike", "0.04",
+                "--n-terms", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "n=4 gives 0.0109" in err and "n=2 gives 0.0123" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -234,10 +249,22 @@ def test_fig1_fig2_share_driver(tmp_path, monkeypatch):
     assert np.all(r[:, 1:] >= 0.0)
 
 
+_STEP_FAILURE = "Required step size is less than spacing between numbers."
+
+
 def _failed_solve(*args, **kwargs):
-    return SimpleNamespace(success=False,
-                           message="Required step size is less than spacing "
-                                   "between numbers.")
+    return SimpleNamespace(success=False, message=_STEP_FAILURE)
+
+
+class _FailingRK45(RK45):
+    def step(self):
+        self.status = "failed"
+        return _STEP_FAILURE
+
+
+# the solver each module runs: the Riccati flow steps an RK45 itself, the
+# jump laws call solve_ivp
+_SOLVERS = {"affine": ("RK45", _FailingRK45), "jumps": ("solve_ivp", _failed_solve)}
 
 
 @pytest.mark.parametrize("module, argv", [
@@ -248,8 +275,13 @@ def _failed_solve(*args, **kwargs):
 ])
 def test_failed_solve_exits_three(tmp_path, monkeypatch, capsys, module, argv):
     _in_tmp(tmp_path, monkeypatch)
-    monkeypatch.setattr(f"alphacir.{module}.solve_ivp", _failed_solve)
-    assert run(argv) == 3
+    name, fake = _SOLVERS[module]
+    monkeypatch.setattr(f"alphacir.{module}.{name}", fake)
+    affine._flow.cache_clear()       # no flow of an earlier test is reused
+    try:
+        assert run(argv) == 3
+    finally:
+        affine._flow.cache_clear()   # nor is the failed one kept
     err = capsys.readouterr().err
     assert err.startswith("numerical diagnostic failure:")
     assert len(err.strip().splitlines()) == 1

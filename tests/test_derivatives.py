@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
-from alphacir.affine import solve_v
+from alphacir import affine, derivatives
+from alphacir.affine import solve_v, bond_price
 from alphacir.derivatives import (
+    _HTail,
+    _MCache,
+    _cached_h,
     _stehfest_abscissae,
     bond_transform_M,
     effective_strike,
@@ -15,6 +19,7 @@ from alphacir.derivatives import (
     put_price,
 )
 from alphacir.mechanism import root_psi_equals_one
+from oracles import solve_v_ivp
 
 KAPPA = 1.0
 STRIKE = 0.039941  # makes the effective strike ~0.03 at the bond fixture
@@ -236,3 +241,57 @@ def test_put_rejects_non_finite_input(bond_params, field, bad):
     if field != "theta":
         with pytest.raises(ValueError, match="finite"):
             put_price(args["T"], args["kappa"], args["K"], args["r0"], p)
+
+
+def _m_arrays_ivp(theta, p):
+    """u, w, v(u) and int_0^u v of M on one solve_ivp curve, as _MCache
+    built them before its curves were cut from a shared flow."""
+    decay = theta + p.a * p.b * root_psi_equals_one(p)
+    curve = solve_v_ivp(0.0, 1.0, max(50.0 / decay, 5.0), p)
+    xs, ws = np.polynomial.legendre.leggauss(16)
+    g = curve.grid
+    mid, half = 0.5 * (g[1:] + g[:-1]), 0.5 * (g[1:] - g[:-1])
+    u = (mid[:, None] + half[:, None] * xs).ravel()
+    return u, (half[:, None] * ws).ravel(), curve(u), curve.integral(u)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
+def test_m_cache_equals_solve_ivp_curve(bond_params, alpha):
+    # the 14 Stehfest abscissae at four maturities; the caches read the
+    # shared steps' nodes from the flow and evaluate only their own tails
+    p = bond_params(alpha=alpha)
+    affine._flow.cache_clear()
+    for T in (0.5, 1.0, 2.0, 4.0):
+        for theta in (float(th) for th in _stehfest_abscissae(T, 14)[1]):
+            mc = _MCache(theta, p)
+            for got, want in zip((mc.u, mc.w, mc.v_u, mc.iv_u),
+                                 _m_arrays_ivp(theta, p)):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x, s_hi", [(0.02, None), (0.0, None), (0.02, 60.0)],
+                         ids=["shared", "shared-x0", "own-grid"])
+def test_h_tail_simpson_equals_scipy(bond_params, x, s_hi):
+    tail = _HTail(_cached_h(1.0, bond_params(alpha=1.5), None), x, s_hi)
+    y = np.exp(-0.3 * tail.s) * (1.0 + 0.1 * np.sin(7.0 * tail.s))
+    assert tail.simpson(y) == simpson(y, x=tail.s)
+
+
+def test_put_fixture_keeps_bits_after_long_bond(bond_params):
+    # a 30-year bond steps the (0, 1) flow first; the put's M curves then
+    # share steps whose nodes no cut has evaluated yet
+    p = bond_params(alpha=1.5)
+    affine._flow.cache_clear()
+    derivatives._cached_m.cache_clear()
+    bond_price(0.0, 30.0, p.r0, p)
+    assert put_price(1.0, KAPPA, STRIKE, p.r0, p) == FIXTURE_PUT
+
+
+def test_put_price_raises_on_unstable_inversion(bond_params):
+    # 4 terms leave a gap of 12.7 % to the 2-term sum; 6 terms (4.0 %) price
+    p = bond_params(alpha=1.5)
+    with pytest.raises(RuntimeError, match=r"n=4 gives 0\.0109.*n=2 gives 0\.0123"):
+        put_price(1.0, KAPPA, 0.04, p.r0, p, n_terms=4)
+    price, diag = put_price(1.0, KAPPA, 0.04, p.r0, p, n_terms=6,
+                            with_diagnostics=True)
+    assert 0.03 < diag["stability_gap"] / price < 0.05
