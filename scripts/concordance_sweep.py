@@ -6,7 +6,7 @@ schemes, the first-large-jump survival probability, the Levy-OU first-jump
 CDF and the expected first-jump time against their simulation estimates,
 printing a z-score per cell.  The last three are the three outputs of the
 thinned step kernel: its first passage, its frozen (LOU) mode and the
-continued first passage of E[tau].  Every (cell, alpha) has its own seed,
+one first-passage run of E[tau].  Every (cell, alpha) has its own seed,
 cell number + 10 * alpha index, so no two cells share their draws.  Slower
 and wider than `alphacir selfcheck`; meant for an occasional full shake-out.
 

@@ -12,7 +12,8 @@ adaptive Runge-Kutta rather than by inverting f, which is numerically fragile
 near x0.
 
 Each (xi, theta, params, spec) has one RK45 run with no end, stepped on
-demand and kept in an lru_cache.  RK45 (Dormand-Prince, with the step-size
+demand and kept in an lru_cache keyed on the params with r0 = 0 (v does
+not depend on r0).  RK45 (Dormand-Prince, with the step-size
 control of Hairer, Norsett & Wanner, Solving ODEs I, II.4) is deterministic
 in its state, so a run to a horizon H takes the same steps as that run
 until a step's first attempt would pass H and be clipped.  solve_v(.., H)
@@ -27,7 +28,7 @@ for bit: grid, values, dense output and integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -198,6 +199,12 @@ class _Flow:
                         steps=steps, shared=shared)
 
 
+def _without_r0(params: ModelParams) -> ModelParams:
+    """The cache key of the quantities that do not depend on r0 (v here, H
+    and M in derivatives): one model at two initial rates shares them."""
+    return replace(params, r0=0.0)
+
+
 @lru_cache(maxsize=64)
 def _flow(xi: float, theta: float, params: ModelParams, spec: JumpSpec) -> _Flow:
     return _Flow(xi, theta, params, spec)
@@ -213,7 +220,7 @@ def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
         raise ValueError("horizon must be positive")
     if xi < 0.0 or theta < 0.0:
         raise ValueError("xi and theta must be nonnegative")
-    return _flow(xi, theta, params, spec).cut(float(horizon))
+    return _flow(xi, theta, _without_r0(params), spec).cut(float(horizon))
 
 
 def _check_rate(r: float) -> None:

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .affine import solve_v
+from .affine import _without_r0, solve_v
 from .mechanism import JumpSpec, ModelParams, psi, psi_prime, root_psi_equals_one
 
 _GAUSS64_X, _GAUSS64_W = np.polynomial.legendre.leggauss(64)
@@ -193,7 +193,7 @@ def h_scale(theta: float, x: float, eps: Optional[float],
     _check_finite(theta=theta, x=x)
     if x < 0.0:
         raise ValueError("x must be nonnegative")
-    cache = _cached_h(theta, params, eps)
+    cache = _cached_h(theta, _without_r0(params), eps)
     return cache.h_value(x)
 
 
@@ -208,7 +208,7 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
         raise ValueError("theta must be positive")
     if y >= r0:
         return 1.0
-    cache = _cached_h(theta, params, eps)
+    cache = _cached_h(theta, _without_r0(params), eps)
     return cache.h_value(r0) / cache.h_value(y)
 
 
@@ -258,7 +258,7 @@ def bond_transform_M(theta: float, y: float, params: ModelParams) -> float:
     _check_finite(theta=theta, y=y)
     if y < 0.0:
         raise ValueError("y must be nonnegative")
-    return _cached_m(theta, params).value(float(y))
+    return _cached_m(theta, _without_r0(params)).value(float(y))
 
 
 def effective_strike(kappa: float, K: float, params: ModelParams):
@@ -275,6 +275,7 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
     """Laplace transform in the maturity of the running-minimum yield put.
     theta may be a 1-D array; the result then has its shape."""
     r0 = params.r0 if r0 is None else r0
+    params = _without_r0(params)           # the key of the H and M caches
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_finite(theta=theta, kappa=kappa, K=K, r0=r0)
     if np.any(thetas <= 0.0):

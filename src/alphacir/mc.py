@@ -1,6 +1,9 @@
 """Monte Carlo estimators with standard errors for the analytic quantities:
 bond prices, Laplace functionals, jump-counter transforms, survival curves,
 expected first-jump times, running-minimum put payoffs, stationary transforms.
+mc_survival and mc_expected_tau each read one first-passage run of thinned
+paths (sim.first_passage_thinned); mc_expected_tau runs it to the first
+horizon * 2^k at or past max_horizon.
 
 Conventions: integrated rate by trapezoid on the simulation grid; SE is the
 sample standard deviation over paths divided by sqrt(n); antithetic pairing
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import solve_v, yield_from_curve
+from .derivatives import _check_finite, effective_strike
 from .jumps import _mark_threshold
 from .mechanism import ModelParams
 from .sim import (
@@ -48,12 +52,6 @@ def _mean_se(samples: np.ndarray, label: str) -> McEstimate:
                       float(np.std(samples, ddof=1) / np.sqrt(n)), n, label)
 
 
-def _check_finite(name: str, value: float) -> None:
-    """A NaN or infinite transform argument would return a NaN estimate."""
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite")
-
-
 def mc_bond(params: ModelParams, T: float, n_paths: int = 100_000,
             dt: float = 1e-3, seed: int = 0,
             antithetic: bool = True) -> McEstimate:
@@ -72,7 +70,7 @@ def mc_laplace(params: ModelParams, p: float, t: float,
                n_paths: int = 100_000, dt: float = 1e-3, seed: int = 0,
                scheme: str = "root", y: float = 1.0) -> McEstimate:
     """E[exp(-p r_t)] under the requested scheme."""
-    _check_finite("p", p)
+    _check_finite(p=p)
     rng = np.random.default_rng(seed)
     if scheme == "root":
         r, _ = simulate_root_batch(params, dt, t, n_paths, rng)
@@ -102,7 +100,7 @@ def mc_survival(params: ModelParams, y_bar: float, t_grid, n_paths: int = 100_00
 def mc_counter(params: ModelParams, p: float, y_bar: float, t: float,
                n_paths: int = 100_000, dt: float = 2e-3, seed: int = 0) -> McEstimate:
     """Empirical E[exp(-p J_t)] for the big-jump counter."""
-    _check_finite("p", p)
+    _check_finite(p=p)
     y = _mark_threshold(params, y_bar)
     rng = np.random.default_rng(seed)
     _, _, _, n_ev = simulate_thinned_batch(params, y, dt, t, n_paths, rng)
@@ -112,22 +110,24 @@ def mc_counter(params: ModelParams, p: float, y_bar: float, t: float,
 def mc_expected_tau(params: ModelParams, y_bar: float, n_paths: int = 10_000,
                     dt: float = 0.01, seed: int = 0,
                     horizon: float = 50.0, max_horizon: float = 6400.0) -> McEstimate:
-    """Mean first-jump time.  While any path is censored the horizon is
-    doubled and the same batch is continued from where it stopped
-    (first-event times before a horizon do not depend on how far the batch
-    runs later), so a censored path costs no bias below max_horizon.  Paths
-    still censored at max_horizon contribute the horizon (a downward bias,
-    warned about when more than 1% of paths are censored)."""
+    """Mean first-jump time from one first-passage run to the first
+    horizon * 2^k at or past max_horizon (k >= 0).  The run stops once every
+    path has jumped, and a run to a shorter horizon finds the same
+    first-event times before it, so this is the estimate of a batch that
+    doubles its horizon until no path is censored.  Paths still censored at
+    the final horizon contribute that horizon (a downward bias, warned about
+    when more than 1% of paths are censored)."""
+    if not (0.0 < horizon < np.inf and 0.0 < max_horizon < np.inf):
+        raise ValueError("horizon and max_horizon must be finite and positive")
     y = _mark_threshold(params, y_bar)
-    rng = np.random.default_rng(seed)
-    state = first_passage_thinned(params, y, dt, horizon, n_paths, rng)
-    while state.censored > 0.0 and horizon < max_horizon:
+    while horizon < max_horizon:
         horizon *= 2.0
-        state = first_passage_thinned(params, y, dt, horizon, n_paths, rng, state)
-    if state.censored > 0.01:
-        warnings.warn(f"mc_expected_tau: {100 * state.censored:.1f}% of paths "
+    run = first_passage_thinned(params, y, dt, horizon, n_paths,
+                                np.random.default_rng(seed))
+    if run.censored > 0.01:
+        warnings.warn(f"mc_expected_tau: {100 * run.censored:.1f}% of paths "
                       f"censored at horizon {horizon}")
-    tau = np.where(np.isfinite(state.first), state.first, horizon)
+    tau = np.where(np.isfinite(run.first), run.first, horizon)
     return _mean_se(tau, "mc_expected_tau")
 
 
@@ -135,7 +135,7 @@ def mc_stationary_laplace(params: ModelParams, p: float, t: float = 200.0,
                           n_paths: int = 10_000, dt: float = 0.01,
                           seed: int = 0) -> McEstimate:
     """E[exp(-p r_t)] at a large t as a stationary-law proxy (root scheme)."""
-    _check_finite("p", p)
+    _check_finite(p=p)
     rng = np.random.default_rng(seed)
     r, _ = simulate_root_batch(params, dt, t, n_paths, rng)
     return _mean_se(np.exp(-p * r), "mc_stationary_laplace")
@@ -167,20 +167,18 @@ def mc_running_min_put(params: ModelParams, T: float, kappa: float, K: float,
     Kbar = (kappa K - ab int_0^kappa v) / v(kappa).  Both use the same paths;
     the identity makes them equal path by path up to rounding.
     """
-    _check_finite("K", K)
+    _check_finite(K=K)
     rng = np.random.default_rng(seed)
-    curve = solve_v(0.0, 1.0, kappa, params)
-    v_k = curve(kappa)
-    iv = curve.integral(kappa)
-    k_bar = (kappa * K - params.a * params.b * iv) / v_k
+    k_bar, nominal = effective_strike(kappa, K, params)
     if k_bar <= 0.0:
         z = McEstimate(0.0, 0.0, n_paths, "mc_running_min_put[void]")
         return z, z
     _, integral, run_min = simulate_root_batch(params, dt, T, n_paths, rng,
                                                running_min=True)
     disc = np.exp(-integral)
-    min_yield = yield_from_curve(curve, kappa, run_min)
+    min_yield = yield_from_curve(solve_v(0.0, 1.0, kappa, params), kappa,
+                                 run_min)
     pay_yield = disc * np.maximum(K - min_yield, 0.0)
-    pay_reduced = (v_k / kappa) * disc * np.maximum(k_bar - run_min, 0.0)
+    pay_reduced = nominal * disc * np.maximum(k_bar - run_min, 0.0)
     return (_mean_se(pay_yield, "mc_running_min_put[yield]"),
             _mean_se(pay_reduced, "mc_running_min_put[reduced]"))

@@ -23,10 +23,11 @@ follows one draw-order rule: a batch run to a shorter horizon draws a
 prefix of a longer one at the same seed.  The root, thinned and LOU batch
 functions run their step kernel through one loop, _run, which keeps the
 trapezoid integral, the first-event times and event log, the running
-minimum and the kept paths; first passage keeps its own loop because its
-path set shrinks.  Batch functions return arrays over
-paths and drive everything from one Generator; the single-path wrappers are
-the batch functions at n = 1 and return Path objects for the CLI.
+minimum and the kept paths.  First passage keeps its own loop because its
+path set shrinks; it is one run to its horizon that stops once every path
+has jumped.  Batch functions return arrays over paths and drive everything
+from one Generator; the single-path wrappers are the batch functions at
+n = 1 and return Path objects for the CLI.
 """
 
 from __future__ import annotations
@@ -308,7 +309,6 @@ class _ThinnedStep:
         nu_mid = big_jump_mass(alpha, eps) - nu_big
         mean_mid = (levy_density_coefficient(alpha)
                     * (eps ** (1.0 - alpha) - y ** (1.0 - alpha)) / (alpha - 1.0))
-        self.model = (params, y, dt)
         self.dt, self.y, self.sz, self.alpha = dt, y, sz, alpha
         var = params.sigma ** 2 + sz ** 2 * truncated_second_moment(alpha, eps)
         self.nu_mid_dt = nu_mid * dt
@@ -410,63 +410,47 @@ def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
 class FirstPassage:
     """A thinned batch run until each path's first big jump.
 
-    first holds the first-event time of every path (+inf while it has none);
-    active, r and gap are the indices, current values and clock gaps (see
-    _ThinnedStep) of the paths still waiting; step is the kernel, which
-    keeps the batch's variate streams, and steps the number of grid steps
-    taken.
+    first holds the first-event time of every path (+inf without one);
+    active and r are the indices and end values of the paths without one.
     """
 
     first: np.ndarray
     active: np.ndarray
     r: np.ndarray
-    gap: np.ndarray
-    step: _ThinnedStep
-    steps: int = 0
 
     @property
     def censored(self) -> float:
-        """Fraction of paths without an event so far."""
+        """Fraction of paths without an event by the horizon."""
         return self.active.size / self.first.size
 
 
 def first_passage_thinned(params: ModelParams, y: float, dt: float,
                           horizon: float, n_paths: int,
-                          rng: np.random.Generator,
-                          state: Optional[FirstPassage] = None) -> FirstPassage:
-    """First big-jump times of n_paths thinned paths up to horizon.
+                          rng: np.random.Generator) -> FirstPassage:
+    """First big-jump times of n_paths thinned paths up to horizon, in one
+    run.
 
     Only the paths without an event are evolved; a path leaves the active
     set at the end of the step in which its compensator clock first crosses
-    its level, and the loop ends once none is left.  Passing the returned state
-    back with a longer horizon (and the same params, y, dt and rng)
-    continues the batch from its last step, with the same draws as one run
-    to the longer horizon; a state built with other params, y or dt is
-    rejected.
+    its level, and the loop ends once none is left.  The step draws in the
+    thinned batch's order, so a run to a shorter horizon finds the same
+    first-event times before it as a longer run.
     """
     n_steps, times = _grid(dt, horizon)
-    if state is None:
-        step = _ThinnedStep(params, y, dt)
-        state = FirstPassage(np.full(n_paths, np.inf), np.arange(n_paths),
-                             np.full(n_paths, params.r0),
-                             step.levels(n_paths, rng), step)
-    elif state.first.size != n_paths:
-        raise ValueError("state holds a different number of paths")
-    elif state.step.model != (params, y, dt):
-        raise ValueError("state was built with other params, y or dt")
-    active, r, gap, step = state.active, state.r, state.gap, state.step
-    for k in range(state.steps, n_steps):
+    step = _ThinnedStep(params, y, dt)
+    first = np.full(n_paths, np.inf)
+    active, r = np.arange(n_paths), np.full(n_paths, params.r0)
+    gap = step.levels(n_paths, rng)
+    for k in range(n_steps):
         if not active.size:
             break
         r, idx, t_ev, _ = step(r, gap, times[k], rng)
         if idx.size:
-            np.minimum.at(state.first, active[idx], t_ev)
+            np.minimum.at(first, active[idx], t_ev)
             stay = np.ones(active.size, dtype=bool)
             stay[idx] = False
             active, r, gap = active[stay], r[stay], gap[stay]
-    state.active, state.r, state.gap = active, r, gap
-    state.steps = max(state.steps, n_steps)
-    return state
+    return FirstPassage(first, active, r)
 
 
 def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,

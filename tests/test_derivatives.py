@@ -287,6 +287,18 @@ def test_put_fixture_keeps_bits_after_long_bond(bond_params):
     assert put_price(1.0, KAPPA, STRIKE, p.r0, p) == FIXTURE_PUT
 
 
+def test_caches_key_on_the_params_without_r0(bond_params):
+    # v, H and M do not depend on r0: two initial rates share one Riccati
+    # flow, one H cache and one M cache, and give the same bits
+    caches = (affine._flow, derivatives._cached_h, derivatives._cached_m)
+    for cache in caches:
+        cache.cache_clear()
+    m = [bond_transform_M(1.0, 0.02, bond_params(r0=r0)) for r0 in (0.05, 0.06)]
+    h = [h_scale(1.0, 0.02, None, bond_params(r0=r0)) for r0 in (0.05, 0.06)]
+    assert m[0] == m[1] and h[0] == h[1]
+    assert [cache.cache_info().misses for cache in caches] == [1, 1, 1]
+
+
 def test_put_price_raises_on_unstable_inversion(bond_params):
     # 4 terms leave a gap of 12.7 % to the 2-term sum; 6 terms (4.0 %) price
     p = bond_params(alpha=1.5)

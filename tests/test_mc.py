@@ -118,6 +118,17 @@ def test_mc_expected_tau_scores_no_path_censored(jump_params):
     assert est.value == np.mean(fp.first)
 
 
+@pytest.mark.parametrize("horizons", [
+    dict(horizon=0.0), dict(horizon=-1.0), dict(horizon=float("nan")),
+    dict(max_horizon=0.0), dict(max_horizon=float("inf")),
+], ids=["horizon-0", "horizon-neg", "horizon-nan", "max-0", "max-inf"])
+def test_mc_expected_tau_rejects_bad_horizon(jump_params, horizons):
+    # the final horizon is the first horizon * 2^k at or past max_horizon:
+    # a zero horizon would double forever and an infinite cap has no grid
+    with pytest.raises(ValueError, match="horizon"):
+        mc_expected_tau(jump_params(alpha=1.5), 0.1, n_paths=10, **horizons)
+
+
 def test_running_min_put_pinned(bond_params):
     # recorded with the root kernel reading its increments from streams
     # refilled _BLOCK variates at a time; 1e-12 leaves room for last-ulp
