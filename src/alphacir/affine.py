@@ -17,18 +17,22 @@ not depend on r0).  RK45 (Dormand-Prince, with the step-size
 control of Hairer, Norsett & Wanner, Solving ODEs I, II.4) is deterministic
 in its state, so a run to a horizon H takes the same steps as that run
 until a step's first attempt would pass H and be clipped.  solve_v(.., H)
-therefore shares those steps, with their dense output and Gauss pieces,
-and re-runs only the tail with the end at H.  Two traps: a step that was
-rejected and then accepted can end before H although its first attempt
-passed H, so the test is on the first attempt; and RK45's initial step
-depends on the interval length, so a short H may pick another first step,
-and then nothing is shared.  Every cut equals one solve_ivp run to H bit
-for bit: grid, values, dense output and integral.
+therefore shares those steps and re-runs only the tail with the end at H.
+Two traps: a step that was rejected and then accepted can end before H
+although its first attempt passed H, so the test is on the first attempt;
+and RK45's initial step depends on the interval length, so a short H may
+pick another first step, and then nothing is shared.
+
+The curve of a cut is a view of its steps: each step carries its
+solver state, its dense output and int_0 v up to both of its ends, and
+int_0^t v is the step's cum plus one 12-point Gauss rule on [lo, t].
+Every cut equals one solve_ivp run to H bit for bit: grid, values, dense
+output, and the integral of Gauss pieces summed in step order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -43,24 +47,26 @@ _RTOL, _ATOL = 1e-10, 1e-12
 class _Step:
     """One accepted RK45 step [lo, hi] of a Riccati flow: the solver state
     at hi (y, f and the next step size h_abs), the dense output, cum =
-    int_0^lo v and piece = int_lo^hi v by 12-point Gauss.  memo keeps
-    quantities built on the step (see cached)."""
+    int_0^lo v and end = int_0^hi v, the step's piece by 12-point Gauss
+    added to cum.  memo keeps quantities built on the step (see cached)."""
 
-    __slots__ = ("lo", "hi", "y", "f", "h_abs", "dense", "cum", "piece", "memo")
+    __slots__ = ("lo", "hi", "y", "f", "h_abs", "dense", "cum", "end", "memo")
 
-    def __init__(self, solver, cum: float):
+    def __init__(self, solver, before: list):
         self.lo, self.hi = solver.t_old, solver.t
         self.y, self.f, self.h_abs = solver.y, solver.f, solver.h_abs
         self.dense = solver.dense_output()
-        self.cum = cum
+        self.cum = before[-1].end if before else 0.0
         mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
-        self.piece = half * np.dot(_GAUSS_W, self.dense(mid + half * _GAUSS_X)[0])
+        self.end = self.cum + half * np.dot(
+            _GAUSS_W, self.dense(mid + half * _GAUSS_X)[0])
         self.memo = {}
 
     def integral(self, t: np.ndarray) -> np.ndarray:
-        """int_0^t v for points t inside the step, rounded as
-        OdeCurve.integral rounds them: the Gauss nodes of all t are
-        evaluated as one sorted group, as OdeSolution evaluates a step."""
+        """int_0^t v for points t in [lo, hi]: cum plus 12-point Gauss on
+        [lo, t].  The nodes of all t are evaluated as one sorted group, so
+        that a point rounds alike alone and in an array; at t = hi the
+        result is end."""
         mid, half = 0.5 * (t + self.lo), 0.5 * (t - self.lo)
         nodes = (mid[:, None] + half[:, None] * _GAUSS_X).ravel()
         order = np.argsort(nodes)
@@ -83,29 +89,18 @@ def _first_reach(t: float, h_abs: float) -> float:
     return t + max(h_abs, 10.0 * abs(np.nextafter(t, np.inf) - t))
 
 
-def _cum_after(steps: list) -> float:
-    """int_0 v up to the end of the last step."""
-    return steps[-1].cum + steps[-1].piece if steps else 0.0
-
-
-@dataclass
 class OdeCurve:
-    """Dense-output solution v(.) of v' = theta - Psi(v), v(0) = xi.
+    """The solution v(.) of v' = theta - Psi(v), v(0) = xi, on [0, grid[-1]],
+    read from its RK45 steps: v by their dense output, int_0^t v by the
+    step that holds t (_Step.integral).
 
-    steps are its RK45 steps.  The first `shared` of them belong to the
-    flow of (xi, theta, params, spec) that the curve was cut from, and so
-    to every other cut of that flow."""
+    The first `shared` steps belong to the flow of (xi, theta, params, spec)
+    that the curve was cut from, and so to every other cut of that flow."""
 
-    grid: np.ndarray
-    values: np.ndarray
-    xi: float
-    theta: float
-    params: ModelParams
-    spec: JumpSpec
-    _sol: object = field(repr=False, default=None)
-    _cum: np.ndarray = field(repr=False, default=None)
-    steps: list = field(repr=False, default=None)
-    shared: int = 0
+    def __init__(self, steps: list, shared: int, params: ModelParams):
+        self.steps, self.shared, self.params = steps, shared, params
+        self.grid = np.array([0.0] + [st.hi for st in steps])
+        self._sol = OdeSolution(self.grid, [st.dense for st in steps])
 
     def _check(self, t: np.ndarray) -> None:
         """The curve is solved on [0, grid[-1]] only; NaN fails both bounds."""
@@ -118,23 +113,19 @@ class OdeCurve:
         out = self._sol(t)[0]
         return float(out) if out.ndim == 0 else out
 
-    def _gauss_pieces(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """int_lo^hi v by 12-point Gauss, piece by piece (hi >= lo).  The
-        curve is evaluated once at every node; each piece is then reduced
-        with np.dot so that it rounds exactly as a single piece would."""
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * _GAUSS_X
-        vals = self(nodes.ravel()).reshape(nodes.shape)
-        return half * np.array([np.dot(_GAUSS_W, row) for row in vals])
-
     def integral(self, t):
-        """int_0^t v(s) ds by composite Gauss on the solver's own steps; t
-        may be an array, the result then has its shape."""
+        """int_0^t v(s) ds; t may be an array, the result then has its
+        shape.  A step boundary belongs to the step it starts, the horizon
+        to the last step."""
         ts = np.asarray(t, dtype=float)
         flat = ts.ravel()
         self._check(flat)
-        i = np.searchsorted(self.grid, flat, side="right") - 1
-        out = self._cum[i] + self._gauss_pieces(self.grid[i], flat)
+        i = np.minimum(np.searchsorted(self.grid, flat, side="right") - 1,
+                       len(self.steps) - 1)
+        out = np.empty_like(flat)
+        for k in np.unique(i):
+            at = i == k
+            out[at] = self.steps[k].integral(flat[at])
         return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
@@ -149,8 +140,7 @@ class _Flow:
         def rhs(_t, v):
             return [theta - psi(max(v[0], 0.0), params, spec)]
 
-        self.rhs, self.xi, self.theta = rhs, xi, theta
-        self.params, self.spec = params, spec
+        self.rhs, self.xi, self.params = rhs, xi, params
         self.solver = RK45(rhs, 0.0, [xi], np.inf, rtol=_RTOL, atol=_ATOL)
         self.h0 = self.solver.h_abs
         self.steps = []
@@ -161,7 +151,7 @@ class _Flow:
         if self.failure is None:
             message = self.solver.step()
             if self.solver.status != "failed":
-                self.steps.append(_Step(self.solver, _cum_after(self.steps)))
+                self.steps.append(_Step(self.solver, self.steps))
                 return
             self.failure = message
         raise RuntimeError(f"Riccati flow failed: {self.failure}")
@@ -187,16 +177,9 @@ class _Flow:
             message = solver.step()
             if solver.status == "failed":
                 raise RuntimeError(f"Riccati flow failed: {message}")
-            steps.append(_Step(solver, _cum_after(steps)))
+            steps.append(_Step(solver, steps))
             t = solver.t
-        grid = np.array([0.0] + [st.hi for st in steps])
-        values = np.array([self.xi] + [st.y[0] for st in steps], dtype=float)
-        return OdeCurve(grid=grid, values=values, xi=self.xi,
-                        theta=self.theta, params=self.params, spec=self.spec,
-                        _sol=OdeSolution(grid, [st.dense for st in steps]),
-                        _cum=np.array([st.cum for st in steps]
-                                      + [_cum_after(steps)]),
-                        steps=steps, shared=shared)
+        return OdeCurve(steps, shared, self.params)
 
 
 def _without_r0(params: ModelParams) -> ModelParams:
@@ -235,6 +218,8 @@ def joint_laplace(x: float, t: float, xi: float, theta: float,
     """E_x[exp(-xi r_t - theta int_0^t r_s ds)]
     = exp(-x v(t,xi,theta) - int_0^t Phi(v(s,xi,theta)) ds)."""
     _check_rate(x)
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError("t must be finite and nonnegative")
     if t == 0.0:
         return float(np.exp(-xi * x))
     if xi == 0.0 and theta == 0.0:

@@ -32,8 +32,9 @@ once per params; each theta evaluates only its own tail steps.
 The integrand of H has an integrable (z - q1)^(beta - 1) singularity with
 beta = (ab q1 + theta)/Psi'(q1); it is made exact by splitting off the
 logarithmic part of the inner integral and substituting s = ((z-q1)/eps)^beta
-on the first panel.  eps cancels in every exposed ratio; the default is
-q1/10 and an invariance test enforces the cancellation.
+on the first panel.  eps cancels in every exposed ratio; the put uses
+the default q1/10, and an invariance test of hitting_time_laplace enforces
+the cancellation.
 
 Psi is evaluated on whole node arrays (the H spline grid, the singular
 panel, the tail of H).  Its power terms (sigma_z q)^alpha are taken with
@@ -202,6 +203,8 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
     """E[exp(-theta T_y - int_0^{T_y} r)] for the first entrance time T_y of
     the rate into [0, y]; equals 1 when y >= r0 (immediate entrance)."""
     _check_finite(r0=r0, y=y, theta=theta)
+    if r0 < 0.0:
+        raise ValueError("r0 must be nonnegative")
     if y <= 0.0:
         raise ValueError("level y must be positive")
     if theta <= 0.0:
@@ -270,21 +273,22 @@ def effective_strike(kappa: float, K: float, params: ModelParams):
 
 
 def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
-                params: ModelParams, eps: Optional[float] = None,
-                with_diagnostics: bool = False):
+                params: ModelParams, with_diagnostics: bool = False):
     """Laplace transform in the maturity of the running-minimum yield put.
     theta may be a 1-D array; the result then has its shape."""
     r0 = params.r0 if r0 is None else r0
     params = _without_r0(params)           # the key of the H and M caches
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_finite(theta=theta, kappa=kappa, K=K, r0=r0)
+    if r0 < 0.0:
+        raise ValueError("r0 must be nonnegative")
     if np.any(thetas <= 0.0):
         raise ValueError("theta must be positive")
     k_bar, nominal = effective_strike(kappa, K, params)
     diag = {"kbar": k_bar, "void": k_bar <= 0.0}
     vals = np.zeros_like(thetas)
     if k_bar > 0.0:
-        hcs = [_cached_h(th, params, eps) for th in thetas.tolist()]
+        hcs = [_cached_h(th, params, None) for th in thetas.tolist()]
         ys = 0.5 * k_bar * (_GAUSS64_X + 1.0)
         ws = 0.5 * k_bar * _GAUSS64_W
         below = ys < r0
@@ -376,7 +380,6 @@ def gaver_stehfest(transform, t: float, n_terms: int = 14, dps: int = 40,
 
 def put_price(T: float, kappa: float, K: float, r0: Optional[float],
               params: ModelParams, n_terms: int = 14,
-              eps: Optional[float] = None,
               with_diagnostics: bool = False):
     """Price of the running-minimum yield put by Gaver-Stehfest inversion of
     put_laplace at the maturity.  Raises RuntimeError when the n-term and
@@ -390,7 +393,7 @@ def put_price(T: float, kappa: float, K: float, r0: Optional[float],
     # one put_laplace call at every abscissa of the n-term sum, which the
     # n - 2 check reuses; any other theta raises KeyError
     thetas = [float(th) for th in _stehfest_abscissae(T, n_terms)[1]]
-    vals, diag = put_laplace(thetas, kappa, K, r0, params, eps=eps,
+    vals, diag = put_laplace(thetas, kappa, K, r0, params,
                              with_diagnostics=True)
     diag["n_terms"] = n_terms
     if diag["void"]:

@@ -213,8 +213,8 @@ def sample_stable_increment(spec: StableSpec, dt: float, rng: np.random.Generato
     in the 1-parametrization; for alpha > 1 that law already has mean zero.
     alpha = 2 is Gaussian with variance 2*dt.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     alpha = spec.alpha
     if alpha == 2.0:
         return rng.normal(0.0, np.sqrt(2.0 * dt), size=size)

@@ -3,12 +3,12 @@ the square-root-diffusion bond formula, its Gamma stationary law and the
 stable-driver Laplace transform; adaptive quadratures of the truncated
 Levy-measure integrals that the library evaluates in closed form; a plain
 Euler loop of the root scheme driven by given increments; and one
-solve_ivp run of the Riccati flow to its horizon."""
+solve_ivp run of the Riccati flow to its horizon, integrated by its own
+Gauss rule: it shares no code with the library's cut of a shared flow."""
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from alphacir.affine import OdeCurve
 from alphacir.mechanism import JumpSpec, psi
 from alphacir.stable import levy_density_coefficient
 
@@ -89,8 +89,40 @@ def root_euler_paths(params, dt: float, gauss: np.ndarray, dz: np.ndarray):
     return out[:, -1], acc, out.min(axis=1), out
 
 
+class IvpCurve:
+    """A solve_ivp solution of the Riccati flow: its grid, values and dense
+    output, with int_0^t v = the 12-point Gauss pieces of the solver steps
+    before t, summed in step order, plus Gauss on [grid[i], t].  All the
+    nodes of one call are evaluated by the dense output at once."""
+
+    _X, _W = np.polynomial.legendre.leggauss(12)
+
+    def __init__(self, sol):
+        self.grid, self.values, self._sol = sol.t, sol.y[0], sol.sol
+        pieces = self._pieces(self.grid[:-1], self.grid[1:])
+        self._cum = np.concatenate(([0.0], np.cumsum(pieces)))
+
+    def __call__(self, t):
+        out = self._sol(np.asarray(t, dtype=float))[0]
+        return float(out) if out.ndim == 0 else out
+
+    def _pieces(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """int_lo^hi v piece by piece, each reduced with np.dot."""
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * self._X
+        vals = self(nodes.ravel()).reshape(nodes.shape)
+        return half * np.array([np.dot(self._W, row) for row in vals])
+
+    def integral(self, t):
+        ts = np.asarray(t, dtype=float)
+        flat = ts.ravel()
+        i = np.searchsorted(self.grid, flat, side="right") - 1
+        out = self._cum[i] + self._pieces(self.grid[i], flat)
+        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+
+
 def solve_v_ivp(xi: float, theta: float, horizon: float, params,
-                spec: JumpSpec = JumpSpec.full()) -> OdeCurve:
+                spec: JumpSpec = JumpSpec.full()) -> IvpCurve:
     """v' = theta - Psi(v), v(0) = xi, by one solve_ivp RK45 run over
     [0, horizon] with the library's tolerances: the curve that a cut of the
     shared flow must equal bit for bit."""
@@ -102,8 +134,4 @@ def solve_v_ivp(xi: float, theta: float, horizon: float, params,
                     rtol=1e-10, atol=1e-12, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"Riccati flow failed: {sol.message}")
-    curve = OdeCurve(grid=sol.t, values=sol.y[0], xi=xi, theta=theta,
-                     params=params, spec=spec, _sol=sol.sol)
-    pieces = curve._gauss_pieces(sol.t[:-1], sol.t[1:])
-    curve._cum = np.concatenate(([0.0], np.cumsum(pieces)))
-    return curve
+    return IvpCurve(sol)

@@ -80,6 +80,14 @@ def test_joint_laplace_at_time_zero(bond_params):
         np.exp(-2.0 * 0.3))
 
 
+@pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf")])
+def test_joint_laplace_rejects_bad_time(bond_params, t):
+    # checked before the t = 0 and xi = theta = 0 shortcuts, which would
+    # return 1.0
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        joint_laplace(0.05, t, 0.0, 0.0, bond_params(alpha=1.5))
+
+
 def test_joint_laplace_short_time_expansion(bond_params):
     # for small t, E[e^{-p r_t}] ~ e^{-p r0} up to O(t)
     p = bond_params(alpha=1.5)
@@ -171,8 +179,10 @@ def test_truncated_spec_flows_below_full(jump_params):
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
 def test_flow_cuts_equal_solve_ivp(bond_params, alpha):
-    # grid, values, dense output and integral, with the horizons requested
-    # on a fresh flow in ascending and in descending order
+    # grid, values (the steps' y), dense output and integral, with the
+    # horizons requested on a fresh flow in ascending and in descending
+    # order; the integral also at the cut's own grid points, which start a
+    # step or (the horizon) end the last one, as an array and one by one
     p = bond_params(alpha=alpha)
     for spec in FLOW_SPECS:
         for xi, theta in FLOW_PAIRS:
@@ -183,9 +193,15 @@ def test_flow_cuts_equal_solve_ivp(bond_params, alpha):
                     cut, ref = solve_v(xi, theta, H, p, spec), refs[H]
                     t = np.linspace(0.0, H, 777)
                     assert np.array_equal(cut.grid, ref.grid)
-                    assert np.array_equal(cut.values, ref.values)
+                    assert np.array_equal([st.y[0] for st in cut.steps],
+                                          ref.values[1:])
                     assert np.array_equal(cut(t), ref(t))
                     assert np.array_equal(cut.integral(t), ref.integral(t))
+                    g = ref.grid
+                    assert np.array_equal(cut(g), ref(g))
+                    assert np.array_equal(cut.integral(g), ref.integral(g))
+                    assert [cut.integral(x) for x in g.tolist()] \
+                        == [ref.integral(x) for x in g.tolist()]
 
 
 def test_flow_cuts_share_steps(bond_params):

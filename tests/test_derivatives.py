@@ -243,6 +243,19 @@ def test_put_rejects_non_finite_input(bond_params, field, bad):
             put_price(args["T"], args["kappa"], args["K"], args["r0"], p)
 
 
+@pytest.mark.parametrize("r0", [-0.01, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda p, r0: put_laplace(1.0, KAPPA, 0.04, r0, p),
+    lambda p, r0: put_price(1.0, 1.0, 0.04, r0, p, n_terms=8),
+    lambda p, r0: hitting_time_laplace(r0, 0.02, 1.0, p),
+], ids=["put_laplace", "put_price", "hitting_time_laplace"])
+def test_transforms_reject_negative_start_rate(bond_params, call, r0):
+    # the short rate lives on [0, inf): a negative start is an input error,
+    # not a price
+    with pytest.raises(ValueError, match="r0 must be nonnegative"):
+        call(bond_params(alpha=1.5), r0)
+
+
 def _m_arrays_ivp(theta, p):
     """u, w, v(u) and int_0^u v of M on one solve_ivp curve, as _MCache
     built them before its curves were cut from a shared flow."""

@@ -119,6 +119,14 @@ def test_increment_sampler_rejects_non_positive_step(rng, dt):
         sample_stable_increment(StableSpec(alpha=1.5), dt, rng, size=4)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_increment_sampler_rejects_infinite_step(rng, alpha):
+    # an infinite step would come back as +-inf draws
+    with pytest.raises(ValueError, match="finite"):
+        sample_stable_increment(StableSpec(alpha=alpha), float("inf"), rng,
+                                size=4)
+
+
 def test_increment_sampler_time_scaling(rng):
     # increments over dt are dt^{1/alpha} copies of unit increments
     alpha, dt, q = 1.5, 0.01, 1.0
