@@ -197,13 +197,18 @@ def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
             spec: JumpSpec = JumpSpec.full()) -> OdeCurve:
     """Flow of v' = theta - Psi(v) from v(0) = xi over [0, horizon], cut
     from the shared flow of (xi, theta, params, spec)."""
-    if not np.all(np.isfinite([xi, theta, horizon])):
-        raise ValueError("xi, theta and horizon must be finite")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if xi < 0.0 or theta < 0.0:
-        raise ValueError("xi and theta must be nonnegative")
+    _check_xi_theta(xi, theta)
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError("horizon must be finite and positive")
     return _flow(xi, theta, _without_r0(params), spec).cut(float(horizon))
+
+
+def _check_xi_theta(xi: float, theta: float) -> None:
+    """Reject a flow argument xi or theta that is NaN, infinite or
+    negative (NaN fails every comparison, so finiteness is tested)."""
+    if not (np.isfinite(xi) and np.isfinite(theta) and xi >= 0.0
+            and theta >= 0.0):
+        raise ValueError("xi and theta must be finite and nonnegative")
 
 
 def _check_rate(r: float) -> None:
@@ -220,6 +225,7 @@ def joint_laplace(x: float, t: float, xi: float, theta: float,
     _check_rate(x)
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and nonnegative")
+    _check_xi_theta(xi, theta)
     if t == 0.0:
         return float(np.exp(-xi * x))
     if xi == 0.0 and theta == 0.0:

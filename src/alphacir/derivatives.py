@@ -15,12 +15,18 @@ where H is the scale-type integral
 q1 the root of Psi(q) = 1, and M(theta, y) the Laplace transform in time of
 the bond price started at y.  Prices are recovered by Gaver-Stehfest
 inversion in extended precision, with the transform evaluated node-major:
-put_price passes every abscissa to one put_laplace call, which builds the
-tail of H once per strike node x (the 64 Gauss nodes below r0, plus r0) and
-integrates it for every theta.  That tail grid z = q1 + eps e^s, s in
-[0, s_hi(x)], and -x z, log(h/eps), log(Psi(z) - 1) and log h on it
-(h = z - q1) involve only the params, eps and x; theta enters H only through
-beta and the spline R.
+put_price passes every abscissa to one put_laplace call, which evaluates H
+at each strike node x (the 64 Gauss nodes below r0, plus r0) for every
+theta at once.  The tail grid z = q1 + eps e^s, s in [0, s_hi(x)], and
+-x z, log(h/eps), log(Psi(z) - 1) and log h on it (h = z - q1) involve only
+the params, eps and x; theta enters H only through beta and the spline R of
+the remainder.  The R splines of one params share their knots, so R of all
+thetas on a node's grid is one call of a piecewise polynomial with a column
+per theta, and the tail is one (n_theta x grid) pass: log-integrand, row
+maximum, exp and Simpson by rows.  Only the thetas whose integrand has not
+decayed by the end of the grid run again, on longer grids they share.  The
+singular panel's nodes depend on theta only; its Psi and R are evaluated
+once per theta, with the spline.
 
 M(theta, .) integrates over v on [0, max(50/(theta + ab x0), 5)], and the
 strike uses v on [0, kappa].  All these curves are cuts of the params' one
@@ -52,7 +58,7 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .affine import _without_r0, solve_v
 from .mechanism import JumpSpec, ModelParams, psi, psi_prime, root_psi_equals_one
@@ -60,6 +66,8 @@ from .mechanism import JumpSpec, ModelParams, psi, psi_prime, root_psi_equals_on
 _GAUSS64_X, _GAUSS64_W = np.polynomial.legendre.leggauss(64)
 _GAUSS32_X, _GAUSS32_W = np.polynomial.legendre.leggauss(32)
 _GAUSS16_X, _GAUSS16_W = np.polynomial.legendre.leggauss(16)
+# the singular panel's nodes t and weights on [0, 1]
+_PANEL_T, _PANEL_W = 0.5 * (_GAUSS32_X + 1.0), 0.5 * _GAUSS32_W
 # the R spline's log-spaced grid in h = z - q1: its upper end and size
 _H_MAX, _H_NODES = 1e9, 4000
 
@@ -73,14 +81,14 @@ def _check_finite(**values) -> None:
 
 
 class _HCache:
-    """Per-(theta, params) machinery for H_eps: q1, beta, and a spline of the
+    """Per-(theta, params) machinery for H_eps: q1, beta, a spline of the
     smooth remainder R(z) = int_{q1+eps}^z [g(u) - beta/(u - q1)] du with
-    g(u) = (ab u + theta)/(Psi(u) - 1)."""
+    g(u) = (ab u + theta)/(Psi(u) - 1), and the x-free factors of the
+    singular panel (its nodes z, (Psi(z) - 1)/h and R there)."""
 
     def __init__(self, theta: float, params: ModelParams, eps: Optional[float]):
         if theta <= 0.0:
             raise ValueError("theta must be positive")
-        self.theta = theta
         self.params = params
         self.spec = JumpSpec.full()
         self.q1 = root_psi_equals_one(params, self.spec)
@@ -94,65 +102,88 @@ class _HCache:
         # integrand g(q1 + h) - beta/h of R; below the cut it is replaced by
         # its limit as h -> 0, where Psi(q1 + h) - 1 loses every digit
         far = h >= 1e-9 * max(self.q1, 1.0)
+        d = 1e-5 * max(self.q1, 1.0)      # Psi''(q1) by a central difference
+        lo, mid, hi = psi(self.q1 + d * np.array([-1.0, 0.0, 1.0]), params,
+                          self.spec)
+        psi2 = (hi - 2.0 * mid + lo) / (d * d)
         s_vals = np.full_like(h, ab / self.psi1
-                              - self.beta * self._psi_second() / (2.0 * self.psi1))
+                              - self.beta * psi2 / (2.0 * self.psi1))
         u = self.q1 + h[far]
         s_vals[far] = ((ab * u + theta) / (psi(u, params, self.spec) - 1.0)
                        - self.beta / h[far])
         r_of_h = cumulative_simpson(s_vals, x=h, initial=0.0)
+        if not np.all(np.isfinite(r_of_h)):
+            raise RuntimeError(f"H remainder not finite at theta = {theta:g}")
         # shift so that R(q1 + eps) = 0
         shift = np.interp(self.eps, h, r_of_h)
         self._r_spline = CubicSpline(h, r_of_h - shift)
-        self._h_lo = h[0]
+        # panel [q1, q1+eps]: integrand = G(h) h^(beta-1); the substitution
+        # h = eps * t^(1/beta) makes the weight exact
+        beta, eps = self.beta, self.eps
+        hh = eps * _PANEL_T ** (1.0 / beta)
+        self.panel_z = self.q1 + hh
+        self.panel_ratio = np.full_like(hh, self.psi1)
+        far = hh > 1e-13 * self.q1
+        self.panel_ratio[far] = (psi(self.panel_z[far], params, self.spec)
+                                 - 1.0) / hh[far]
+        self.panel_r = self._r_spline(np.clip(hh, h[0], _H_MAX))
+        # the weight's factor delta^beta/(beta eps^beta) at delta = eps: not
+        # 1/beta, whose rounding differs, and the put reads every bit of H
+        self.panel_scale = eps ** beta / beta / eps ** beta
 
-    def _psi_second(self) -> float:
-        d = 1e-5 * max(self.q1, 1.0)
-        return (psi(self.q1 + d, self.params, self.spec)
-                - 2.0 * psi(self.q1, self.params, self.spec)
-                + psi(self.q1 - d, self.params, self.spec)) / (d * d)
 
-    def r_smooth(self, h):
-        return self._r_spline(np.clip(h, self._h_lo, _H_MAX))
+class _HStack:
+    """H_eps(theta, x) at every theta of some _HCaches of one params and
+    eps, one node x at a time.  Their R splines share their knots, so R of
+    every theta is one piecewise polynomial with a column per theta; a
+    node's tail is one (n_theta x grid) pass.  grids counts the tail grids
+    built."""
 
-    def h_value(self, x: float, tail: Optional[_HTail] = None) -> float:
-        """H_eps(theta, x) for x >= 0 by singular panel plus adaptive tail;
-        tail is the shared _HTail at x, built here if not given."""
-        q1, beta, eps = self.q1, self.beta, self.eps
-        delta = eps
-        # panel [q1, q1+delta]: integrand = G(h) h^(beta-1),
-        # G(h) = e^{-x(q1+h)+R(h)} * (h/(Psi-1)) * eps^{-beta} * h^{... }
-        # substitution h = delta * t^(1/beta) makes the weight exact
-        t = 0.5 * (_GAUSS32_X + 1.0)
-        wt = 0.5 * _GAUSS32_W
-        hh = delta * t ** (1.0 / beta)
-        z = q1 + hh
-        ratio = np.full_like(hh, self.psi1)
-        far = hh > 1e-13 * q1
-        ratio[far] = (psi(z[far], self.params, self.spec) - 1.0) / hh[far]
-        gg = np.exp(-x * z + self.r_smooth(hh)) / ratio
-        panel = (delta ** beta / beta / eps ** beta) * float(np.dot(wt, gg))
+    def __init__(self, hcs: list):
+        self.first = hcs[0]
+        self.beta = np.array([hc.beta for hc in hcs])[:, None]
+        self._r = PPoly.construct_fast(
+            np.stack([hc._r_spline.c for hc in hcs], axis=-1),
+            self.first._r_spline.x)
+        self._panel = [np.array([getattr(hc, name) for hc in hcs]) for name in
+                       ("panel_z", "panel_r", "panel_ratio", "panel_scale")]
+        self.grids = 0
 
-        # tail [q1+delta, inf): the integrand can rise over several decades
-        # (power growth from the inner integral) before e^{-xz} wins, so a
-        # theta whose log-integrand has not fallen 60 nats below its running
-        # maximum by the end of the grid gets its own grid, 5 longer.
-        shared = tail = _HTail(self, x) if tail is None else tail
+    def __call__(self, x: float) -> np.ndarray:
+        """H_eps(theta, x) at x >= 0, one entry per theta."""
+        z, r, ratio, scale = self._panel
+        gg = np.exp(-x * z + r) / ratio
+        # a dot product per theta: a matrix-vector product may sum the 32
+        # terms in another order
+        out = scale * np.array([np.dot(_PANEL_W, row) for row in gg])
+
+        # tail [q1+eps, inf): the integrand can rise over several decades
+        # (power growth from the inner integral) before e^{-xz} wins, so the
+        # thetas whose log-integrand has not fallen 60 nats below its
+        # maximum by the end of the grid run again on a grid 5 longer
+        tail = _HTail(self.first, x)
+        rows, beta, r_poly = np.arange(out.size), self.beta, self._r
         while True:
-            log_i = (tail.neg_xz + beta * tail.log_h_eps
-                     + self.r_smooth(tail.h) - tail.log_psi1) + tail.log_h
-            m = float(np.max(log_i))
-            if log_i[-1] < m - 60.0 or tail.z[-1] > 0.5 * _H_MAX:
-                break
-            tail = _HTail(self, x, tail.s_hi + 5.0)
-            shared.grids += 1
-        return panel + np.exp(m) * float(tail.simpson(np.exp(log_i - m)))
+            self.grids += 1
+            r_tail = r_poly(np.clip(tail.h, r_poly.x[0], _H_MAX)).T
+            log_i = (tail.neg_xz + beta * tail.log_h_eps + r_tail
+                     - tail.log_psi1) + tail.log_h
+            m = np.max(log_i, axis=1)
+            done = (log_i[:, -1] < m - 60.0) | (tail.z[-1] > 0.5 * _H_MAX)
+            log_i -= m[:, None]
+            tails = tail.simpson(np.exp(log_i, out=log_i))
+            out[rows[done]] += np.exp(m[done]) * tails[done]
+            if done.all():
+                return out
+            rows, beta = rows[~done], beta[~done]
+            r_poly = PPoly.construct_fast(r_poly.c[..., ~done], r_poly.x)
+            tail = _HTail(self.first, x, tail.s_hi + 5.0)
 
 
 class _HTail:
     """The theta-independent pieces of the tail of H_eps(., x) (see the
     module docstring), with the weights of scipy's irregular-grid Simpson
-    rule on s.  grids counts the grids built at x, including the own grids
-    of the thetas that outrun s_hi."""
+    rule on s."""
 
     def __init__(self, hc: _HCache, x: float, s_hi: Optional[float] = None):
         q1, eps = hc.q1, hc.eps
@@ -165,7 +196,6 @@ class _HTail:
         self.log_h_eps = np.log(self.h / eps)
         self.log_psi1 = np.log(psi(self.z, hc.params, hc.spec) - 1.0)
         self.log_h = np.log(self.h)
-        self.grids = 1
         # scipy.integrate.simpson(y, x=s) on an odd number of points is
         # sum(hsum/6 (y0 (2 - h1/h0) + y1 hsum^2/(h0 h1) + y2 (2 - h0/h1)))
         # over the panels (h0, h1); its y-free factors, rounded as scipy
@@ -176,10 +206,12 @@ class _HTail:
         self._simpson = (hsum / 6.0, 2.0 - 1.0 / h0_h1,
                          hsum * (hsum / (h0 * h1)), 2.0 - h0_h1)
 
-    def simpson(self, y: np.ndarray) -> float:
-        """scipy.integrate.simpson(y, x=self.s), bit for bit."""
+    def simpson(self, y: np.ndarray):
+        """scipy.integrate.simpson(y, x=self.s) along the last axis, bit for
+        bit: each row is one contiguous pairwise sum."""
         w, c0, c1, c2 = self._simpson
-        return np.sum(w * (y[0:-1:2] * c0 + y[1::2] * c1 + y[2::2] * c2))
+        return np.sum(w * (y[..., 0:-1:2] * c0 + y[..., 1::2] * c1
+                           + y[..., 2::2] * c2), axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -194,8 +226,8 @@ def h_scale(theta: float, x: float, eps: Optional[float],
     _check_finite(theta=theta, x=x)
     if x < 0.0:
         raise ValueError("x must be nonnegative")
-    cache = _cached_h(theta, _without_r0(params), eps)
-    return cache.h_value(x)
+    stack = _HStack([_cached_h(theta, _without_r0(params), eps)])
+    return float(stack(x)[0])
 
 
 def hitting_time_laplace(r0: float, y: float, theta: float,
@@ -211,8 +243,8 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
         raise ValueError("theta must be positive")
     if y >= r0:
         return 1.0
-    cache = _cached_h(theta, _without_r0(params), eps)
-    return cache.h_value(r0) / cache.h_value(y)
+    stack = _HStack([_cached_h(theta, _without_r0(params), eps)])
+    return float(stack(r0)[0] / stack(y)[0])
 
 
 def _m_nodes(step) -> tuple:
@@ -289,16 +321,12 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
     vals = np.zeros_like(thetas)
     if k_bar > 0.0:
         hcs = [_cached_h(th, params, None) for th in thetas.tolist()]
+        stack = _HStack(hcs)
         ys = 0.5 * k_bar * (_GAUSS64_X + 1.0)
         ws = 0.5 * k_bar * _GAUSS64_W
         below = ys < r0
         # node-major: column 0 of h is r0, the rest the nodes below r0
-        h = np.empty((thetas.size, 1 + np.count_nonzero(below)))
-        grids = 0
-        for j, x in enumerate([r0] + ys[below].tolist()):
-            tail = _HTail(hcs[0], x)
-            h[:, j] = [hc.h_value(x, tail) for hc in hcs]
-            grids += tail.grids
+        h = np.column_stack([stack(x) for x in [r0] + ys[below].tolist()])
         ratios = np.ones((thetas.size, ys.size))
         ratios[:, below] = h[:, :1] / h[:, 1:]
         curves = []
@@ -313,7 +341,7 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
         # the M curves are cut from one flow: the steps they share with it
         # (a prefix of its steps) and the tail steps each re-ran itself
         diag.update({"q1": hcs[0].q1, "eps": hcs[0].eps, "nodes": ys.size,
-                     "h_tail_grids": grids,
+                     "h_tail_grids": stack.grids,
                      "riccati_steps": max(c.shared for c in curves),
                      "riccati_tail_steps": sum(len(c.steps) - c.shared
                                                for c in curves)})

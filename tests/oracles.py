@@ -2,12 +2,14 @@
 the square-root-diffusion bond formula, its Gamma stationary law and the
 stable-driver Laplace transform; adaptive quadratures of the truncated
 Levy-measure integrals that the library evaluates in closed form; a plain
-Euler loop of the root scheme driven by given increments; and one
+Euler loop of the root scheme driven by given increments; one
 solve_ivp run of the Riccati flow to its horizon, integrated by its own
-Gauss rule: it shares no code with the library's cut of a shared flow."""
+Gauss rule: it shares no code with the library's cut of a shared flow; and
+H_eps(theta, x) one (theta, x) at a time, with scipy's Simpson rule on its
+own tail grids."""
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad, simpson, solve_ivp
 
 from alphacir.mechanism import JumpSpec, psi
 from alphacir.stable import levy_density_coefficient
@@ -135,3 +137,43 @@ def solve_v_ivp(xi: float, theta: float, horizon: float, params,
     if not sol.success:
         raise RuntimeError(f"Riccati flow failed: {sol.message}")
     return IvpCurve(sol)
+
+
+_G32_X, _G32_W = np.polynomial.legendre.leggauss(32)
+
+
+def h_value(hc, x: float) -> tuple:
+    """H_eps(theta, x) of one derivatives._HCache by its singular panel and
+    adaptive tail, and the number of tail grids it took: the library's
+    per-(theta, x) quadrature before the thetas of a put were stacked.
+    It reads only the R spline, the params, q1, beta, eps and Psi'(q1) of
+    hc."""
+    q1, beta, eps, params, spec = hc.q1, hc.beta, hc.eps, hc.params, hc.spec
+
+    def r_smooth(h):
+        return hc._r_spline(np.clip(h, hc._r_spline.x[0], 1e9))
+
+    # panel [q1, q1 + eps] with h = eps t^(1/beta)
+    t = 0.5 * (_G32_X + 1.0)
+    hh = eps * t ** (1.0 / beta)
+    z = q1 + hh
+    ratio = np.full_like(hh, hc.psi1)
+    far = hh > 1e-13 * q1
+    ratio[far] = (psi(z[far], params, spec) - 1.0) / hh[far]
+    gg = np.exp(-x * z + r_smooth(hh)) / ratio
+    panel = (eps ** beta / beta / eps ** beta) * float(np.dot(0.5 * _G32_W, gg))
+    # tail on z = q1 + eps e^s, s in [0, s_hi], until the log-integrand has
+    # fallen 60 nats below its maximum
+    s_hi, grids = np.log(max(100.0, 80.0 / max(x, 1e-12)) / eps), 0
+    while True:
+        s = np.linspace(0.0, s_hi, 6001)
+        zt = q1 + eps * np.exp(s)
+        h = zt - q1
+        log_i = (-x * zt + beta * np.log(h / eps) + r_smooth(h)
+                 - np.log(psi(zt, params, spec) - 1.0)) + np.log(h)
+        m = float(np.max(log_i))
+        grids += 1
+        if log_i[-1] < m - 60.0 or zt[-1] > 0.5e9:
+            break
+        s_hi += 5.0
+    return panel + np.exp(m) * float(simpson(np.exp(log_i - m), x=s)), grids

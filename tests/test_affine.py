@@ -88,6 +88,16 @@ def test_joint_laplace_rejects_bad_time(bond_params, t):
         joint_laplace(0.05, t, 0.0, 0.0, bond_params(alpha=1.5))
 
 
+@pytest.mark.parametrize("xi, theta", [(float("nan"), 0.0), (-1.0, 0.0),
+                                       (0.0, float("nan"))])
+def test_joint_laplace_rejects_bad_xi_theta(bond_params, xi, theta):
+    # checked before the t = 0 and xi = theta = 0 shortcuts, which returned
+    # nan, 1.0513 and 1.0 for these arguments at t = 0
+    with pytest.raises(ValueError,
+                       match="xi and theta must be finite and nonnegative"):
+        joint_laplace(0.05, 0.0, xi, theta, bond_params(alpha=1.5))
+
+
 def test_joint_laplace_short_time_expansion(bond_params):
     # for small t, E[e^{-p r_t}] ~ e^{-p r0} up to O(t)
     p = bond_params(alpha=1.5)

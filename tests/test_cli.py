@@ -159,6 +159,8 @@ def test_put_laplace_void_strike(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, theta", [
     (["put-laplace", "--theta", "400", "--strike", "0.04"], "400"),
     (["put-price", "--maturity", "0.02", "--strike", "0.04"], "138.629"),
+    # the remainder integral of H is not finite: a diagnostic, not bad input
+    (["put-laplace", "--theta", "1e300", "--strike", "0.04"], "1e+300"),
 ])
 def test_non_finite_put_exits_three(tmp_path, monkeypatch, capsys, argv,
                                     theta):

@@ -5,6 +5,7 @@ from scipy.integrate import quad, simpson
 from alphacir import affine, derivatives
 from alphacir.affine import solve_v, bond_price
 from alphacir.derivatives import (
+    _HStack,
     _HTail,
     _MCache,
     _cached_h,
@@ -18,8 +19,9 @@ from alphacir.derivatives import (
     put_laplace,
     put_price,
 )
-from alphacir.mechanism import root_psi_equals_one
-from oracles import solve_v_ivp
+from alphacir.affine import _without_r0
+from alphacir.mechanism import psi, root_psi_equals_one
+from oracles import h_value, solve_v_ivp
 
 KAPPA = 1.0
 STRIKE = 0.039941  # makes the effective strike ~0.03 at the bond fixture
@@ -182,8 +184,8 @@ def test_put_laplace_scalar_pin(bond_params):
 
 
 def test_put_laplace_array_equals_scalar_loop(bond_params):
-    # theta = 40 outruns the shared tail grid at alpha = 1.2 and gets its
-    # own grids, which the count includes
+    # theta = 40 outruns the shared tail grid at alpha = 1.2 and runs again
+    # on longer grids, which the count includes
     p = bond_params(alpha=1.2)
     thetas = np.array([0.5, 3.0, 40.0])
     vals, diag = put_laplace(thetas, KAPPA, 0.04, None, p,
@@ -320,3 +322,70 @@ def test_put_price_raises_on_unstable_inversion(bond_params):
     price, diag = put_price(1.0, KAPPA, 0.04, p.r0, p, n_terms=6,
                             with_diagnostics=True)
     assert 0.03 < diag["stability_gap"] / price < 0.05
+
+
+def _put_nodes(k_bar, r0):
+    """The strike nodes where put_laplace evaluates H: r0, then the Gauss
+    nodes of [0, k_bar] below r0."""
+    ys = 0.5 * k_bar * (np.polynomial.legendre.leggauss(64)[0] + 1.0)
+    return [r0] + ys[ys < r0].tolist()
+
+
+@pytest.mark.parametrize("alpha, thetas, strike, extra", [
+    (1.5, [float(th) for th in _stehfest_abscissae(1.0, 14)[1]], STRIKE, [0.0]),
+    (1.2, [0.5, 3.0, 40.0, 80.0], 0.04, []),
+], ids=["fixture", "outrun"])
+def test_h_stack_equals_per_theta_oracle(bond_params, alpha, thetas, strike,
+                                         extra):
+    # every H the put takes (at r0 and the nodes below it), node by node for
+    # all thetas at once, equals the one-(theta, x) quadrature bit for bit,
+    # and so does H at x = 0 (where it overflows for theta >= 40 at
+    # alpha = 1.2, so that case leaves it out).  At alpha = 1.2, theta = 40
+    # and 80 outrun the shared tail grid at most nodes; the rows that outrun
+    # a node share its longer grids, so a node builds as many grids as its
+    # longest theta
+    p = bond_params(alpha=alpha)
+    hcs = [_cached_h(th, _without_r0(p), None) for th in thetas]
+    stack = _HStack(hcs)
+    nodes = _put_nodes(effective_strike(KAPPA, strike, p)[0], p.r0) + extra
+    grids = own = 0
+    for x in nodes:
+        want, counts = zip(*(h_value(hc, x) for hc in hcs))
+        assert stack(x).tolist() == list(want)
+        grids += max(counts)
+        own += 1 + sum(c - 1 for c in counts)
+    assert stack.grids == grids
+    if alpha == 1.5:
+        assert grids == own == 65 + 1   # the put's 65 nodes, and x = 0
+    else:
+        # the shared grid of each node plus the longer grids of each theta
+        # that outruns it, one set per theta, would be more
+        assert len(nodes) < grids < own
+
+
+def test_one_theta_h_equals_oracle(bond_params):
+    p = bond_params(alpha=1.5)
+    hc = _cached_h(1.0, _without_r0(p), None)
+    assert h_scale(1.0, 0.02, None, p) == h_value(hc, 0.02)[0]
+    assert h_scale(1.0, 0.0, None, p) == h_value(hc, 0.0)[0]
+    assert hitting_time_laplace(p.r0, 0.02, 1.0, p) \
+        == h_value(hc, p.r0)[0] / h_value(hc, 0.02)[0]
+
+
+def test_panel_psi_is_paid_once_per_theta(bond_params, monkeypatch):
+    # a cold fixture put_laplace calls Psi twice per theta for the R spline
+    # (once on its grid, once for Psi''(q1)), once per theta for the
+    # singular panel and once per tail grid: 107 calls, where a panel per
+    # (theta, x) and three scalar calls for Psi''(q1) took 1031
+    p = bond_params(alpha=1.5)
+    derivatives._cached_h.cache_clear()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return psi(*args, **kwargs)
+
+    monkeypatch.setattr(derivatives, "psi", counted)
+    thetas = [float(th) for th in _stehfest_abscissae(1.0, 14)[1]]
+    put_laplace(thetas, KAPPA, STRIKE, p.r0, p)
+    assert len(calls) == 14 * 3 + 65
