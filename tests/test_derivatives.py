@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from alphacir import affine, derivatives
-from alphacir.affine import solve_v, bond_price
+from alphacir.affine import _without_r0, bond_price, solve_v
 from alphacir.derivatives import (
     _HStack,
     _HTail,
@@ -19,7 +19,6 @@ from alphacir.derivatives import (
     put_laplace,
     put_price,
 )
-from alphacir.affine import _without_r0
 from alphacir.mechanism import psi, root_psi_equals_one
 from oracles import h_value, solve_v_ivp
 
