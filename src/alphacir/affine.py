@@ -57,9 +57,7 @@ class _Step:
         self.y, self.f, self.h_abs = solver.y, solver.f, solver.h_abs
         self.dense = solver.dense_output()
         self.cum = before[-1].end if before else 0.0
-        mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
-        self.end = self.cum + half * np.dot(
-            _GAUSS_W, self.dense(mid + half * _GAUSS_X)[0])
+        self.end = float(self.integral(np.array([self.hi]))[0])
         self.memo = {}
 
     def integral(self, t: np.ndarray) -> np.ndarray:

@@ -23,10 +23,10 @@ the params, eps and x; theta enters H only through beta and the spline R of
 the remainder.  The R splines of one params share their knots, so R of all
 thetas on a node's grid is one call of a piecewise polynomial with a column
 per theta, and the tail is one (n_theta x grid) pass: log-integrand, row
-maximum, exp and Simpson by rows.  Only the thetas whose integrand has not
-decayed by the end of the grid run again, on longer grids they share.  The
-singular panel's nodes depend on theta only; its Psi and R are evaluated
-once per theta, with the spline.
+maximum, exp, and scipy's Simpson rule on s, row by row.  Only the thetas
+whose integrand has not decayed by the end of the grid run again, on longer
+grids they share.  The singular panel's nodes depend on theta only; its Psi
+and R are evaluated once per theta, with the spline.
 
 M(theta, .) integrates over v on [0, max(50/(theta + ab x0), 5)], and the
 strike uses v on [0, kappa].  All these curves are cuts of the params' one
@@ -57,11 +57,11 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline, PPoly
 
 from .affine import _without_r0, solve_v
-from .mechanism import JumpSpec, ModelParams, psi, psi_prime, root_psi_equals_one
+from .mechanism import ModelParams, psi, psi_prime, root_psi_equals_one
 
 _GAUSS64_X, _GAUSS64_W = np.polynomial.legendre.leggauss(64)
 _GAUSS32_X, _GAUSS32_W = np.polynomial.legendre.leggauss(32)
@@ -90,9 +90,8 @@ class _HCache:
         if theta <= 0.0:
             raise ValueError("theta must be positive")
         self.params = params
-        self.spec = JumpSpec.full()
-        self.q1 = root_psi_equals_one(params, self.spec)
-        self.psi1 = psi_prime(self.q1, params, self.spec)
+        self.q1 = root_psi_equals_one(params)
+        self.psi1 = psi_prime(self.q1, params)
         ab = params.a * params.b
         self.beta = (ab * self.q1 + theta) / self.psi1
         self.eps = self.q1 / 10.0 if eps is None else eps
@@ -103,13 +102,12 @@ class _HCache:
         # its limit as h -> 0, where Psi(q1 + h) - 1 loses every digit
         far = h >= 1e-9 * max(self.q1, 1.0)
         d = 1e-5 * max(self.q1, 1.0)      # Psi''(q1) by a central difference
-        lo, mid, hi = psi(self.q1 + d * np.array([-1.0, 0.0, 1.0]), params,
-                          self.spec)
+        lo, mid, hi = psi(self.q1 + d * np.array([-1.0, 0.0, 1.0]), params)
         psi2 = (hi - 2.0 * mid + lo) / (d * d)
         s_vals = np.full_like(h, ab / self.psi1
                               - self.beta * psi2 / (2.0 * self.psi1))
         u = self.q1 + h[far]
-        s_vals[far] = ((ab * u + theta) / (psi(u, params, self.spec) - 1.0)
+        s_vals[far] = ((ab * u + theta) / (psi(u, params) - 1.0)
                        - self.beta / h[far])
         r_of_h = cumulative_simpson(s_vals, x=h, initial=0.0)
         if not np.all(np.isfinite(r_of_h)):
@@ -124,8 +122,7 @@ class _HCache:
         self.panel_z = self.q1 + hh
         self.panel_ratio = np.full_like(hh, self.psi1)
         far = hh > 1e-13 * self.q1
-        self.panel_ratio[far] = (psi(self.panel_z[far], params, self.spec)
-                                 - 1.0) / hh[far]
+        self.panel_ratio[far] = (psi(self.panel_z[far], params) - 1.0) / hh[far]
         self.panel_r = self._r_spline(np.clip(hh, h[0], _H_MAX))
         # the weight's factor delta^beta/(beta eps^beta) at delta = eps: not
         # 1/beta, whose rounding differs, and the put reads every bit of H
@@ -140,11 +137,11 @@ class _HStack:
     built."""
 
     def __init__(self, hcs: list):
-        self.first = hcs[0]
+        self.q1, self.eps, self.params = hcs[0].q1, hcs[0].eps, hcs[0].params
         self.beta = np.array([hc.beta for hc in hcs])[:, None]
         self._r = PPoly.construct_fast(
             np.stack([hc._r_spline.c for hc in hcs], axis=-1),
-            self.first._r_spline.x)
+            hcs[0]._r_spline.x)
         self._panel = [np.array([getattr(hc, name) for hc in hcs]) for name in
                        ("panel_z", "panel_r", "panel_ratio", "panel_scale")]
         self.grids = 0
@@ -157,66 +154,47 @@ class _HStack:
         # terms in another order
         out = scale * np.array([np.dot(_PANEL_W, row) for row in gg])
 
-        # tail [q1+eps, inf): the integrand can rise over several decades
-        # (power growth from the inner integral) before e^{-xz} wins, so the
-        # thetas whose log-integrand has not fallen 60 nats below its
-        # maximum by the end of the grid run again on a grid 5 longer
-        tail = _HTail(self.first, x)
+        # tail [q1+eps, inf) on z = q1 + eps e^s: the integrand can rise
+        # over several decades (power growth from the inner integral) before
+        # e^{-xz} wins, so the thetas whose log-integrand has not fallen 60
+        # nats below its maximum by the end of the grid run again on a grid
+        # 5 longer
+        q1, eps, params = self.q1, self.eps, self.params
+        s_hi = np.log(max(100.0, 80.0 / max(x, 1e-12)) / eps)
         rows, beta, r_poly = np.arange(out.size), self.beta, self._r
         while True:
             self.grids += 1
-            r_tail = r_poly(np.clip(tail.h, r_poly.x[0], _H_MAX)).T
-            log_i = (tail.neg_xz + beta * tail.log_h_eps + r_tail
-                     - tail.log_psi1) + tail.log_h
+            s = np.linspace(0.0, s_hi, 6001)
+            z = q1 + eps * np.exp(s)
+            h = z - q1
+            r_tail = r_poly(np.clip(h, r_poly.x[0], _H_MAX)).T
+            log_i = (-x * z + beta * np.log(h / eps) + r_tail
+                     - np.log(psi(z, params) - 1.0)) + np.log(h)
             m = np.max(log_i, axis=1)
-            done = (log_i[:, -1] < m - 60.0) | (tail.z[-1] > 0.5 * _H_MAX)
+            done = (log_i[:, -1] < m - 60.0) | (z[-1] > 0.5 * _H_MAX)
             log_i -= m[:, None]
-            tails = tail.simpson(np.exp(log_i, out=log_i))
+            tails = simpson(np.exp(log_i, out=log_i), x=s, axis=-1)
             out[rows[done]] += np.exp(m[done]) * tails[done]
             if done.all():
                 return out
             rows, beta = rows[~done], beta[~done]
             r_poly = PPoly.construct_fast(r_poly.c[..., ~done], r_poly.x)
-            tail = _HTail(self.first, x, tail.s_hi + 5.0)
-
-
-class _HTail:
-    """The theta-independent pieces of the tail of H_eps(., x) (see the
-    module docstring), with the weights of scipy's irregular-grid Simpson
-    rule on s."""
-
-    def __init__(self, hc: _HCache, x: float, s_hi: Optional[float] = None):
-        q1, eps = hc.q1, hc.eps
-        self.s_hi = (np.log(max(100.0, 80.0 / max(x, 1e-12)) / eps)
-                     if s_hi is None else s_hi)
-        self.s = np.linspace(0.0, self.s_hi, 6001)
-        self.z = q1 + eps * np.exp(self.s)
-        self.h = self.z - q1
-        self.neg_xz = -x * self.z
-        self.log_h_eps = np.log(self.h / eps)
-        self.log_psi1 = np.log(psi(self.z, hc.params, hc.spec) - 1.0)
-        self.log_h = np.log(self.h)
-        # scipy.integrate.simpson(y, x=s) on an odd number of points is
-        # sum(hsum/6 (y0 (2 - h1/h0) + y1 hsum^2/(h0 h1) + y2 (2 - h0/h1)))
-        # over the panels (h0, h1); its y-free factors, rounded as scipy
-        # rounds them
-        h = np.diff(self.s)
-        h0, h1 = h[0::2], h[1::2]
-        hsum, h0_h1 = h0 + h1, h0 / h1
-        self._simpson = (hsum / 6.0, 2.0 - 1.0 / h0_h1,
-                         hsum * (hsum / (h0 * h1)), 2.0 - h0_h1)
-
-    def simpson(self, y: np.ndarray):
-        """scipy.integrate.simpson(y, x=self.s) along the last axis, bit for
-        bit: each row is one contiguous pairwise sum."""
-        w, c0, c1, c2 = self._simpson
-        return np.sum(w * (y[..., 0:-1:2] * c0 + y[..., 1::2] * c1
-                           + y[..., 2::2] * c2), axis=-1)
+            s_hi += 5.0
 
 
 @lru_cache(maxsize=64)
 def _cached_h(theta: float, params: ModelParams, eps: Optional[float]) -> _HCache:
     return _HCache(theta, params, eps)
+
+
+def _h_values(theta, params, eps, *xs) -> list:
+    """H_eps(theta, x) at each x, in order; raises RuntimeError when one of
+    them is not finite."""
+    stack = _HStack([_cached_h(theta, _without_r0(params), eps)])
+    values = [float(stack(x)[0]) for x in xs]
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError(f"H not finite at theta = {theta:g}")
+    return values
 
 
 def h_scale(theta: float, x: float, eps: Optional[float],
@@ -226,8 +204,7 @@ def h_scale(theta: float, x: float, eps: Optional[float],
     _check_finite(theta=theta, x=x)
     if x < 0.0:
         raise ValueError("x must be nonnegative")
-    stack = _HStack([_cached_h(theta, _without_r0(params), eps)])
-    return float(stack(x)[0])
+    return _h_values(theta, params, eps, x)[0]
 
 
 def hitting_time_laplace(r0: float, y: float, theta: float,
@@ -243,8 +220,8 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
         raise ValueError("theta must be positive")
     if y >= r0:
         return 1.0
-    stack = _HStack([_cached_h(theta, _without_r0(params), eps)])
-    return float(stack(r0)[0] / stack(y)[0])
+    h_r0, h_y = _h_values(theta, params, eps, r0, y)
+    return h_r0 / h_y
 
 
 def _m_nodes(step) -> tuple:
@@ -265,8 +242,7 @@ class _MCache:
     def __init__(self, theta: float, params: ModelParams):
         if theta <= 0.0:
             raise ValueError("theta must be positive")
-        self.theta = theta
-        self.params = params
+        self.theta, self.params = theta, params
         x0 = root_psi_equals_one(params)
         decay = theta + params.a * params.b * x0
         horizon = max(50.0 / decay, 5.0)
@@ -320,10 +296,8 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
     diag = {"kbar": k_bar, "void": k_bar <= 0.0}
     vals = np.zeros_like(thetas)
     if k_bar > 0.0:
-        hcs = [_cached_h(th, params, None) for th in thetas.tolist()]
-        stack = _HStack(hcs)
-        ys = 0.5 * k_bar * (_GAUSS64_X + 1.0)
-        ws = 0.5 * k_bar * _GAUSS64_W
+        stack = _HStack([_cached_h(th, params, None) for th in thetas.tolist()])
+        ys, ws = 0.5 * k_bar * (_GAUSS64_X + 1.0), 0.5 * k_bar * _GAUSS64_W
         below = ys < r0
         # node-major: column 0 of h is r0, the rest the nodes below r0
         h = np.column_stack([stack(x) for x in [r0] + ys[below].tolist()])
@@ -340,7 +314,7 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
                                f"{', '.join(f'{th:g}' for th in bad)}")
         # the M curves are cut from one flow: the steps they share with it
         # (a prefix of its steps) and the tail steps each re-ran itself
-        diag.update({"q1": hcs[0].q1, "eps": hcs[0].eps, "nodes": ys.size,
+        diag.update({"q1": stack.q1, "eps": stack.eps, "nodes": ys.size,
                      "h_tail_grids": stack.grids,
                      "riccati_steps": max(c.shared for c in curves),
                      "riccati_tail_steps": sum(len(c.steps) - c.shared

@@ -109,6 +109,9 @@ def _grid(dt: float, horizon: float):
 
 _NO_EVENTS = np.empty(0, dtype=np.intp)
 _BLOCK = 2 ** 14       # variates drawn per stream refill, at least
+# mid-band jumps a thinned step may expect over all its paths: each takes a
+# key, a mark and a few temporaries, about 0.45 GB at this bound
+_MID_BAND_MAX = 2 ** 23
 
 
 class _Stream:
@@ -279,6 +282,9 @@ class _ThinnedStep:
     added to its gap, repeated while the gap is still negative, so every
     arrival in the step counts.
 
+    A step that expects more than _MID_BAND_MAX mid-band jumps over all
+    its paths raises RuntimeError before it draws them.
+
     Draw order: the normals, the mid band's Exp(1) keys and its marks come
     from three flat streams (_Stream), each refilled max(_BLOCK, k) at a
     time at the point of the step that runs it dry.  A step of n paths
@@ -357,7 +363,11 @@ class _ThinnedStep:
         else:
             cum, rates = r.cumsum(), r
             x += np.sqrt(r) * self.normals.take(n, rng)
-        tot = rng.poisson(cum[-1] * self.nu_mid_dt) if n else 0
+        mean = cum[-1] * self.nu_mid_dt if n else 0.0
+        if mean > _MID_BAND_MAX:
+            raise RuntimeError(f"mid-band overflow guard tripped: {mean:.3g} "
+                               "jumps expected in one thinned step")
+        tot = rng.poisson(mean) if n else 0
         if tot:
             keys = self.keys.take(tot + 1, rng).cumsum()
             # the last path owns every key past the others' cumulative sum

@@ -148,7 +148,7 @@ def h_value(hc, x: float) -> tuple:
     per-(theta, x) quadrature before the thetas of a put were stacked.
     It reads only the R spline, the params, q1, beta, eps and Psi'(q1) of
     hc."""
-    q1, beta, eps, params, spec = hc.q1, hc.beta, hc.eps, hc.params, hc.spec
+    q1, beta, eps, params = hc.q1, hc.beta, hc.eps, hc.params
 
     def r_smooth(h):
         return hc._r_spline(np.clip(h, hc._r_spline.x[0], 1e9))
@@ -159,7 +159,7 @@ def h_value(hc, x: float) -> tuple:
     z = q1 + hh
     ratio = np.full_like(hh, hc.psi1)
     far = hh > 1e-13 * q1
-    ratio[far] = (psi(z[far], params, spec) - 1.0) / hh[far]
+    ratio[far] = (psi(z[far], params) - 1.0) / hh[far]
     gg = np.exp(-x * z + r_smooth(hh)) / ratio
     panel = (eps ** beta / beta / eps ** beta) * float(np.dot(0.5 * _G32_W, gg))
     # tail on z = q1 + eps e^s, s in [0, s_hi], until the log-integrand has
@@ -170,7 +170,7 @@ def h_value(hc, x: float) -> tuple:
         zt = q1 + eps * np.exp(s)
         h = zt - q1
         log_i = (-x * zt + beta * np.log(h / eps) + r_smooth(h)
-                 - np.log(psi(zt, params, spec) - 1.0)) + np.log(h)
+                 - np.log(psi(zt, params) - 1.0)) + np.log(h)
         m = float(np.max(log_i))
         grids += 1
         if log_i[-1] < m - 60.0 or zt[-1] > 0.5e9:

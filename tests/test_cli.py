@@ -156,6 +156,15 @@ def test_put_laplace_void_strike(tmp_path, monkeypatch):
     assert doc["diagnostics"]["void"] is True
 
 
+def test_put_price_void_strike(tmp_path, monkeypatch):
+    # a negative effective strike prices the put at zero
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["put-price", "--maturity", "1", "--strike", "0.005"]) == 0
+    doc = json.loads((tmp_path / "put_price_result.json").read_text())
+    assert doc["price"] == 0.0
+    assert doc["diagnostics"]["void"] is True
+
+
 @pytest.mark.parametrize("argv, theta", [
     (["put-laplace", "--theta", "400", "--strike", "0.04"], "400"),
     (["put-price", "--maturity", "0.02", "--strike", "0.04"], "138.629"),
@@ -170,6 +179,17 @@ def test_non_finite_put_exits_three(tmp_path, monkeypatch, capsys, argv,
     with np.errstate(all="ignore"):
         assert run(argv) == 3
     assert f"theta = {theta}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_thinned_mid_band_overflow_exits_three(tmp_path, monkeypatch, capsys):
+    # about 2e10 mid-band jumps a step: a diagnostic, not an allocation error
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["simulate", "--scheme", "thinned", "--y", "1e-8",
+                "--horizon", "0.01"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical diagnostic failure: mid-band overflow")
+    assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 
 

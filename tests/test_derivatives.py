@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 
 from alphacir import affine, derivatives
 from alphacir.affine import _without_r0, bond_price, solve_v
 from alphacir.derivatives import (
     _HStack,
-    _HTail,
     _MCache,
     _cached_h,
     _stehfest_abscissae,
@@ -124,6 +123,32 @@ def test_put_laplace_void_when_effective_strike_negative(bond_params):
     val, diag = put_laplace(1.0, KAPPA, 0.005, p.r0, p, with_diagnostics=True)
     assert val == 0.0
     assert diag["void"]
+
+
+def test_put_price_void_when_effective_strike_negative(bond_params,
+                                                      monkeypatch):
+    # a void strike prices at 0 without inverting anything
+    p = bond_params(alpha=1.5)
+
+    def no_inversion(*args, **kwargs):
+        raise AssertionError("void put called gaver_stehfest")
+
+    monkeypatch.setattr(derivatives, "gaver_stehfest", no_inversion)
+    price, diag = put_price(1.0, KAPPA, 0.005, p.r0, p, with_diagnostics=True)
+    assert price == 0.0
+    assert diag["void"] and diag["kbar"] <= 0.0
+    assert put_price(1.0, KAPPA, 0.005, p.r0, p) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: hitting_time_laplace(0.05, 0.02, 400.0, p),
+    lambda p: h_scale(400.0, 0.02, None, p),
+], ids=["hitting_time_laplace", "h_scale"])
+def test_non_finite_h_raises(bond_params, call):
+    # H overflows at theta = 400 at the bond set; a NaN is not a value
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError, match="H not finite at theta = 400"):
+            call(bond_params(alpha=1.5))
 
 
 def test_put_laplace_completely_monotone_start(bond_params):
@@ -281,14 +306,6 @@ def test_m_cache_equals_solve_ivp_curve(bond_params, alpha):
             for got, want in zip((mc.u, mc.w, mc.v_u, mc.iv_u),
                                  _m_arrays_ivp(theta, p)):
                 assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("x, s_hi", [(0.02, None), (0.0, None), (0.02, 60.0)],
-                         ids=["shared", "shared-x0", "own-grid"])
-def test_h_tail_simpson_equals_scipy(bond_params, x, s_hi):
-    tail = _HTail(_cached_h(1.0, bond_params(alpha=1.5), None), x, s_hi)
-    y = np.exp(-0.3 * tail.s) * (1.0 + 0.1 * np.sin(7.0 * tail.s))
-    assert tail.simpson(y) == simpson(y, x=tail.s)
 
 
 def test_put_fixture_keeps_bits_after_long_bond(bond_params):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import root_euler_paths
@@ -356,6 +358,24 @@ def test_jump_kernels_reject_bad_threshold(jump_params, batch, y):
     with pytest.raises(ValueError, match="threshold"):
         batch(jump_params(alpha=1.5), y, 1e-2, 1.0, 4,
               np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("run", [
+    lambda p, rng: simulate_thinned_batch(p, 1e-8, 1e-3, 0.01, 1, rng),
+    lambda p, rng: first_passage_thinned(p, 1e-8, 1e-3, 0.01, 1, rng),
+    lambda p, rng: simulate_lou_batch(p, 1e-8, 1e-3, 0.01, 1, rng),
+], ids=["thinned", "first_passage", "lou"])
+def test_mid_band_overflow_raises_before_drawing(bond_params, run):
+    # at y = 1e-8 a step of one path at r0 0.05 expects about 2e10 mid-band
+    # jumps, whose keys alone would take 160 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="mid-band overflow guard"):
+            run(bond_params(alpha=1.5), np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("run", [
