@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -54,6 +56,7 @@ from .sim import (
     simulate_lou,
     simulate_root,
     simulate_thinned,
+    write_csv,
 )
 from .stable import StableSpec, sample_stable_increment
 
@@ -98,8 +101,14 @@ def write_sidecar(path, command: str, params: Optional[ModelParams],
 
 
 def _write_csv(stem, header, columns) -> None:
-    arr = np.column_stack(columns)
-    np.savetxt(stem + ".csv", arr, delimiter=",", header=header, comments="")
+    write_csv(stem + ".csv", header, np.column_stack(columns))
+
+
+def _curve_grid(start: float, stop: float, points: int) -> np.ndarray:
+    """The --points grid of a curve command; an empty curve is rejected."""
+    if points < 1:
+        raise ValueError(f"--points must be >= 1, got {points}")
+    return np.linspace(start, stop, points)
 
 
 # ---------------------------------------------------------------- simulate
@@ -129,8 +138,8 @@ def cmd_simulate(args, params):
 
 
 def cmd_bond(args, params):
+    grid = _curve_grid(0.0, args.tmax, args.points)
     curve = solve_v(0.0, 1.0, args.tmax, params)
-    grid = np.linspace(0.0, args.tmax, args.points)
     prices = [bond_price_from_curve(curve, T, params.r0) for T in grid]
     _write_csv(args.out, "T,price", [grid, prices])
     return {"tmax": args.tmax, "points": args.points}, None
@@ -162,7 +171,7 @@ def cmd_put_price(args, params):
 
 
 def cmd_stationary(args, params):
-    grid = np.linspace(0.0, args.pmax, args.points)
+    grid = _curve_grid(0.0, args.pmax, args.points)
     vals = [stationary_laplace(p, params) for p in grid]
     _write_csv(args.out, "p,laplace", [grid, vals])
     return {"pmax": args.pmax, "points": args.points}, None
@@ -185,7 +194,7 @@ def cmd_measure_change(args, params):
 
 
 def cmd_jump_survival(args, params):
-    grid = np.linspace(0.0, args.tmax, args.points)
+    grid = _curve_grid(0.0, args.tmax, args.points)
     t_chk = 0.5 * args.tmax
     curve = survival_curve(args.y_bar, np.append(grid, t_chk), params)
     s1 = curve.derived[-1]
@@ -198,7 +207,7 @@ def cmd_jump_survival(args, params):
 
 
 def cmd_jump_counter(args, params):
-    grid = np.linspace(0.0, args.tmax, args.points)
+    grid = _curve_grid(0.0, args.tmax, args.points)
     vals = counter_laplace(args.p, args.y_bar, grid, params)
     _write_csv(args.out, "t,counter_laplace", [grid, vals])
     return ({"p": args.p, "y_bar": args.y_bar, "tmax": args.tmax,
@@ -230,15 +239,21 @@ def cmd_hawkes_limit(args, params):
 
 
 def _fig2_rate(alpha: float, dt: float, dB: np.ndarray, dz: np.ndarray):
-    """Root Euler short rate at FIG12_PARAMS driven by the increments dB, dz."""
+    """Root Euler short rate at FIG12_PARAMS driven by the increments dB, dz.
+
+    The loop runs on Python floats, read from memoryviews of dB and dz and
+    kept in an array("d"), so no per-step object outlives its step: float
+    ** calls libm pow as NumPy's scalar power does, and sqrt is correctly
+    rounded, so the path is the one NumPy scalars give, bit for bit."""
     a, b, sig, sz = (FIG12_PARAMS[k] for k in ("a", "b", "sigma", "sigma_z"))
-    r = np.empty(dz.size + 1)
-    r[0] = FIG12_PARAMS["r0"]
-    for k in range(dz.size):
-        rp = max(r[k], 0.0)
-        r[k + 1] = max(r[k] + a * (b - rp) * dt + sig * np.sqrt(rp) * dB[k]
-                       + sz * rp ** (1.0 / alpha) * dz[k], 0.0)
-    return r
+    rk = FIG12_PARAMS["r0"]
+    r = array("d", [rk])
+    for db, z in zip(memoryview(dB), memoryview(dz)):
+        rp = max(rk, 0.0)
+        rk = max(rk + a * (b - rp) * dt + sig * math.sqrt(rp) * db
+                 + sz * rp ** (1.0 / alpha) * z, 0.0)
+        r.append(rk)
+    return np.array(r)
 
 
 def cmd_fig12(args, params):
@@ -261,7 +276,7 @@ def cmd_fig12(args, params):
 
 
 def cmd_fig3(args, params):
-    grid = np.linspace(0.0, args.tmax, args.points)
+    grid = _curve_grid(0.0, args.tmax, args.points)
     models = {f"alpha_{alpha}": ModelParams(alpha=alpha, **FIG3_PARAMS)
               for alpha in (1.2, 1.5, 2.0)}
     models["cir"] = ModelParams(alpha=2.0, **{**FIG3_PARAMS, "sigma_z": 0.0})
@@ -274,7 +289,7 @@ def cmd_fig3(args, params):
 
 
 def cmd_fig4(args, params):
-    grid = np.linspace(0.0, args.tmax, args.points)
+    grid = _curve_grid(0.0, args.tmax, args.points)
     cols, names = [], []
     for alpha in (1.2, 1.5, 1.8):
         p = ModelParams(alpha=alpha, **FIG45_PARAMS)
@@ -287,7 +302,7 @@ def cmd_fig4(args, params):
 
 
 def cmd_fig5(args, params):
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
+    alphas = _curve_grid(args.alpha_min, args.alpha_max, args.points)
     vals = []
     for alpha in alphas:
         p = ModelParams(alpha=float(alpha), **FIG45_PARAMS)

@@ -26,14 +26,15 @@ trapezoid integral, the first-event times and event log, the running
 minimum and the kept paths.  First passage keeps its own loop because its
 path set shrinks; it is one run to its horizon that stops once every path
 has jumped.  Batch functions return arrays over paths and drive everything
-from one Generator; the single-path wrappers are the batch functions at
-n = 1 and return Path objects for the CLI.
+from one Generator.  The single-path functions run the same step kernel
+through _run at n = 1 without the integral, so a path draws exactly what
+the batch function at n = 1 draws, and return Path objects for the CLI.
+write_csv writes every CSV of the package in np.savetxt's format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -52,6 +53,21 @@ from .stable import (
 )
 
 _HAWKES_GRID_POINTS = 201       # grid of the single Hawkes path
+_CSV_ROWS = 1024    # rows per % call of write_csv; 4 columns take about 0.3 MB
+
+
+def write_csv(path, header: str, arr: np.ndarray) -> None:
+    """Write the 2-D float array arr to path with one header line: the bytes
+    of np.savetxt(path, arr, delimiter=",", header=header, comments=""),
+    each row "%.18e" fields joined by "," and ended by "\n".  Rows are
+    formatted _CSV_ROWS at a time, one % of the repeated row template per
+    block."""
+    line = ",".join(["%.18e"] * arr.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(arr), _CSV_ROWS):
+            block = arr[i:i + _CSV_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -82,12 +98,11 @@ class Path:
     events: list = field(default_factory=list)   # (time, size in rate units)
 
     def to_csv(self, path) -> None:
-        arr = np.column_stack([self.times, self.values])
-        np.savetxt(path, arr, delimiter=",", header="t,r", comments="")
+        write_csv(path, "t,r", np.column_stack([self.times, self.values]))
 
     def events_to_csv(self, path) -> None:
-        arr = np.array(self.events, dtype=float).reshape(-1, 2)
-        np.savetxt(path, arr, delimiter=",", header="t,size", comments="")
+        write_csv(path, "t,size",
+                  np.array(self.events, dtype=float).reshape(-1, 2))
 
 
 def first_large_jump(path: Path) -> Optional[float]:
@@ -538,19 +553,23 @@ def simulate_hawkes_batch(a: float, b: float, sigma_z: float, horizon: float,
     return lam / n
 
 
-def _path(run, config: SimConfig, rng: Optional[np.random.Generator],
-          log=()) -> Path:
-    """The n = 1 body of the single-path functions: run is a batch function
-    with its model bound, log the event list it appends to."""
+def _path(step, r0: float, config: SimConfig,
+          rng: Optional[np.random.Generator]) -> Path:
+    """The body of the single-path functions: one path of the step kernel
+    from r0 through _run, which keeps it and logs its big jumps but skips
+    the integral.  It draws what the scheme's batch function draws at
+    n_paths = 1 with the same rng (config.seed when rng is None)."""
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    *_, out, times = run(config.dt, config.horizon, 1, rng, keep_paths=True)
+    log = []
+    *_, (out, times) = _run(step, r0, config.horizon, 1, rng, integral=False,
+                            keep_paths=True, events=log)
     return Path(times=times, values=out[0],
                 events=[(t, size) for _, t, size in log])
 
 
 def simulate_root(params: ModelParams, config: SimConfig,
                   rng: Optional[np.random.Generator] = None) -> Path:
-    return _path(partial(simulate_root_batch, params), config, rng)
+    return _path(_RootStep(params, config.dt, False), params.r0, config, rng)
 
 
 def _threshold(config: SimConfig) -> float:
@@ -562,16 +581,14 @@ def _threshold(config: SimConfig) -> float:
 
 def simulate_thinned(params: ModelParams, config: SimConfig,
                      rng: Optional[np.random.Generator] = None) -> Path:
-    log = []
-    return _path(partial(simulate_thinned_batch, params, _threshold(config),
-                         events=log), config, rng, log)
+    step = _ThinnedStep(params, _threshold(config), config.dt)
+    return _path(step, params.r0, config, rng)
 
 
 def simulate_lou(params: ModelParams, config: SimConfig,
                  rng: Optional[np.random.Generator] = None) -> Path:
-    log = []
-    return _path(partial(simulate_lou_batch, params, _threshold(config),
-                         events=log), config, rng, log)
+    step = _ThinnedStep(params, _threshold(config), config.dt, frozen=True)
+    return _path(step, params.r0, config, rng)
 
 
 def simulate_hawkes(a: float, b: float, sigma_z: float, horizon: float,

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import RK45
 
 from alphacir import affine
-from alphacir.cli import run, write_sidecar
+from alphacir.cli import FIG12_PARAMS, _fig2_rate, run, write_sidecar
+from alphacir.stable import StableSpec, sample_stable_increment
 
 JUMP_FLAGS = ["--a", "0.1", "--b", "0.1", "--sigma", "0.1", "--sigma-z",
               "0.1", "--r0", "0.2"]
@@ -269,6 +270,38 @@ def test_fig1_fig2_share_driver(tmp_path, monkeypatch):
     r = np.loadtxt(tmp_path / "fig2.csv", delimiter=",", skiprows=1)
     assert z.shape == r.shape
     assert np.all(r[:, 1:] >= 0.0)
+
+
+def _fig2_rate_numpy(alpha, dt, dB, dz):
+    # the NumPy-scalar loop fig2 ran before its Python-float one
+    a, b, sig, sz = (FIG12_PARAMS[k] for k in ("a", "b", "sigma", "sigma_z"))
+    r = np.empty(dz.size + 1)
+    r[0] = FIG12_PARAMS["r0"]
+    for k in range(dz.size):
+        rp = max(r[k], 0.0)
+        r[k + 1] = max(r[k] + a * (b - rp) * dt + sig * np.sqrt(rp) * dB[k]
+                       + sz * rp ** (1.0 / alpha) * dz[k], 0.0)
+    return r
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.2])
+def test_fig2_rate_equals_numpy_scalar_loop(alpha):
+    dt, n = 1e-3, 20_000
+    rng = np.random.default_rng(3)
+    dB = rng.normal(0.0, np.sqrt(dt), n)
+    dz = sample_stable_increment(StableSpec(alpha=alpha), dt, rng, size=n)
+    np.testing.assert_array_equal(_fig2_rate(alpha, dt, dB, dz),
+                                  _fig2_rate_numpy(alpha, dt, dB, dz))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bond"], ["stationary"], ["jump-survival"], ["jump-counter", "--p", "1"],
+    ["fig3"], ["fig4"], ["fig5"]], ids=lambda argv: argv[0])
+def test_zero_points_exits_two(tmp_path, monkeypatch, capsys, argv):
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(argv + ["--points", "0"]) == 2
+    assert "--points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 _STEP_FAILURE = "Required step size is less than spacing between numbers."

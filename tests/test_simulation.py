@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from alphacir.jumps import lou_first_jump_cdf
 from alphacir.mechanism import truncated_drift
 from alphacir.sim import (
     _BLOCK,
+    _CSV_ROWS,
     _ThinnedStep,
     Path,
     SimConfig,
@@ -21,6 +23,7 @@ from alphacir.sim import (
     simulate_root_batch,
     simulate_thinned,
     simulate_thinned_batch,
+    write_csv,
 )
 from alphacir.stable import (
     StableSpec,
@@ -469,3 +472,44 @@ def test_path_csv_round_trip(tmp_path):
     path.to_csv(f)
     arr = np.loadtxt(f, delimiter=",", skiprows=1)
     np.testing.assert_allclose(arr[:, 1], path.values)
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7e308]
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CSV_ROWS + 1])
+@pytest.mark.parametrize("cols", [2, 5])
+def test_write_csv_is_savetxt(tmp_path, rows, cols):
+    # 0 rows is the header-only events file; _CSV_ROWS + 1 rows take two
+    # format blocks
+    arr = np.random.default_rng(rows + cols).standard_normal((rows, cols))
+    arr.flat[:min(arr.size, len(_SPECIAL))] = _SPECIAL[:arr.size]
+    header = ",".join(f"c{j}" for j in range(cols))
+    want = io.BytesIO()
+    np.savetxt(want, arr, delimiter=",", header=header, comments="")
+    write_csv(tmp_path / "a.csv", header, arr)
+    assert (tmp_path / "a.csv").read_bytes() == want.getvalue()
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.8])
+@pytest.mark.parametrize("single, batch", [
+    (simulate_root, lambda p, y, dt, T, rng, log: simulate_root_batch(
+        p, dt, T, 1, rng, keep_paths=True)),
+    (simulate_thinned, lambda p, y, dt, T, rng, log: simulate_thinned_batch(
+        p, y, dt, T, 1, rng, keep_paths=True, events=log)),
+    (simulate_lou, lambda p, y, dt, T, rng, log: simulate_lou_batch(
+        p, y, dt, T, 1, rng, keep_paths=True, events=log)),
+], ids=["root", "thinned", "lou"])
+def test_single_path_is_the_batch_at_one_path(jump_params, alpha, single,
+                                              batch):
+    # 17 000 steps run each one-path stream past one _BLOCK refill
+    p, seed = jump_params(alpha=alpha), 11
+    config = SimConfig(dt=1e-3, horizon=17.0, y=0.5, seed=seed)
+    assert config.horizon / config.dt > _BLOCK
+    path = single(p, config)
+    log = []
+    *_, paths, times = batch(p, 0.5, 1e-3, 17.0, np.random.default_rng(seed),
+                             log)
+    np.testing.assert_array_equal(path.times, times)
+    np.testing.assert_array_equal(path.values, paths[0])
+    assert path.events == [(t, size) for _, t, size in log]
