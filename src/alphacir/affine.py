@@ -264,12 +264,12 @@ def bond_yield(t: float, kappa: float, r_t: float, params: ModelParams) -> float
 
 
 def yield_from_curve(curve: OdeCurve, kappa: float, r_t):
-    """Yield as a function of the current rate; r_t may be an array, and
-    kappa must lie in (0, horizon]."""
+    """Yield as a function of the current rate; r_t may be an array, each
+    entry finite and nonnegative, and kappa must lie in (0, horizon]."""
     if kappa <= 0.0:         # the curve itself rejects kappa past its horizon
         raise ValueError("tenor must be positive")
-    if not np.all(np.isfinite(r_t)):
-        raise ValueError("rate r_t must be finite")
+    if not np.all(np.isfinite(r_t) & (r_t >= 0.0)):
+        raise ValueError("short rate must be finite and nonnegative")
     p = curve.params
     out = (r_t * curve(kappa) + p.a * p.b * curve.integral(kappa)) / kappa
     return float(out) if np.isscalar(r_t) else out

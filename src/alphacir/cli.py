@@ -3,11 +3,14 @@ figure-data presets, emitting CSV data files and a JSON reproducibility
 sidecar per run.  No plotting here; the CSVs are the deliverable.
 
 Every subcommand runs in one envelope, kept in run().  A command only
-computes: it writes its own CSV, if it has one, and returns (config,
-result).  run() then writes <out>.json, the sidecar with the keys command,
+computes: it writes its own CSV, if it has one, and returns its result or
+None.  run() then writes <out>.json, the sidecar with the keys command,
 params (the model flags; null for hawkes-limit and the fig presets),
-config, seed, version and wall_time_s.  When result is not None it also
-writes <out>_result.json and echoes the same JSON as one line on stdout.
+config, seed, version and wall_time_s.  config is the command's preset,
+then the value of each flag the command declared, read after it ran: yield
+writes back its resolved rate, and simulate names the flags its scheme
+uses.  When result is not None, run() also writes <out>_result.json and
+echoes the same JSON as one line on stdout.
 --out defaults to the subcommand name with "_" for "-".  selfcheck writes
 no file; it prints its concordance lines and "selfcheck ok" or
 "selfcheck FAILED: ...".
@@ -116,22 +119,19 @@ def _curve_grid(start: float, stop: float, points: int) -> np.ndarray:
 
 def cmd_simulate(args, params):
     if args.scheme == "hawkes":
+        args.settings = ["scheme", "horizon", "n_agents", "seed"]
         path = simulate_hawkes(args.a, args.b, args.sigma_z, args.horizon,
                                n=args.n_agents, seed=args.seed)
-        config = {"scheme": "hawkes", "horizon": args.horizon,
-                  "n_agents": args.n_agents, "seed": args.seed}
     else:
-        y = args.y if args.scheme != "root" else None
+        args.settings = ["dt", "horizon", "scheme", "y", "seed"]
+        args.y = args.y if args.scheme != "root" else None
         simulate = {"root": simulate_root, "thinned": simulate_thinned,
                     "lou": simulate_lou}[args.scheme]
         path = simulate(params, SimConfig(dt=args.dt, horizon=args.horizon,
-                                          y=y, seed=args.seed))
-        config = {"dt": args.dt, "horizon": args.horizon,
-                  "scheme": args.scheme, "y": y, "seed": args.seed}
+                                          y=args.y, seed=args.seed))
     path.to_csv(args.out + ".csv")
     if path.events:
         path.events_to_csv(args.out + "_events.csv")
-    return config, None
 
 
 # ------------------------------------------------------- analytic pricing
@@ -142,52 +142,45 @@ def cmd_bond(args, params):
     curve = solve_v(0.0, 1.0, args.tmax, params)
     prices = [bond_price_from_curve(curve, T, params.r0) for T in grid]
     _write_csv(args.out, "T,price", [grid, prices])
-    return {"tmax": args.tmax, "points": args.points}, None
 
 
 def cmd_yield(args, params):
-    r = params.r0 if args.rate is None else args.rate
+    args.rate = params.r0 if args.rate is None else args.rate
     curve = solve_v(0.0, 1.0, args.kappa, params)
-    val = yield_from_curve(curve, args.kappa, r)
-    return ({"kappa": args.kappa, "rate": r},
-            {"kappa": args.kappa, "rate": r, "value": val})
+    val = yield_from_curve(curve, args.kappa, args.rate)
+    return {"kappa": args.kappa, "rate": args.rate, "value": val}
 
 
 def cmd_put_laplace(args, params):
-    val, diag = put_laplace(args.theta, args.kappa, args.strike, params.r0,
+    val, diag = put_laplace(args.theta, args.kappa, args.K, params.r0,
                             params, with_diagnostics=True)
-    result = {"laplace_value": val, "theta": args.theta, "kappa": args.kappa,
-              "K": args.strike, "kbar": diag["kbar"], "diagnostics": diag}
-    return {"theta": args.theta, "kappa": args.kappa, "K": args.strike}, result
+    return {"laplace_value": val, "theta": args.theta, "kappa": args.kappa,
+            "K": args.K, "kbar": diag["kbar"], "diagnostics": diag}
 
 
 def cmd_put_price(args, params):
-    price, diag = put_price(args.maturity, args.kappa, args.strike, params.r0,
+    price, diag = put_price(args.T, args.kappa, args.K, params.r0,
                             params, n_terms=args.n_terms, with_diagnostics=True)
-    result = {"price": price, "T": args.maturity, "kappa": args.kappa,
-              "K": args.strike, "kbar": diag["kbar"], "diagnostics": diag}
-    return ({"T": args.maturity, "kappa": args.kappa, "K": args.strike,
-             "n_terms": args.n_terms}, result)
+    return {"price": price, "T": args.T, "kappa": args.kappa,
+            "K": args.K, "kbar": diag["kbar"], "diagnostics": diag}
 
 
 def cmd_stationary(args, params):
     grid = _curve_grid(0.0, args.pmax, args.points)
     vals = [stationary_laplace(p, params) for p in grid]
     _write_csv(args.out, "p,laplace", [grid, vals])
-    return {"pmax": args.pmax, "points": args.points}, None
 
 
 def cmd_boundary(args, params):
     rep = mechanism_report(params)
-    return {}, {"classification": boundary_classification(params),
-                "x0": rep.x0, "drift": params.a}
+    return {"classification": boundary_classification(params),
+            "x0": rep.x0, "drift": params.a}
 
 
 def cmd_measure_change(args, params):
     new_params, new_spec = change_of_measure(params, args.eta, args.theta)
-    result = {"params": new_params.to_json(),
-              "jump_spec": {"variant": new_spec.variant, "theta": new_spec.theta}}
-    return {"eta": args.eta, "theta": args.theta}, result
+    return {"params": new_params.to_json(),
+            "jump_spec": {"variant": new_spec.variant, "theta": new_spec.theta}}
 
 
 # ----------------------------------------------------------- jump analytics
@@ -203,22 +196,18 @@ def cmd_jump_survival(args, params):
         raise RouteDisagreement(f"dual-route survival disagreement at "
                                 f"t={t_chk}: {s1} vs {s2}")
     _write_csv(args.out, "t,survival", [grid, curve.derived[:-1]])
-    return {"y_bar": args.y_bar, "tmax": args.tmax, "points": args.points}, None
 
 
 def cmd_jump_counter(args, params):
     grid = _curve_grid(0.0, args.tmax, args.points)
     vals = counter_laplace(args.p, args.y_bar, grid, params)
     _write_csv(args.out, "t,counter_laplace", [grid, vals])
-    return ({"p": args.p, "y_bar": args.y_bar, "tmax": args.tmax,
-             "points": args.points}, None)
 
 
 def cmd_jump_expectation(args, params):
     est = expected_tau(args.y_bar, params)
-    result = {**est._asdict(),
-              "route_gap": abs(est.survival_route / est.density_route - 1.0)}
-    return {"y_bar": args.y_bar}, result
+    return {**est._asdict(),
+            "route_gap": abs(est.survival_route / est.density_route - 1.0)}
 
 
 def cmd_hawkes_limit(args, params):
@@ -227,12 +216,9 @@ def cmd_hawkes_limit(args, params):
                                 args.n_agents, args.n_paths, rng)
     est = _mean_se(lam, "hawkes-limit")
     limit_mean = args.b * (1.0 - np.exp(-args.a * args.horizon))
-    result = {"n_agents": args.n_agents, "horizon": args.horizon,
-              "mc_mean": est.value, "mc_se": est.std_error,
-              "limit_mean": limit_mean}
-    return ({"a": args.a, "b": args.b, "sigma_z": args.sigma_z,
-             "horizon": args.horizon, "n_agents": args.n_agents,
-             "n_paths": args.n_paths}, result)
+    return {"n_agents": args.n_agents, "horizon": args.horizon,
+            "mc_mean": est.value, "mc_se": est.std_error,
+            "limit_mean": limit_mean}
 
 
 # ------------------------------------------------------------ figure presets
@@ -272,7 +258,6 @@ def cmd_fig12(args, params):
                     else _fig2_rate(alpha, dt, dB, dz))
     names = [f"{'z' if fig1 else 'r'}_alpha_{alpha}" for alpha in alphas]
     _write_csv(args.out, "t," + ",".join(names), [times] + cols)
-    return {**FIG12_PARAMS, "dt": dt, "horizon": args.horizon}, None
 
 
 def cmd_fig3(args, params):
@@ -285,7 +270,6 @@ def cmd_fig3(args, params):
         curve = solve_v(0.0, 1.0, max(args.tmax, 1e-6), p)
         cols.append([bond_price_from_curve(curve, T, p.r0) for T in grid])
     _write_csv(args.out, "T," + ",".join(models), [grid] + cols)
-    return {**FIG3_PARAMS, "tmax": args.tmax, "points": args.points}, None
 
 
 def cmd_fig4(args, params):
@@ -297,8 +281,6 @@ def cmd_fig4(args, params):
         cols.append(curve.derived)
         names.append(f"alpha_{alpha}")
     _write_csv(args.out, "t," + ",".join(names), [grid] + cols)
-    return ({**FIG45_PARAMS, "y_bar": args.y_bar, "tmax": args.tmax,
-             "points": args.points}, None)
 
 
 def cmd_fig5(args, params):
@@ -308,8 +290,6 @@ def cmd_fig5(args, params):
         p = ModelParams(alpha=float(alpha), **FIG45_PARAMS)
         vals.append(expected_tau(args.y_bar, p).value)
     _write_csv(args.out, "alpha,expected_tau", [alphas, vals])
-    return ({**FIG45_PARAMS, "y_bar": args.y_bar, "alpha_min": args.alpha_min,
-             "alpha_max": args.alpha_max, "points": args.points}, None)
 
 
 # --------------------------------------------------------------- selfcheck
@@ -354,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "jump analytics, figure data.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, model=True, out=True):
+    def command(name, func, help, model=True, out=True, preset=None):
+        """Add a subcommand; the returned flag() adds one of its own flags,
+        whose dest becomes a key of the sidecar config after the preset."""
         p = sub.add_parser(name, help=help)
         if model:
             _add_model_args(p)
@@ -362,106 +344,111 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", type=str, default=name.replace("-", "_"),
                            help="output stem; writes <out>.csv and <out>.json")
         p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=func, model=model)
-        return p
+        settings = []
+        p.set_defaults(func=func, model=model, preset=preset or {},
+                       settings=settings)
 
-    p = command("simulate", cmd_simulate, "one trajectory to CSV")
-    p.add_argument("--scheme", choices=["root", "thinned", "lou", "hawkes"],
-                   default="root")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--y", type=float, default=1.0,
-                   help="mark-space jump threshold (thinned/lou)")
-    p.add_argument("--n-agents", type=int, default=50,
-                   help="branching population size (hawkes)")
+        def flag(*names, **kwargs):
+            settings.append(p.add_argument(*names, **kwargs).dest)
+        return flag
 
-    p = command("bond", cmd_bond, "zero-coupon price curve")
-    p.add_argument("--tmax", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=101)
+    flag = command("simulate", cmd_simulate, "one trajectory to CSV")
+    flag("--scheme", choices=["root", "thinned", "lou", "hawkes"],
+         default="root")
+    flag("--dt", type=float, default=1e-3)
+    flag("--horizon", type=float, default=1.0)
+    flag("--y", type=float, default=1.0,
+         help="mark-space jump threshold (thinned/lou)")
+    flag("--n-agents", type=int, default=50,
+         help="branching population size (hawkes)")
 
-    p = command("yield", cmd_yield, "constant-maturity yield")
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=None,
-                   help="current short rate; defaults to r0")
+    flag = command("bond", cmd_bond, "zero-coupon price curve")
+    flag("--tmax", type=float, default=10.0)
+    flag("--points", type=int, default=101)
 
-    p = command("put-laplace", cmd_put_laplace,
-                "Laplace transform of the running-minimum yield put")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--strike", type=float, required=True)
+    flag = command("yield", cmd_yield, "constant-maturity yield")
+    flag("--kappa", type=float, default=1.0)
+    flag("--rate", type=float, default=None,
+         help="current short rate; defaults to r0")
 
-    p = command("put-price", cmd_put_price, "running-minimum yield put price")
-    p.add_argument("--maturity", type=float, required=True)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--strike", type=float, required=True)
-    p.add_argument("--n-terms", type=int, default=14)
+    flag = command("put-laplace", cmd_put_laplace,
+                   "Laplace transform of the running-minimum yield put")
+    flag("--theta", type=float, required=True)
+    flag("--kappa", type=float, default=1.0)
+    flag("--strike", dest="K", type=float, required=True)
 
-    p = command("jump-survival", cmd_jump_survival,
-                "P(first large jump > t) curve")
-    p.add_argument("--y-bar", type=float, default=0.1,
-                   help="rate-space jump threshold")
-    p.add_argument("--tmax", type=float, default=30.0)
-    p.add_argument("--points", type=int, default=301)
+    flag = command("put-price", cmd_put_price,
+                   "running-minimum yield put price")
+    flag("--maturity", dest="T", type=float, required=True)
+    flag("--kappa", type=float, default=1.0)
+    flag("--strike", dest="K", type=float, required=True)
+    flag("--n-terms", type=int, default=14)
 
-    p = command("jump-counter", cmd_jump_counter,
-                "Laplace functional of the large-jump counter")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--y-bar", type=float, default=0.1)
-    p.add_argument("--tmax", type=float, default=30.0)
-    p.add_argument("--points", type=int, default=301)
+    flag = command("jump-survival", cmd_jump_survival,
+                   "P(first large jump > t) curve")
+    flag("--y-bar", type=float, default=0.1, help="rate-space jump threshold")
+    flag("--tmax", type=float, default=30.0)
+    flag("--points", type=int, default=301)
 
-    p = command("jump-expectation", cmd_jump_expectation,
-                "expected first-large-jump time")
-    p.add_argument("--y-bar", type=float, default=0.1)
+    flag = command("jump-counter", cmd_jump_counter,
+                   "Laplace functional of the large-jump counter")
+    flag("--p", type=float, required=True)
+    flag("--y-bar", type=float, default=0.1)
+    flag("--tmax", type=float, default=30.0)
+    flag("--points", type=int, default=301)
 
-    p = command("stationary", cmd_stationary,
-                "Laplace transform of the limit law")
-    p.add_argument("--pmax", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=101)
+    flag = command("jump-expectation", cmd_jump_expectation,
+                   "expected first-large-jump time")
+    flag("--y-bar", type=float, default=0.1)
+
+    flag = command("stationary", cmd_stationary,
+                   "Laplace transform of the limit law")
+    flag("--pmax", type=float, default=50.0)
+    flag("--points", type=int, default=101)
 
     command("boundary", cmd_boundary, "boundary classification at zero")
 
-    p = command("hawkes-limit", cmd_hawkes_limit, "rescaled branching "
-                "intensity against its diffusion limit", model=False)
-    p.add_argument("--a", type=float, default=0.1)
-    p.add_argument("--b", type=float, default=0.3)
-    p.add_argument("--sigma-z", type=float, default=0.3)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--n-agents", type=int, default=50)
-    p.add_argument("--n-paths", type=int, default=10_000)
+    flag = command("hawkes-limit", cmd_hawkes_limit, "rescaled branching "
+                   "intensity against its diffusion limit", model=False)
+    flag("--a", type=float, default=0.1)
+    flag("--b", type=float, default=0.3)
+    flag("--sigma-z", type=float, default=0.3)
+    flag("--horizon", type=float, default=1.0)
+    flag("--n-agents", type=int, default=50)
+    flag("--n-paths", type=int, default=10_000)
 
-    p = command("measure-change", cmd_measure_change,
-                "parameters after the exponential change of measure")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--theta", type=float, required=True)
+    flag = command("measure-change", cmd_measure_change,
+                   "parameters after the exponential change of measure")
+    flag("--eta", type=float, required=True)
+    flag("--theta", type=float, required=True)
 
     for name, help in (("fig1", "stable driver trajectories"),
                        ("fig2", "short-rate trajectories on the fig1 drivers")):
-        p = command(name, cmd_fig12, help, model=False)
-        p.add_argument("--dt", type=float, default=1e-3)
-        p.add_argument("--horizon", type=float, default=10.0)
+        flag = command(name, cmd_fig12, help, model=False, preset=FIG12_PARAMS)
+        flag("--dt", type=float, default=1e-3)
+        flag("--horizon", type=float, default=10.0)
 
-    p = command("fig3", cmd_fig3, "bond curves across stability indices",
-                model=False)
-    p.add_argument("--tmax", type=float, default=30.0)
-    p.add_argument("--points", type=int, default=121)
+    flag = command("fig3", cmd_fig3, "bond curves across stability indices",
+                   model=False, preset=FIG3_PARAMS)
+    flag("--tmax", type=float, default=30.0)
+    flag("--points", type=int, default=121)
 
-    p = command("fig4", cmd_fig4, "first-large-jump survival curves",
-                model=False)
-    p.add_argument("--tmax", type=float, default=30.0)
-    p.add_argument("--points", type=int, default=301)
-    p.add_argument("--y-bar", type=float, default=0.1)
+    flag = command("fig4", cmd_fig4, "first-large-jump survival curves",
+                   model=False, preset=FIG45_PARAMS)
+    flag("--y-bar", type=float, default=0.1)
+    flag("--tmax", type=float, default=30.0)
+    flag("--points", type=int, default=301)
 
-    p = command("fig5", cmd_fig5, "expected first-large-jump time vs alpha",
-                model=False)
-    p.add_argument("--alpha-min", type=float, default=1.1)
-    p.add_argument("--alpha-max", type=float, default=1.9)
-    p.add_argument("--points", type=int, default=9)
-    p.add_argument("--y-bar", type=float, default=0.1)
+    flag = command("fig5", cmd_fig5, "expected first-large-jump time vs alpha",
+                   model=False, preset=FIG45_PARAMS)
+    flag("--y-bar", type=float, default=0.1)
+    flag("--alpha-min", type=float, default=1.1)
+    flag("--alpha-max", type=float, default=1.9)
+    flag("--points", type=int, default=9)
 
-    p = command("selfcheck", cmd_selfcheck, "quick analytic-vs-MC concordance",
-                model=False, out=False)
-    p.add_argument("--n-paths", type=int, default=20_000)
+    flag = command("selfcheck", cmd_selfcheck,
+                   "quick analytic-vs-MC concordance", model=False, out=False)
+    flag("--n-paths", type=int, default=20_000)
 
     return top
 
@@ -473,9 +460,9 @@ def run(argv=None) -> int:
     t0 = time.time()
     try:
         params = _params(args) if args.model else None
-        out = args.func(args, params)
-        if out is not None:
-            config, result = out
+        result = args.func(args, params)
+        if hasattr(args, "out"):     # selfcheck writes no file
+            config = {**args.preset, **{k: getattr(args, k) for k in args.settings}}
             write_sidecar(args.out + ".json", args.command, params, config,
                           args.seed, time.time() - t0, __version__)
             if result is not None:

@@ -114,10 +114,11 @@ def first_large_jump(path: Path) -> Optional[float]:
 
 def _grid(dt: float, horizon: float):
     """Step count and time grid of [0, horizon] at step dt; a step count
-    that is not finite cannot be built and is rejected."""
-    if not (dt > 0.0 and horizon >= 0.0 and np.isfinite(horizon / dt)):
-        raise ValueError("need dt > 0, horizon >= 0 and a finite step count "
-                         "horizon / dt")
+    past _MAX_STEPS (or not finite) is rejected before anything is
+    allocated."""
+    if not (dt > 0.0 and horizon >= 0.0 and horizon / dt <= _MAX_STEPS):
+        raise ValueError(f"need dt > 0, horizon >= 0 and a step count "
+                         f"horizon / dt of at most {_MAX_STEPS}")
     n_steps = int(round(horizon / dt))
     return n_steps, dt * np.arange(n_steps + 1)
 
@@ -127,6 +128,9 @@ _BLOCK = 2 ** 14       # variates drawn per stream refill, at least
 # mid-band jumps a thinned step may expect over all its paths: each takes a
 # key, a mark and a few temporaries, about 0.45 GB at this bound
 _MID_BAND_MAX = 2 ** 23
+# steps of one grid: its time points alone take 0.5 GB at this bound, 100x
+# the 640 000 steps of mc_expected_tau's default run
+_MAX_STEPS = 2 ** 26
 
 
 class _Stream:

@@ -133,6 +133,16 @@ def test_yield_from_curve_vectorizes(bond_params):
     assert np.all(np.diff(ys) > 0.0)
 
 
+def test_yield_rejects_negative_rate(bond_params):
+    # bond_price rejects r < 0, and so does the yield, entry by entry
+    p = bond_params(alpha=1.5)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        bond_yield(0.0, 1.0, -0.01, p)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        yield_from_curve(solve_v(0.0, 1.0, 1.0, p), 1.0,
+                         np.array([0.05, -1e-12]))
+
+
 @pytest.mark.parametrize("tenor", [5.0, -0.5, float("nan")])
 def test_curve_readers_reject_tenor_off_the_curve(bond_params, tenor):
     # past its horizon the curve used to be read at the horizon, so a

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -126,12 +127,19 @@ def test_validation_error_exit_code(tmp_path, monkeypatch):
     pytest.param(["simulate", "--scheme", "thinned", "--horizon", "1e300",
                   "--dt", "1e-300"], id="simulate-thinned-step-count"),
     pytest.param(["fig1", "--horizon", "inf"], id="fig1-horizon-inf"),
+    # 1e15 steps: a 7 PiB time grid, refused before it is allocated
+    pytest.param(["simulate", "--horizon", "1e12"], id="simulate-step-bound"),
+    pytest.param(["fig1", "--horizon", "1e12"], id="fig1-step-bound"),
+    pytest.param(["fig2", "--horizon", "1e12"], id="fig2-step-bound"),
+    # every transform starts from a nonnegative short rate
+    pytest.param(["yield", "--rate", "-0.01"], id="yield-rate-negative"),
 ])
-def test_non_finite_input_exits_two(tmp_path, monkeypatch, argv):
+def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     _in_tmp(tmp_path, monkeypatch)
     assert run(argv) == 2
-    for path in tmp_path.iterdir():
-        assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_put_price_result_reports_tail_grids(tmp_path, monkeypatch):
@@ -482,11 +490,58 @@ def test_run_envelope(tmp_path, monkeypatch, capsys, argv, code, files,
     doc = json.loads((tmp_path / f"{stem}.json").read_text())
     assert (doc["command"], doc["params"], doc["config"], doc["seed"]) \
         == sidecar
+    assert list(doc["config"]) == list(sidecar[2])     # the key order too
     result = tmp_path / f"{stem}_result.json"
     if result.exists():
         assert json.loads(out) == json.loads(result.read_text())
     else:
         assert out == ""
+
+
+MODEL = ["--a", "--b", "--sigma", "--sigma-z", "--alpha", "--r0"]
+# the flags of every subcommand besides --seed
+FLAGS = {
+    "simulate": MODEL + ["--out", "--scheme", "--dt", "--horizon", "--y",
+                         "--n-agents"],
+    "bond": MODEL + ["--out", "--tmax", "--points"],
+    "yield": MODEL + ["--out", "--kappa", "--rate"],
+    "put-laplace": MODEL + ["--out", "--theta", "--kappa", "--strike"],
+    "put-price": MODEL + ["--out", "--maturity", "--kappa", "--strike",
+                          "--n-terms"],
+    "jump-survival": MODEL + ["--out", "--y-bar", "--tmax", "--points"],
+    "jump-counter": MODEL + ["--out", "--p", "--y-bar", "--tmax", "--points"],
+    "jump-expectation": MODEL + ["--out", "--y-bar"],
+    "stationary": MODEL + ["--out", "--pmax", "--points"],
+    "boundary": MODEL + ["--out"],
+    "hawkes-limit": ["--out", "--a", "--b", "--sigma-z", "--horizon",
+                     "--n-agents", "--n-paths"],
+    "measure-change": MODEL + ["--out", "--eta", "--theta"],
+    "fig1": ["--out", "--dt", "--horizon"],
+    "fig2": ["--out", "--dt", "--horizon"],
+    "fig3": ["--out", "--tmax", "--points"],
+    "fig4": ["--out", "--y-bar", "--tmax", "--points"],
+    "fig5": ["--out", "--y-bar", "--alpha-min", "--alpha-max", "--points"],
+    "selfcheck": ["--n-paths"],
+}
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_subcommand(capsys):
+    listed = re.search(r"\{([a-z0-9,-]+)\}", _help(capsys, [])).group(1)
+    assert listed.split(",") == list(FLAGS)
+
+
+@pytest.mark.parametrize("name", FLAGS)
+def test_help_lists_flags(capsys, name):
+    out = _help(capsys, [name])
+    listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", out, re.M)
+    assert set(listed) == set(FLAGS[name]) | {"--help", "--seed"}
 
 
 def test_jump_survival_route_gap_exits_three(tmp_path, monkeypatch, capsys):

@@ -387,10 +387,19 @@ def test_mid_band_overflow_raises_before_drawing(bond_params, run):
     lambda p, dt, h, rng: first_passage_thinned(p, 1.0, dt, h, 4, rng),
     lambda p, dt, h, rng: simulate_lou_batch(p, 1.0, dt, h, 4, rng),
 ], ids=["root", "thinned", "first_passage", "lou"])
-@pytest.mark.parametrize("dt, horizon", [(1e-2, np.inf), (0.0, 1.0)])
+@pytest.mark.parametrize("dt, horizon", [(1e-2, np.inf), (0.0, 1.0),
+                                         # 1e15 steps, 7 PiB of time points
+                                         (1e-3, 1e12)])
 def test_step_count_must_be_finite(jump_params, run, dt, horizon):
-    with pytest.raises(ValueError, match="step count"):
-        run(jump_params(alpha=1.5), dt, horizon, np.random.default_rng(0))
+    p, rng = jump_params(alpha=1.5), np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="step count"):
+            run(p, dt, horizon, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_hawkes_rescaled_mean_near_limit():
