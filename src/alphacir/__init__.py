@@ -6,7 +6,6 @@ running-minimum yield option, cross-checked by Monte Carlo.
 from .mechanism import (
     ModelParams,
     JumpSpec,
-    MechanismReport,
     psi,
     psi_prime,
     phi,
@@ -14,7 +13,6 @@ from .mechanism import (
     fixed_point_truncated,
     truncated_drift,
     truncated_level,
-    mechanism_report,
     boundary_classification,
     change_of_measure,
     INACCESSIBLE,

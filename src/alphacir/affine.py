@@ -42,6 +42,10 @@ from .mechanism import JumpSpec, ModelParams, phi, psi
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 _RTOL, _ATOL = 1e-10, 1e-12
+# steps of one flow or cut: the step size is stability-limited, so a far
+# horizon (bond --tmax 1e9) would step for ever.  The bond set at alpha 1.2
+# takes 3323 steps to t = 1e4; each step keeps its state and dense output.
+_MAX_FLOW_STEPS = 2 ** 16
 
 
 class _Step:
@@ -79,6 +83,13 @@ class _Step:
         if fn not in self.memo:
             self.memo[fn] = fn(self)
         return self.memo[fn]
+
+
+def _check_steps(steps: list) -> None:
+    """Refuse a step past _MAX_FLOW_STEPS of one flow or cut."""
+    if len(steps) >= _MAX_FLOW_STEPS:
+        raise ValueError(f"the Riccati flow needs more than {_MAX_FLOW_STEPS} "
+                         "steps to reach the horizon")
 
 
 def _first_reach(t: float, h_abs: float) -> float:
@@ -145,7 +156,9 @@ class _Flow:
         self.failure = None
 
     def _advance(self) -> None:
-        """Take the flow's next step; a step that failed fails again."""
+        """Take the flow's next step; a step that failed fails again, and a
+        step past _MAX_FLOW_STEPS raises ValueError."""
+        _check_steps(self.steps)
         if self.failure is None:
             message = self.solver.step()
             if self.solver.status != "failed":
@@ -157,7 +170,8 @@ class _Flow:
     def cut(self, horizon: float) -> OdeCurve:
         """The flow over [0, horizon], equal bit for bit to an RK45 run to
         horizon.  A shorter interval can change RK45's first step; then
-        nothing is shared."""
+        nothing is shared.  A cut of more than _MAX_FLOW_STEPS steps raises
+        ValueError."""
         solver = RK45(self.rhs, 0.0, [self.xi], horizon, rtol=_RTOL, atol=_ATOL)
         steps, t = [], 0.0
         if solver.h_abs == self.h0:
@@ -172,6 +186,7 @@ class _Flow:
                 last.hi, last.y, last.f, last.h_abs)
         shared = len(steps)
         while t < horizon:           # the tail, clipped at the horizon
+            _check_steps(steps)
             message = solver.step()
             if solver.status == "failed":
                 raise RuntimeError(f"Riccati flow failed: {message}")
@@ -233,15 +248,11 @@ def joint_laplace(x: float, t: float, xi: float, theta: float,
 
 
 def bond_price(t: float, T: float, r_t: float, params: ModelParams) -> float:
-    """Zero-coupon price B(t, T) = exp(-r_t v(T-t) - a b int_0^(T-t) v(s) ds)."""
+    """Zero-coupon price B(t, T) = exp(-r_t v(T-t) - a b int_0^(T-t) v(s) ds),
+    the joint Laplace functional at (xi, theta) = (0, 1) over T - t."""
     if T < t:
         raise ValueError("maturity precedes valuation date")
-    _check_rate(r_t)
-    tau = T - t
-    if tau == 0.0:
-        return 1.0
-    curve = solve_v(0.0, 1.0, tau, params)
-    return bond_price_from_curve(curve, tau, r_t)
+    return joint_laplace(r_t, T - t, 0.0, 1.0, params)
 
 
 def bond_price_from_curve(curve: OdeCurve, tau: float, r_t: float) -> float:

@@ -15,9 +15,10 @@ echoes the same JSON as one line on stdout.
 no file; it prints its concordance lines and "selfcheck ok" or
 "selfcheck FAILED: ...".
 
-Exit codes: 0 success, 2 validation error, 3 numerical-diagnostic failure
-(failed ODE solve, dual-route disagreement, non-finite put transform,
-failed selfcheck).  A failure prints one "invalid input: ..." or
+Exit codes: 0 success, 2 validation error (a Riccati flow past its step
+bound included), 3 numerical-diagnostic failure (failed ODE solve,
+dual-route disagreement, non-finite put transform, a Hawkes run past its
+event bound, failed selfcheck).  A failure prints one "invalid input: ..." or
 "numerical diagnostic failure: ..." line on stderr and writes no sidecar.
 """
 
@@ -49,7 +50,7 @@ from .mechanism import (
     ModelParams,
     boundary_classification,
     change_of_measure,
-    mechanism_report,
+    root_psi_equals_one,
 )
 from .sim import (
     SimConfig,
@@ -172,9 +173,8 @@ def cmd_stationary(args, params):
 
 
 def cmd_boundary(args, params):
-    rep = mechanism_report(params)
     return {"classification": boundary_classification(params),
-            "x0": rep.x0, "drift": params.a}
+            "x0": root_psi_equals_one(params), "drift": params.a}
 
 
 def cmd_measure_change(args, params):
@@ -296,28 +296,27 @@ def cmd_fig5(args, params):
 
 
 def cmd_selfcheck(args, params):
+    """Each (label, analytic value, Monte Carlo estimate) cell prints one
+    line and fails beyond 3 standard errors; a failed cell is named by the
+    first word of its label."""
     t0 = time.time()
-    failures = []
-
     p3 = ModelParams(alpha=1.5, **FIG3_PARAMS)
-    analytic = bond_price_from_curve(solve_v(0.0, 1.0, 1.0, p3), 1.0, p3.r0)
-    est = mc_bond(p3, 1.0, n_paths=args.n_paths, dt=1e-3, seed=args.seed)
-    z = abs(est.value - analytic) / est.std_error
-    print(f"bond T=1 alpha=1.5: mc={est.value:.6f}±{est.std_error:.6f} "
-          f"analytic={analytic:.6f} z={z:.2f}")
-    if z > 3.0:
-        failures.append("bond")
-
     p4 = ModelParams(alpha=1.5, **FIG45_PARAMS)
-    analytic_s = survival_tau(0.1, 2.0, p4)
-    est_s = mc_survival(p4, 0.1, [2.0], n_paths=args.n_paths, dt=2e-3,
-                        seed=args.seed)[0]
-    z = abs(est_s.value - analytic_s) / est_s.std_error
-    print(f"survival t=2 alpha=1.5: mc={est_s.value:.6f}±{est_s.std_error:.6f} "
-          f"analytic={analytic_s:.6f} z={z:.2f}")
-    if z > 3.0:
-        failures.append("survival")
-
+    cells = (
+        ("bond T=1 alpha=1.5",
+         bond_price_from_curve(solve_v(0.0, 1.0, 1.0, p3), 1.0, p3.r0),
+         mc_bond(p3, 1.0, n_paths=args.n_paths, dt=1e-3, seed=args.seed)),
+        ("survival t=2 alpha=1.5", survival_tau(0.1, 2.0, p4),
+         mc_survival(p4, 0.1, [2.0], n_paths=args.n_paths, dt=2e-3,
+                     seed=args.seed)[0]),
+    )
+    failures = []
+    for label, analytic, est in cells:
+        z = abs(est.value - analytic) / est.std_error
+        print(f"{label}: mc={est.value:.6f}±{est.std_error:.6f} "
+              f"analytic={analytic:.6f} z={z:.2f}")
+        if z > 3.0:
+            failures.append(label.split()[0])
     print(f"selfcheck {'FAILED: ' + ', '.join(failures) if failures else 'ok'} "
           f"({time.time() - t0:.1f}s)")
     if failures:

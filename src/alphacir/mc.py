@@ -53,16 +53,16 @@ def _mean_se(samples: np.ndarray, label: str) -> McEstimate:
 
 
 def mc_bond(params: ModelParams, T: float, n_paths: int = 100_000,
-            dt: float = 1e-3, seed: int = 0,
-            antithetic: bool = True) -> McEstimate:
-    """E[exp(-int_0^T r)] over root-scheme paths."""
+            dt: float = 1e-3, seed: int = 0) -> McEstimate:
+    """E[exp(-int_0^T r)] over antithetic root-scheme paths; an odd n_paths
+    is rounded up to the next even count, so that every path has its
+    mirror."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     rng = np.random.default_rng(seed)
-    if antithetic and n_paths % 2:
-        n_paths += 1
+    n_paths += n_paths % 2
     _, integral = simulate_root_batch(params, dt, T, n_paths, rng,
-                                      antithetic=antithetic)
+                                      antithetic=True)
     return _mean_se(np.exp(-integral), "mc_bond")
 
 

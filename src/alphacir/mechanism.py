@@ -133,15 +133,6 @@ class JumpSpec:
         return cls(TEMPERED, theta=theta)
 
 
-@dataclass(frozen=True)
-class MechanismReport:
-    """Roots of the mechanism: x0 solves Psi(q) = 1 (also written q1 or v*),
-    l_star_y solves nu(y) = Psi_trunc(q) for the truncated mechanism."""
-
-    x0: float
-    l_star_y: Optional[float] = None
-
-
 def truncated_drift(params: ModelParams, y: float) -> float:
     """a_tilde = a + sigma_z * Theta(alpha, y): drift after absorbing the
     big-jump compensator."""
@@ -234,11 +225,10 @@ def _root(f) -> float:
     return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
-def root_psi_equals_one(params: ModelParams,
-                        spec: JumpSpec = JumpSpec.full()) -> float:
-    """x0 = q1 with Psi(x0) = 1; unique since Psi is convex increasing with
-    Psi(0) = 0 and unbounded."""
-    return _root(lambda q: psi(q, params, spec) - 1.0)
+def root_psi_equals_one(params: ModelParams) -> float:
+    """x0 = q1 (also written v*) with Psi(x0) = 1 for the full mechanism;
+    unique since Psi is convex increasing with Psi(0) = 0 and unbounded."""
+    return _root(lambda q: psi(q, params) - 1.0)
 
 
 def fixed_point_truncated(params: ModelParams, y: float) -> float:
@@ -250,12 +240,6 @@ def fixed_point_truncated(params: ModelParams, y: float) -> float:
     spec = JumpSpec.truncated(y)
     nu = big_jump_mass(params.alpha, y)
     return _root(lambda q: psi(q, params, spec) - nu)
-
-
-def mechanism_report(params: ModelParams, y: Optional[float] = None) -> MechanismReport:
-    x0 = root_psi_equals_one(params)
-    lstar = fixed_point_truncated(params, y) if y is not None else None
-    return MechanismReport(x0=x0, l_star_y=lstar)
 
 
 INACCESSIBLE = "inaccessible"

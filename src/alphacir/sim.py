@@ -131,6 +131,9 @@ _MID_BAND_MAX = 2 ** 23
 # steps of one grid: its time points alone take 0.5 GB at this bound, 100x
 # the 640 000 steps of mc_expected_tau's default run
 _MAX_STEPS = 2 ** 26
+# proposal rounds of a Hawkes run: a batch round proposes one event for each
+# path still short of n * horizon, a single path one event
+_HAWKES_MAX_ROUNDS = 2_000_000
 
 
 class _Stream:
@@ -502,19 +505,25 @@ def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
 
 
 def _check_hawkes(a: float, b: float, sigma_z: float, horizon: float,
-                  n: int) -> None:
+                  n: int) -> tuple[float, float, float]:
     """Inputs of the rescaled Hawkes intensity: a NaN or infinite horizon
-    or rate would keep the event loop from ever reaching n * horizon."""
+    or rate would keep the event loop from ever reaching n * horizon.
+
+    Returns (kappa, c, t_end) of the intensity with parameters (a/n, n*b,
+    sigma_z): its relaxation rate kappa = a/n + sigma_z, its background
+    asymptote c = a*b/kappa = (a/n)*(n*b)/kappa and its end time n*horizon.
+    """
     if n < 1:
         raise ValueError("rescaling index n must be >= 1")
     if not (np.all(np.isfinite([a, b, sigma_z, horizon])) and horizon > 0.0):
         raise ValueError("a, b, sigma_z must be finite and horizon finite "
                          "and positive")
+    kappa = a / n + sigma_z
+    return kappa, a * b / kappa, n * horizon
 
 
 def simulate_hawkes_batch(a: float, b: float, sigma_z: float, horizon: float,
-                          n: int, n_paths: int, rng: np.random.Generator,
-                          max_rounds: int = 2_000_000):
+                          n: int, n_paths: int, rng: np.random.Generator):
     """Exact Ogata simulation of the exponential-kernel self-exciting
     intensity with parameters (a/n, n*b, sigma_z), started from intensity 0,
     run to time n*horizon; returns the rescaled terminal values
@@ -523,19 +532,18 @@ def simulate_hawkes_batch(a: float, b: float, sigma_z: float, horizon: float,
     Between events the intensity relaxes toward c = a*b/kappa with rate
     kappa = a/n + sigma_z; each event adds sigma_z.  The proposal bound per
     path is max(current intensity, c), valid because the intensity is
-    monotone toward c between events.
+    monotone toward c between events.  A batch that still has paths short
+    of n*horizon after _HAWKES_MAX_ROUNDS proposal rounds raises
+    RuntimeError.
     """
-    _check_hawkes(a, b, sigma_z, horizon, n)
-    kappa = a / n + sigma_z
-    c = a * b / kappa           # background asymptote: (a/n)*(n*b)/kappa
-    t_end = n * horizon
+    kappa, c, t_end = _check_hawkes(a, b, sigma_z, horizon, n)
     t = np.zeros(n_paths)
     lam = np.zeros(n_paths)
     active = np.arange(n_paths)
     rounds = 0
     while active.size:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _HAWKES_MAX_ROUNDS:
             raise RuntimeError("event overflow guard tripped in Hawkes simulation")
         bound = np.maximum(lam[active], c)
         w = rng.exponential(1.0, size=active.size) / bound
@@ -557,23 +565,21 @@ def simulate_hawkes_batch(a: float, b: float, sigma_z: float, horizon: float,
     return lam / n
 
 
-def _path(step, r0: float, config: SimConfig,
-          rng: Optional[np.random.Generator]) -> Path:
+def _path(step, r0: float, config: SimConfig) -> Path:
     """The body of the single-path functions: one path of the step kernel
     from r0 through _run, which keeps it and logs its big jumps but skips
     the integral.  It draws what the scheme's batch function draws at
-    n_paths = 1 with the same rng (config.seed when rng is None)."""
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    n_paths = 1 with np.random.default_rng(config.seed)."""
     log = []
-    *_, (out, times) = _run(step, r0, config.horizon, 1, rng, integral=False,
+    *_, (out, times) = _run(step, r0, config.horizon, 1,
+                            np.random.default_rng(config.seed), integral=False,
                             keep_paths=True, events=log)
     return Path(times=times, values=out[0],
                 events=[(t, size) for _, t, size in log])
 
 
-def simulate_root(params: ModelParams, config: SimConfig,
-                  rng: Optional[np.random.Generator] = None) -> Path:
-    return _path(_RootStep(params, config.dt, False), params.r0, config, rng)
+def simulate_root(params: ModelParams, config: SimConfig) -> Path:
+    return _path(_RootStep(params, config.dt, False), params.r0, config)
 
 
 def _threshold(config: SimConfig) -> float:
@@ -583,44 +589,43 @@ def _threshold(config: SimConfig) -> float:
     return config.y
 
 
-def simulate_thinned(params: ModelParams, config: SimConfig,
-                     rng: Optional[np.random.Generator] = None) -> Path:
+def simulate_thinned(params: ModelParams, config: SimConfig) -> Path:
     step = _ThinnedStep(params, _threshold(config), config.dt)
-    return _path(step, params.r0, config, rng)
+    return _path(step, params.r0, config)
 
 
-def simulate_lou(params: ModelParams, config: SimConfig,
-                 rng: Optional[np.random.Generator] = None) -> Path:
+def simulate_lou(params: ModelParams, config: SimConfig) -> Path:
     step = _ThinnedStep(params, _threshold(config), config.dt, frozen=True)
-    return _path(step, params.r0, config, rng)
+    return _path(step, params.r0, config)
 
 
 def simulate_hawkes(a: float, b: float, sigma_z: float, horizon: float,
-                    n: int, rng: Optional[np.random.Generator] = None,
-                    seed: int = 0) -> Path:
+                    n: int, seed: int = 0) -> Path:
     """Single rescaled Hawkes intensity path sampled on a uniform grid of
     _HAWKES_GRID_POINTS times in [0, horizon] (grid evaluation is exact
-    between events)."""
-    _check_hawkes(a, b, sigma_z, horizon, n)
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    kappa = a / n + sigma_z
-    c = a * b / kappa
-    t_end = n * horizon
+    between events), drawn from np.random.default_rng(seed).  The thinning
+    loop of simulate_hawkes_batch at one path, one proposal an iteration;
+    a path short of n*horizon after _HAWKES_MAX_ROUNDS proposals raises
+    RuntimeError."""
+    kappa, c, t_end = _check_hawkes(a, b, sigma_z, horizon, n)
+    rng = np.random.default_rng(seed)
     times = np.linspace(0.0, t_end, _HAWKES_GRID_POINTS)
     values = np.empty(_HAWKES_GRID_POINTS)
     t_cur, lam = 0.0, 0.0
     gi = 0
-    while gi < _HAWKES_GRID_POINTS:
+    for _ in range(_HAWKES_MAX_ROUNDS):
         bound = max(lam, c)
         w = rng.exponential(1.0) / bound
         t_next = t_cur + w
         while gi < _HAWKES_GRID_POINTS and times[gi] <= t_next:
             values[gi] = c + (lam - c) * np.exp(-kappa * (times[gi] - t_cur))
             gi += 1
-        if t_next >= t_end:
+        if t_next >= t_end:     # the last grid point, t_end, is filled
             break
         lam_next = c + (lam - c) * np.exp(-kappa * w)
         t_cur, lam = t_next, lam_next
         if rng.uniform() < lam_next / bound:
             lam += sigma_z
+    else:
+        raise RuntimeError("event overflow guard tripped in Hawkes simulation")
     return Path(times=times / n, values=values / n)

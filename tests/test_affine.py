@@ -233,6 +233,30 @@ def test_flow_cuts_share_steps(bond_params):
     assert short.steps[short.shared] is not long.steps[short.shared]
 
 
+def test_flow_step_bound(bond_params, monkeypatch):
+    # a cut of n steps passes at the bound n and fails at n - 1: in its
+    # tail, whose steps are its own, and then, for a longer cut, in the
+    # shared flow, which keeps the n - 1 steps it took
+    p = bond_params(alpha=1.5)
+    affine._flow.cache_clear()
+    try:
+        cut = solve_v(0.0, 1.0, 1e-3, p)
+        n = len(cut.steps)
+        assert 0 < cut.shared < n
+        monkeypatch.setattr(affine, "_MAX_FLOW_STEPS", n)
+        assert len(solve_v(0.0, 1.0, 1e-3, p).steps) == n
+        monkeypatch.setattr(affine, "_MAX_FLOW_STEPS", n - 1)
+        match = f"Riccati flow needs more than {n - 1} steps"
+        with pytest.raises(ValueError, match=match):
+            solve_v(0.0, 1.0, 1e-3, p)
+        with pytest.raises(ValueError, match=match):
+            solve_v(0.0, 1.0, 10.0, p)
+        flow = affine._flow(0.0, 1.0, affine._without_r0(p), JumpSpec.full())
+        assert len(flow.steps) == n - 1
+    finally:
+        affine._flow.cache_clear()
+
+
 def test_failed_flow_fails_again(bond_params, monkeypatch):
     # a flow whose step failed stays cached and raises for every cut that
     # needs the step, even once the solver works again

@@ -351,15 +351,45 @@ def test_failed_solve_exits_three(tmp_path, monkeypatch, capsys, module, argv):
 
 
 def test_hawkes_overflow_guard_exits_three(tmp_path, monkeypatch, capsys):
-    from alphacir import cli, sim
-
-    def guarded(*args, **kwargs):
-        return sim.simulate_hawkes_batch(*args, max_rounds=1, **kwargs)
+    from alphacir import sim
 
     _in_tmp(tmp_path, monkeypatch)
-    monkeypatch.setattr(cli, "simulate_hawkes_batch", guarded)
+    monkeypatch.setattr(sim, "_HAWKES_MAX_ROUNDS", 1)
     assert run(["hawkes-limit", "--n-paths", "10"]) == 3
     assert "overflow guard" in capsys.readouterr().err
+
+
+def test_hawkes_path_overflow_guard_exits_three(tmp_path, monkeypatch, capsys):
+    # the single path's thinning loop has the batch loop's bound: a path
+    # short of n * horizon after that many proposals fails, and nothing is
+    # written
+    from alphacir import sim
+
+    _in_tmp(tmp_path, monkeypatch)
+    monkeypatch.setattr(sim, "_HAWKES_MAX_ROUNDS", 10)
+    assert run(["simulate", "--scheme", "hawkes"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical diagnostic failure:")
+    assert "overflow guard" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bond"], ["yield", "--kappa", "10"], ["fig3"],
+], ids=["bond", "yield", "fig3"])
+def test_flow_step_bound_exits_two(tmp_path, monkeypatch, capsys, argv):
+    # each of these cuts takes more than 50 steps of its Riccati flow
+    _in_tmp(tmp_path, monkeypatch)
+    monkeypatch.setattr(affine, "_MAX_FLOW_STEPS", 50)
+    affine._flow.cache_clear()       # no flow of an earlier test is reused
+    try:
+        assert run(argv) == 2
+    finally:
+        affine._flow.cache_clear()   # nor is the cut-short one kept
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: the Riccati flow needs more than 50")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # The run envelope of every subcommand at tiny sizes: exit code, the files

@@ -12,7 +12,6 @@ from alphacir.mechanism import (
     boundary_classification,
     change_of_measure,
     fixed_point_truncated,
-    mechanism_report,
     phi,
     psi,
     psi_prime,
@@ -146,12 +145,6 @@ def test_fixed_point_truncated(jump_params):
     nu = big_jump_mass(p.alpha, y)
     assert psi(l_star, p, JumpSpec.truncated(y)) == pytest.approx(nu,
                                                                   rel=1e-9)
-
-
-def test_mechanism_report_fields(jump_params):
-    rep = mechanism_report(jump_params(alpha=1.5), y=1.0)
-    assert rep.x0 > 0.0
-    assert rep.l_star_y > 0.0
 
 
 def test_boundary_classification_cir_rule():
