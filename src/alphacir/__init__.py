@@ -37,7 +37,6 @@ from .affine import (
     stationary_laplace,
 )
 from .jumps import (
-    JumpLawCurve,
     ExpectedTau,
     RouteDisagreement,
     TailAsymptotics,
@@ -74,7 +73,6 @@ from .mc import (
     mc_survival,
     mc_counter,
     mc_expected_tau,
-    mc_stationary_laplace,
     mc_lou_first_jump_cdf,
     mc_running_min_put,
 )

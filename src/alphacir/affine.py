@@ -42,9 +42,10 @@ from .mechanism import JumpSpec, ModelParams, phi, psi
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 _RTOL, _ATOL = 1e-10, 1e-12
-# steps of one flow or cut: the step size is stability-limited, so a far
-# horizon (bond --tmax 1e9) would step for ever.  The bond set at alpha 1.2
-# takes 3323 steps to t = 1e4; each step keeps its state and dense output.
+# steps of one flow or cut, and step attempts of one jump-law solve
+# (jumps._solve_l): the step size is stability-limited, so a far horizon
+# (bond --tmax 1e9) would step for ever.  The bond set at alpha 1.2 takes
+# 3323 steps to t = 1e4; each step keeps its state and dense output.
 _MAX_FLOW_STEPS = 2 ** 16
 
 
@@ -153,19 +154,15 @@ class _Flow:
         self.solver = RK45(rhs, 0.0, [xi], np.inf, rtol=_RTOL, atol=_ATOL)
         self.h0 = self.solver.h_abs
         self.steps = []
-        self.failure = None
 
     def _advance(self) -> None:
-        """Take the flow's next step; a step that failed fails again, and a
-        step past _MAX_FLOW_STEPS raises ValueError."""
+        """Take the flow's next step; a failed step raises RuntimeError, and
+        a step past _MAX_FLOW_STEPS ValueError."""
         _check_steps(self.steps)
-        if self.failure is None:
-            message = self.solver.step()
-            if self.solver.status != "failed":
-                self.steps.append(_Step(self.solver, self.steps))
-                return
-            self.failure = message
-        raise RuntimeError(f"Riccati flow failed: {self.failure}")
+        message = self.solver.step()
+        if self.solver.status == "failed":
+            raise RuntimeError(f"Riccati flow failed: {message}")
+        self.steps.append(_Step(self.solver, self.steps))
 
     def cut(self, horizon: float) -> OdeCurve:
         """The flow over [0, horizon], equal bit for bit to an RK45 run to
@@ -209,11 +206,17 @@ def _flow(xi: float, theta: float, params: ModelParams, spec: JumpSpec) -> _Flow
 def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
             spec: JumpSpec = JumpSpec.full()) -> OdeCurve:
     """Flow of v' = theta - Psi(v) from v(0) = xi over [0, horizon], cut
-    from the shared flow of (xi, theta, params, spec)."""
+    from the shared flow of (xi, theta, params, spec).  A cut that raises
+    (a failed step, or one past _MAX_FLOW_STEPS) empties the flow cache, so
+    that no failed or cut-short flow is kept with its steps."""
     _check_xi_theta(xi, theta)
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError("horizon must be finite and positive")
-    return _flow(xi, theta, _without_r0(params), spec).cut(float(horizon))
+    try:
+        return _flow(xi, theta, _without_r0(params), spec).cut(float(horizon))
+    except BaseException:
+        _flow.cache_clear()
+        raise
 
 
 def _check_xi_theta(xi: float, theta: float) -> None:
@@ -265,9 +268,9 @@ def bond_price_from_curve(curve: OdeCurve, tau: float, r_t: float) -> float:
     return float(np.exp(-r_t * curve(tau) - p.a * p.b * curve.integral(tau)))
 
 
-def bond_yield(t: float, kappa: float, r_t: float, params: ModelParams) -> float:
-    """Constant-maturity yield: -ln B(t, t+kappa)/kappa
-    = (r_t v(kappa) + a b int_0^kappa v)/kappa."""
+def bond_yield(kappa: float, r_t: float, params: ModelParams) -> float:
+    """Constant-maturity yield at the current rate r_t: -ln B(t, t+kappa)/kappa
+    = (r_t v(kappa) + a b int_0^kappa v)/kappa, which does not depend on t."""
     if kappa <= 0.0:
         raise ValueError("tenor must be positive")
     curve = solve_v(0.0, 1.0, kappa, params)

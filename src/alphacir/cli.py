@@ -15,11 +15,12 @@ echoes the same JSON as one line on stdout.
 no file; it prints its concordance lines and "selfcheck ok" or
 "selfcheck FAILED: ...".
 
-Exit codes: 0 success, 2 validation error (a Riccati flow past its step
-bound included), 3 numerical-diagnostic failure (failed ODE solve,
-dual-route disagreement, non-finite put transform, a Hawkes run past its
-event bound, failed selfcheck).  A failure prints one "invalid input: ..." or
-"numerical diagnostic failure: ..." line on stderr and writes no sidecar.
+Exit codes: 0 success, 2 validation error (a Riccati flow or a jump-law
+ODE past its step bound included), 3 numerical-diagnostic failure (failed
+ODE solve, dual-route disagreement, non-finite put transform, a Hawkes run
+past its event bound, failed selfcheck).  A failure prints one "invalid
+input: ..." or "numerical diagnostic failure: ..." line on stderr and
+writes no sidecar.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .affine import bond_price_from_curve, solve_v, stationary_laplace, yield_from_curve
+from .affine import bond_price_from_curve, bond_yield, solve_v, stationary_laplace
 from .derivatives import put_laplace, put_price
 from .jumps import (
     RouteDisagreement,
@@ -147,9 +148,8 @@ def cmd_bond(args, params):
 
 def cmd_yield(args, params):
     args.rate = params.r0 if args.rate is None else args.rate
-    curve = solve_v(0.0, 1.0, args.kappa, params)
-    val = yield_from_curve(curve, args.kappa, args.rate)
-    return {"kappa": args.kappa, "rate": args.rate, "value": val}
+    return {"kappa": args.kappa, "rate": args.rate,
+            "value": bond_yield(args.kappa, args.rate, params)}
 
 
 def cmd_put_laplace(args, params):
@@ -189,13 +189,13 @@ def cmd_measure_change(args, params):
 def cmd_jump_survival(args, params):
     grid = _curve_grid(0.0, args.tmax, args.points)
     t_chk = 0.5 * args.tmax
-    curve = survival_curve(args.y_bar, np.append(grid, t_chk), params)
-    s1 = curve.derived[-1]
+    surv = survival_curve(args.y_bar, np.append(grid, t_chk), params)
+    s1 = surv[-1]
     s2 = survival_tau_via_rhat(args.y_bar, t_chk, params)
     if abs(s1 - s2) > 1e-6:
         raise RouteDisagreement(f"dual-route survival disagreement at "
                                 f"t={t_chk}: {s1} vs {s2}")
-    _write_csv(args.out, "t,survival", [grid, curve.derived[:-1]])
+    _write_csv(args.out, "t,survival", [grid, surv[:-1]])
 
 
 def cmd_jump_counter(args, params):
@@ -277,8 +277,7 @@ def cmd_fig4(args, params):
     cols, names = [], []
     for alpha in (1.2, 1.5, 1.8):
         p = ModelParams(alpha=alpha, **FIG45_PARAMS)
-        curve = survival_curve(args.y_bar, grid, p)
-        cols.append(curve.derived)
+        cols.append(survival_curve(args.y_bar, grid, p))
         names.append(f"alpha_{alpha}")
     _write_csv(args.out, "t," + ",".join(names), [grid] + cols)
 

@@ -17,31 +17,18 @@ Laplace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson, solve_ivp
 
-from .affine import joint_laplace
+from . import affine
 from .mechanism import (JumpSpec, ModelParams, fixed_point_truncated, psi,
                         truncated_drift, truncated_level)
 from .stable import _check_alpha, big_jump_laplace_tail, big_jump_mass
 
 
 _ROUTE_TOL = 1e-3      # largest relative gap of the two E[tau] routes
-
-
-@dataclass
-class JumpLawCurve:
-    """Solution of a jump-law ODE on a time grid, with the derived survival
-    or Laplace values; y is the jump-mark threshold, ybar = sigma_z * y."""
-
-    grid: np.ndarray
-    l_values: np.ndarray
-    derived: np.ndarray
-    y: float
-    y_bar: float
 
 
 def _mark_threshold(params: ModelParams, y_bar: float) -> float:
@@ -63,10 +50,20 @@ def _check_times(t) -> np.ndarray:
 
 
 def _solve_l(params: ModelParams, y: float, source, t_max: float, events=None):
-    """Integrate [l, int l] with l' = source(l) - Psi_trunc(l), l(0) = 0."""
+    """Integrate [l, int l] with l' = source(l) - Psi_trunc(l), l(0) = 0.
+    A solve that would pass affine._MAX_FLOW_STEPS step attempts (6 right
+    side calls each, after 2 to start) raises ValueError: RK45's step is
+    stability-limited, so a far horizon would step for ever."""
     spec = JumpSpec.truncated(y)
+    max_steps = affine._MAX_FLOW_STEPS
+    budget = 2 + 6 * max_steps
 
     def rhs(_t, state):
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise ValueError(f"the jump-law ODE needs more than {max_steps} "
+                             "steps to reach the horizon")
         l = max(state[0], 0.0)
         return [source(l) - psi(l, params, spec), state[0]]
 
@@ -82,45 +79,49 @@ def _affine_exponent(l, big_l, params: ModelParams):
     return np.exp(-l * params.r0 - params.a * params.b * big_l)
 
 
-def counter_laplace(p: float, y_bar: float, t, params: ModelParams):
-    """E[exp(-p * J_t)] for the counter J of rate jumps larger than ybar;
-    the source of its exponent ODE is nu(y) - e^(-p) int_y^inf
-    exp(-l sigma_z z) mu_alpha(dz).  t may be an array of times: one solve
-    to the largest serves all of them through its dense output."""
-    y = _mark_threshold(params, y_bar)
+def _jump_law(params: ModelParams, y: float, source, t):
+    """exp(-l(t) r0 - a b int_0^t l) for l' = source(l) - Psi_trunc(l),
+    l(0) = 0, at the times t: 1 at t = 0, and elsewhere read from one
+    solve to the largest time.  A scalar t gives a float, an array t an
+    array; source None is the law that is 1 at every time."""
     ts = _check_times(t)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError("p must be finite and nonnegative")
     scalar = np.ndim(t) == 0
     vals = np.ones_like(ts)
     live = ts > 0.0
-    if p > 0.0 and np.any(live):
-        nu = big_jump_mass(params.alpha, y)
-        e_p = math.exp(-p)
-        sol = _solve_l(params, y, lambda l: nu - e_p * big_jump_laplace_tail(
-            l * params.sigma_z, y, params.alpha), float(ts.max()))
+    if source is not None and np.any(live):
+        sol = _solve_l(params, y, source, float(ts.max()))
         vals[live] = _affine_exponent(
             *sol.sol(float(t) if scalar else ts[live]), params)
     return float(vals[0]) if scalar else vals
 
 
-def survival_curve(y_bar: float, t_grid, params: ModelParams) -> JumpLawCurve:
-    """P(tau_ybar > t) on a grid of times, from the limiting (p -> inf) ODE
-    l' = nu(y) - Psi_trunc(l)."""
+def counter_laplace(p: float, y_bar: float, t, params: ModelParams):
+    """E[exp(-p * J_t)] for the counter J of rate jumps larger than ybar;
+    the source of its exponent ODE is nu(y) - e^(-p) int_y^inf
+    exp(-l sigma_z z) mu_alpha(dz), and at p = 0 the law is exactly 1.
+    t may be an array of times."""
     y = _mark_threshold(params, y_bar)
-    t_grid = _check_times(t_grid)
+    if not (math.isfinite(p) and p >= 0.0):
+        raise ValueError("p must be finite and nonnegative")
+    nu, e_p = big_jump_mass(params.alpha, y), math.exp(-p)
+
+    def source(l):
+        return nu - e_p * big_jump_laplace_tail(l * params.sigma_z, y,
+                                                params.alpha)
+    return _jump_law(params, y, source if p > 0.0 else None, t)
+
+
+def survival_curve(y_bar: float, t_grid, params: ModelParams):
+    """P(tau_ybar > t) at the times t_grid, from the limiting (p -> inf)
+    ODE l' = nu(y) - Psi_trunc(l)."""
+    y = _mark_threshold(params, y_bar)
     nu = big_jump_mass(params.alpha, y)
-    t_max = max(float(t_grid.max()), 1e-9)
-    sol = _solve_l(params, y, lambda l: nu, t_max)
-    l, big_l = sol.sol(t_grid)
-    return JumpLawCurve(grid=t_grid, l_values=l,
-                        derived=_affine_exponent(l, big_l, params),
-                        y=y, y_bar=y_bar)
+    return _jump_law(params, y, lambda l: nu, t_grid)
 
 
 def survival_tau(y_bar: float, t: float, params: ModelParams) -> float:
     """P(tau_ybar > t): no rate jump larger than ybar up to t."""
-    return float(survival_curve(y_bar, [t], params).derived[0])
+    return float(survival_curve(y_bar, [t], params)[0])
 
 
 def survival_tau_via_rhat(y_bar: float, t: float, params: ModelParams) -> float:
@@ -130,7 +131,8 @@ def survival_tau_via_rhat(y_bar: float, t: float, params: ModelParams) -> float:
     y = _mark_threshold(params, y_bar)
     _check_times(t)
     nu = big_jump_mass(params.alpha, y)
-    return joint_laplace(params.r0, t, 0.0, nu, params, JumpSpec.truncated(y))
+    return affine.joint_laplace(params.r0, t, 0.0, nu, params,
+                                JumpSpec.truncated(y))
 
 
 class ExpectedTau(NamedTuple):

@@ -1,6 +1,7 @@
 """Monte Carlo estimators with standard errors for the analytic quantities:
-bond prices, Laplace functionals, jump-counter transforms, survival curves,
-expected first-jump times, running-minimum put payoffs, stationary transforms.
+bond prices, Laplace functionals (at a large t, the stationary-law proxy),
+jump-counter transforms, survival curves, expected first-jump times,
+running-minimum put payoffs.
 mc_survival and mc_expected_tau each read one first-passage run of thinned
 paths (sim.first_passage_thinned); mc_expected_tau runs it to the first
 horizon * 2^k at or past max_horizon.
@@ -129,16 +130,6 @@ def mc_expected_tau(params: ModelParams, y_bar: float, n_paths: int = 10_000,
                       f"censored at horizon {horizon}")
     tau = np.where(np.isfinite(run.first), run.first, horizon)
     return _mean_se(tau, "mc_expected_tau")
-
-
-def mc_stationary_laplace(params: ModelParams, p: float, t: float = 200.0,
-                          n_paths: int = 10_000, dt: float = 0.01,
-                          seed: int = 0) -> McEstimate:
-    """E[exp(-p r_t)] at a large t as a stationary-law proxy (root scheme)."""
-    _check_finite(p=p)
-    rng = np.random.default_rng(seed)
-    r, _ = simulate_root_batch(params, dt, t, n_paths, rng)
-    return _mean_se(np.exp(-p * r), "mc_stationary_laplace")
 
 
 def mc_lou_first_jump_cdf(params: ModelParams, y_bar: float, t_grid,

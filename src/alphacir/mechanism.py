@@ -19,7 +19,6 @@ scalar or a NumPy array.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -87,9 +86,7 @@ class ModelParams:
                 "sigma_z": self.sigma_z, "alpha": self.alpha, "r0": self.r0}
 
     @classmethod
-    def from_json(cls, obj) -> "ModelParams":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "ModelParams":
         return cls(a=obj["a"], b=obj["b"], sigma=obj["sigma"],
                    sigma_z=obj["sigma_z"], alpha=obj["alpha"],
                    r0=obj.get("r0", 0.0))

@@ -39,9 +39,9 @@ from alphacir.jumps import (
 from alphacir.mc import (
     mc_bond,
     mc_expected_tau,
+    mc_laplace,
     mc_lou_first_jump_cdf,
     mc_running_min_put,
-    mc_stationary_laplace,
     mc_survival,
 )
 from alphacir.mechanism import JumpSpec, ModelParams, psi
@@ -325,7 +325,7 @@ def test_criterion_10_stationarity():
     p = bond_p(1.5)
     pv = 1.0
     target = stationary_laplace(pv, p)
-    est = mc_stationary_laplace(p, pv, t=200.0, n_paths=10_000, seed=1010)
+    est = mc_laplace(p, pv, 200.0, n_paths=10_000, dt=0.01, seed=1010)
     z = abs(est.value - target) / est.std_error
     mc_ok = z <= 3.0
     p0 = bond_p(2.0, sigma_z=0.0)

@@ -119,7 +119,7 @@ def test_bond_in_unit_interval_and_decreasing(alpha, T):
 def test_yield_is_log_price_over_tenor(bond_params):
     p = bond_params(alpha=1.5)
     kappa = 2.0
-    y = bond_yield(0.0, kappa, p.r0, p)
+    y = bond_yield(kappa, p.r0, p)
     assert y == pytest.approx(-np.log(bond_price(0.0, kappa, p.r0, p)) / kappa,
                               rel=1e-9)
 
@@ -137,7 +137,7 @@ def test_yield_rejects_negative_rate(bond_params):
     # bond_price rejects r < 0, and so does the yield, entry by entry
     p = bond_params(alpha=1.5)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        bond_yield(0.0, 1.0, -0.01, p)
+        bond_yield(1.0, -0.01, p)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         yield_from_curve(solve_v(0.0, 1.0, 1.0, p), 1.0,
                          np.array([0.05, -1e-12]))
@@ -236,7 +236,8 @@ def test_flow_cuts_share_steps(bond_params):
 def test_flow_step_bound(bond_params, monkeypatch):
     # a cut of n steps passes at the bound n and fails at n - 1: in its
     # tail, whose steps are its own, and then, for a longer cut, in the
-    # shared flow, which keeps the n - 1 steps it took
+    # shared flow; a refused cut leaves no flow in the cache, and the cut
+    # of n steps works again at the bound n
     p = bond_params(alpha=1.5)
     affine._flow.cache_clear()
     try:
@@ -251,15 +252,16 @@ def test_flow_step_bound(bond_params, monkeypatch):
             solve_v(0.0, 1.0, 1e-3, p)
         with pytest.raises(ValueError, match=match):
             solve_v(0.0, 1.0, 10.0, p)
-        flow = affine._flow(0.0, 1.0, affine._without_r0(p), JumpSpec.full())
-        assert len(flow.steps) == n - 1
+        assert affine._flow.cache_info().currsize == 0
+        monkeypatch.setattr(affine, "_MAX_FLOW_STEPS", n)
+        assert len(solve_v(0.0, 1.0, 1e-3, p).steps) == n
     finally:
         affine._flow.cache_clear()
 
 
-def test_failed_flow_fails_again(bond_params, monkeypatch):
-    # a flow whose step failed stays cached and raises for every cut that
-    # needs the step, even once the solver works again
+def test_failed_flow_leaves_the_cache(bond_params, monkeypatch):
+    # a cut whose step failed raises and drops its flow from the cache, so
+    # the next cut, with the solver working again, starts a new flow
     class Failing(affine.RK45):
         def step(self):
             self.status = "failed"
@@ -271,9 +273,8 @@ def test_failed_flow_fails_again(bond_params, monkeypatch):
         monkeypatch.setattr(affine, "RK45", Failing)
         with pytest.raises(RuntimeError, match="Riccati flow failed: step failed"):
             solve_v(0.0, 1.0, 1.0, p)
+        assert affine._flow.cache_info().currsize == 0
         monkeypatch.undo()
-        with pytest.raises(RuntimeError, match="Riccati flow failed: step failed"):
-            solve_v(0.0, 1.0, 2.0, p)
+        assert solve_v(0.0, 1.0, 2.0, p).grid[-1] == 2.0
     finally:
         affine._flow.cache_clear()
-    assert solve_v(0.0, 1.0, 2.0, p).grid[-1] == 2.0

@@ -374,11 +374,14 @@ def test_hawkes_path_overflow_guard_exits_three(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["bond"], ["yield", "--kappa", "10"], ["fig3"],
-], ids=["bond", "yield", "fig3"])
-def test_flow_step_bound_exits_two(tmp_path, monkeypatch, capsys, argv):
-    # each of these cuts takes more than 50 steps of its Riccati flow
+@pytest.mark.parametrize("argv, ode", [
+    (["bond"], "Riccati flow"), (["yield", "--kappa", "10"], "Riccati flow"),
+    (["fig3"], "Riccati flow"), (["jump-survival"], "jump-law ODE"),
+    (["jump-expectation"], "jump-law ODE"),
+], ids=["bond", "yield", "fig3", "jump-survival", "jump-expectation"])
+def test_flow_step_bound_exits_two(tmp_path, monkeypatch, capsys, argv, ode):
+    # each of these solves takes more than 50 steps (of a Riccati flow) or
+    # step attempts (of a jump-law ODE)
     _in_tmp(tmp_path, monkeypatch)
     monkeypatch.setattr(affine, "_MAX_FLOW_STEPS", 50)
     affine._flow.cache_clear()       # no flow of an earlier test is reused
@@ -387,7 +390,7 @@ def test_flow_step_bound_exits_two(tmp_path, monkeypatch, capsys, argv):
     finally:
         affine._flow.cache_clear()   # nor is the cut-short one kept
     err = capsys.readouterr().err
-    assert err.startswith("invalid input: the Riccati flow needs more than 50")
+    assert err.startswith(f"invalid input: the {ode} needs more than 50")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 

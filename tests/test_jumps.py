@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from alphacir import jumps
+from alphacir import affine, jumps
 from alphacir.jumps import (
     counter_laplace,
     expected_tau,
@@ -17,13 +17,23 @@ from alphacir.stable import big_jump_mass
 Y_BAR = 0.1
 
 
-def test_survival_ode_evaluation_count(jump_params):
+def test_survival_ode_evaluation_count(jump_params, monkeypatch):
     # the RK45 path of a jump-law solve: any change to its right side (the
-    # truncated psi) moves the number of evaluations
+    # truncated psi) moves the number of evaluations.  Its 752 calls are 2
+    # to start and 6 for each of 125 step attempts, so the step bound
+    # passes it at 125 and refuses it at 124, as it refuses a survival curve
     p = jump_params(alpha=1.5)
     y = Y_BAR / p.sigma_z
     nu = big_jump_mass(p.alpha, y)
     assert jumps._solve_l(p, y, lambda l: nu, 30.0).nfev == 752
+    monkeypatch.setattr(affine, "_MAX_FLOW_STEPS", 125)
+    assert jumps._solve_l(p, y, lambda l: nu, 30.0).nfev == 752
+    monkeypatch.setattr(affine, "_MAX_FLOW_STEPS", 124)
+    match = "jump-law ODE needs more than 124 steps"
+    with pytest.raises(ValueError, match=match):
+        jumps._solve_l(p, y, lambda l: nu, 30.0)
+    with pytest.raises(ValueError, match=match):
+        survival_curve(Y_BAR, [0.0, 30.0], p)
 
 
 def test_counter_laplace_degenerate_points(jump_params):
@@ -72,8 +82,7 @@ def test_survival_two_route_identity(jump_params):
 def test_survival_curve_monotone_and_bounded(jump_params):
     p = jump_params(alpha=1.5)
     grid = np.linspace(0.0, 30.0, 61)
-    curve = survival_curve(Y_BAR, grid, p)
-    s = curve.derived
+    s = survival_curve(Y_BAR, grid, p)
     assert s[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(s) <= 1e-12)
     assert np.all((s >= 0.0) & (s <= 1.0))
@@ -159,7 +168,7 @@ def test_expected_tau_consistent_with_survival_integral(jump_params):
     p = jump_params(alpha=1.2)
     est = expected_tau(Y_BAR, p)
     grid = np.linspace(0.0, 30.0, 301)
-    partial = trapezoid(survival_curve(Y_BAR, grid, p).derived, grid)
+    partial = trapezoid(survival_curve(Y_BAR, grid, p), grid)
     assert partial < est.value
 
 

@@ -10,7 +10,6 @@ from alphacir.mc import (
     mc_laplace,
     mc_lou_first_jump_cdf,
     mc_running_min_put,
-    mc_stationary_laplace,
     mc_survival,
 )
 from alphacir.jumps import (
@@ -82,9 +81,8 @@ def test_mc_jump_estimators_reject_bad_threshold(jump_params, estimate,
 @pytest.mark.parametrize("estimate", [
     lambda p, x: mc_laplace(p, x, 1.0, n_paths=10),
     lambda p, x: mc_counter(p, x, 0.1, 1.0, n_paths=10),
-    lambda p, x: mc_stationary_laplace(p, x, t=1.0, n_paths=10),
     lambda p, x: mc_running_min_put(p, 0.5, 1.0, x, n_paths=10),
-], ids=["laplace", "counter", "stationary", "running_min_put-K"])
+], ids=["laplace", "counter", "running_min_put-K"])
 @pytest.mark.parametrize("x", [float("nan"), float("inf")])
 def test_mc_estimators_reject_non_finite_argument(jump_params, estimate, x):
     with pytest.raises(ValueError):
