@@ -64,7 +64,7 @@ def _solve_l(params: ModelParams, y: float, source, t_max: float, events=None):
         if budget < 0:
             raise ValueError(f"the jump-law ODE needs more than {max_steps} "
                              "steps to reach the horizon")
-        l = max(state[0], 0.0)
+        l = max(float(state[0]), 0.0)
         return [source(l) - psi(l, params, spec), state[0]]
 
     sol = solve_ivp(rhs, (0.0, t_max), [0.0, 0.0], method="RK45",

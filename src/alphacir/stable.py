@@ -23,12 +23,15 @@ summed there instead.
 
 The constants of the measure truncated at y (K y^-alpha, the series
 coefficients, Gamma(-alpha), ...) are built once per (alpha, y) by the
-cached _truncation, which big_jump_mean, the two integrals and the
-truncated mechanism's psi and psi_prime all read.  A scalar argument to the
-small-jump integral evaluates only the branch it falls in, on a
-one-element array: NumPy's SIMD power and exp may differ from libm's pow
-and exp by one ulp, so the scalar value stays that of an array element
-only if it goes through the same NumPy loops.
+cached _truncation, as Python floats, which big_jump_mean, the two
+integrals and the truncated mechanism's psi and psi_prime all read.  A
+scalar argument to the small-jump integral evaluates only the branch it
+falls in.  The series is summed by Horner's rule, which takes only * and
++; these round the same on a float as on an array element, so a float
+below the cut stays a float and still equals an array element bit for
+bit.  The closed form needs exp and a power, where NumPy's SIMD loops may
+differ from libm by one ulp, so a scalar above the cut goes through them
+on a one-element array.
 """
 
 from __future__ import annotations
@@ -83,11 +86,15 @@ def levy_density(z, alpha: float):
     return levy_density_coefficient(alpha) * z ** (-1.0 - alpha)
 
 
+def _check_threshold(y: float) -> None:
+    if not (math.isfinite(y) and y > 0.0):
+        raise ValueError(f"threshold y must be finite and positive, got {y}")
+
+
 def big_jump_mass(alpha: float, y: float) -> float:
     """nu(y) = mu_alpha((y, inf)) = C_alpha * y^(-alpha)."""
     _check_alpha(alpha, allow_two=False)
-    if y <= 0.0:
-        raise ValueError("threshold y must be positive")
+    _check_threshold(y)
     return tail_constant(alpha) * y ** (-alpha)
 
 
@@ -97,12 +104,9 @@ def big_jump_mean(alpha: float, y: float) -> float:
     return _truncation(alpha, y).theta
 
 
-# x below which the small-jump integral is summed as a series, and its terms
-# k = 2..20 with their factors (-1)^k / k!: past k = 20 they are below
-# x^2 / 20! < 1e-18 of the first
+# x below which the small-jump integral is summed as its series in k = 2..20:
+# past k = 20 the terms are below x^2 / 20! < 1e-18 of the first
 _SERIES_CUT = 1.0
-_SERIES_K = np.arange(2, 21)
-_SERIES_SIGN_FACT = np.array([(-1.0) ** k / math.factorial(k) for k in _SERIES_K])
 
 
 class _Truncation(NamedTuple):
@@ -113,7 +117,7 @@ class _Truncation(NamedTuple):
     k_y: float            # K y^(-alpha)
     y_1ma: float          # y^(1-alpha)
     theta: float          # Theta(alpha, y) = K y^(1-alpha) / (alpha-1)
-    series: np.ndarray    # (-1)^k / (k! (k-alpha)), k = 2..20
+    series: tuple         # (-1)^k / (k! (k-alpha)), k = 20 down to 2, for Horner
     gamma_neg: float      # Gamma(-alpha)
     gamma_2ma: float      # Gamma(2-alpha)
     inv_alpha: float      # 1/alpha
@@ -126,15 +130,15 @@ class _Truncation(NamedTuple):
 def _truncation(alpha: float, y: float) -> _Truncation:
     """The constants at (alpha, y), after checking both."""
     _check_alpha(alpha, allow_two=False)
-    if y <= 0.0:
-        raise ValueError("threshold y must be positive")
-    k = levy_density_coefficient(alpha)
+    _check_threshold(y)
+    k = float(levy_density_coefficient(alpha))
     y_1ma = y ** (1.0 - alpha)
-    series = _SERIES_SIGN_FACT / (_SERIES_K - alpha)
-    series.flags.writeable = False
-    return _Truncation(alpha, k, k * y ** (-alpha), y_1ma,
-                       k * y_1ma / (alpha - 1.0), series, gamma_fn(-alpha),
-                       gamma_fn(2.0 - alpha), 1.0 / alpha, alpha - 1.0)
+    series = tuple(float((-1.0) ** j / math.factorial(j) / (j - alpha))
+                   for j in range(20, 1, -1))
+    return _Truncation(float(alpha), k, float(k * y ** (-alpha)), float(y_1ma),
+                       float(k * y_1ma / (alpha - 1.0)), series,
+                       float(gamma_fn(-alpha)), float(gamma_fn(2.0 - alpha)),
+                       float(1.0 / alpha), float(alpha - 1.0))
 
 
 def _scaled_upper_gammas(tr: _Truncation, x):
@@ -151,9 +155,14 @@ def _scaled_upper_gammas(tr: _Truncation, x):
     return (e - x * g1) / tr.alpha, g1
 
 
-def _small_jump_series(x: np.ndarray, tr: _Truncation) -> np.ndarray:
-    """f(x) of the small-jump integral by its series, for 0 <= x < 1."""
-    return (x[:, None] ** _SERIES_K * tr.series).sum(axis=-1)
+def _small_jump_series(x, tr: _Truncation):
+    """f(x) of the small-jump integral by its series, for 0 <= x < 1, by
+    Horner's rule: x^2 (c_2 + x (c_3 + ... + x c_20)).  x may be a float or
+    an array; each element of an array rounds as the float would."""
+    acc = 0.0
+    for c in tr.series:
+        acc = acc * x + c
+    return acc * x * x
 
 
 def _small_jump_closed(x: np.ndarray, tr: _Truncation) -> np.ndarray:
@@ -180,9 +189,10 @@ def small_jump_compensated_integral(q, y: float, alpha: float, sigma_z: float):
     if isinstance(q, float):
         if q < 0.0:
             raise ValueError("q must be nonnegative")
-        x = np.array([q * sigma_z * y])
-        f = (_small_jump_series if x[0] < _SERIES_CUT else _small_jump_closed)(x, tr)
-        return float(tr.k_y * f[0])
+        x = q * sigma_z * y
+        if x < _SERIES_CUT:
+            return float(tr.k_y * _small_jump_series(x, tr))
+        return float(tr.k_y * _small_jump_closed(np.array([x]), tr)[0])
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("q must be nonnegative")

@@ -93,6 +93,20 @@ def test_array_psi_prime_equals_scalar_psi_prime(bond_params, alpha, spec,
     assert np.array_equal(psi_prime(grid, p, spec), scalar[1:].reshape(4, -1))
 
 
+def test_truncated_psi_of_float_is_float(bond_params):
+    # a float q stays a float through the truncated psi on both sides of
+    # the series cut-off at sigma_z q y = 1 (sigma_z = 0.3, y = 1)
+    p = bond_params(alpha=1.5)
+    for q in (0.0, 1e-3, 3.0, 1e3):
+        assert type(psi(q, p, JumpSpec.truncated(1.0))) is float
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_truncated_drift_rejects_non_finite_threshold(bond_params, bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        truncated_drift(bond_params(alpha=1.5), bad)
+
+
 def test_array_psi_rejects_negative(bond_params):
     p = bond_params(alpha=1.5)
     for spec in (JumpSpec.full(), JumpSpec.truncated(1.0)):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from alphacir.stable import (
     StableSpec,
+    _truncation,
     big_jump_laplace_tail,
     big_jump_mass,
     big_jump_mean,
@@ -90,6 +91,18 @@ def test_levy_integrals_match_mpmath(q):
         pytest.approx(tail, rel=1e-12, abs=0.0)
 
 
+# the series side, summed by Horner's rule, over the range of alpha and of
+# x = sigma_z q y below the cut at 1 (y = 0.5 and sigma_z = 1 make x exact)
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+@pytest.mark.parametrize("x", [1e-8, 1e-4, 0.3, 0.999])
+def test_small_jump_series_matches_mpmath(alpha, x):
+    q, y = 2.0 * x, 0.5
+    small, _ = _mp_levy_integrals(q, y, alpha)
+    ours = small_jump_compensated_integral(q, y, alpha, 1.0)
+    assert type(ours) is float
+    assert ours == pytest.approx(small, rel=1e-14, abs=0.0)
+
+
 def test_levy_integrals_take_arrays():
     q = np.array([0.0, 1e-3, 9.0, 10.0, 11.0, 1e4])
     small = small_jump_compensated_integral(q, 1.0, 1.5, 0.1)
@@ -97,10 +110,29 @@ def test_levy_integrals_take_arrays():
     assert np.array_equal(
         small, [small_jump_compensated_integral(float(v), 1.0, 1.5, 0.1)
                 for v in q])
+    # x = 1 - 2^-53 (series) and x = 1 (closed form) on either side of the cut
+    edge = np.array([2.0 - 2.0 ** -52, 2.0])
+    for alpha in (1.05, 1.5, 1.95):
+        small = small_jump_compensated_integral(edge, 0.5, alpha, 1.0)
+        assert np.array_equal(
+            small, [small_jump_compensated_integral(float(v), 0.5, alpha, 1.0)
+                    for v in edge])
     with pytest.raises(ValueError):
         small_jump_compensated_integral(-q, 1.0, 1.5, 0.1)
     assert big_jump_laplace_tail(0.0, 0.7, 1.5) == pytest.approx(
         big_jump_mass(1.5, 0.7), rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_measure_functions_reject_bad_threshold(bad):
+    size = _truncation.cache_info().currsize
+    for call in (lambda: big_jump_mass(1.5, bad),
+                 lambda: big_jump_mean(1.5, bad),
+                 lambda: big_jump_laplace_tail(0.5, bad, 1.5),
+                 lambda: small_jump_compensated_integral(1.0, bad, 1.5, 0.1)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            call()
+    assert _truncation.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
