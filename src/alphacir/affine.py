@@ -42,10 +42,12 @@ from .mechanism import JumpSpec, ModelParams, phi, psi
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 _RTOL, _ATOL = 1e-10, 1e-12
-# steps of one flow or cut, and step attempts of one jump-law solve
-# (jumps._solve_l): the step size is stability-limited, so a far horizon
-# (bond --tmax 1e9) would step for ever.  The bond set at alpha 1.2 takes
-# 3323 steps to t = 1e4; each step keeps its state and dense output.
+# steps of one flow or cut (scipy's RK45), and step attempts of one
+# jump-law solve (the float Dormand-Prince stepper jumps._solve_l, which
+# takes RK45's steps): the step size is stability-limited, so a far horizon
+# (bond --tmax 1e9, jump-survival --tmax 1e9) would step for ever.  The
+# bond set at alpha 1.2 takes 3323 steps to t = 1e4; each step keeps its
+# state and dense output.
 _MAX_FLOW_STEPS = 2 ** 16
 
 

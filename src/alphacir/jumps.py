@@ -12,6 +12,15 @@ mechanism.psi evaluates in closed form; the ODE right sides call it
 directly.  The source is nu(y) = C_alpha y^(-alpha) for the survival law,
 and int_y^inf (1 - exp(-p - l sigma_z z)) mu_alpha(dz) for the counter
 Laplace.
+
+_solve_l integrates [l, int l] with its own Dormand-Prince 5(4) stepper on
+Python floats.  It reads the tableau from scipy's RK45 and copies RK45's
+step rules (initial step, RMS error norm, step factors, first-same-as-last
+stage, 10-ulp minimum step), so it takes the steps scipy's RK45 driver
+takes, up to rounding in the error estimate, without that run's per-step
+array work; a test checks it against such a run.  Each step keeps its
+stages, from which its quartic dense output is built for all the requested
+times in one NumPy pass.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson, solve_ivp
+from scipy.integrate import RK45, cumulative_trapezoid, simpson
+from scipy.optimize import brentq
 
 from . import affine
 from .mechanism import (JumpSpec, ModelParams, fixed_point_truncated, psi,
@@ -49,29 +59,122 @@ def _check_times(t) -> np.ndarray:
     return t
 
 
-def _solve_l(params: ModelParams, y: float, source, t_max: float, events=None):
-    """Integrate [l, int l] with l' = source(l) - Psi_trunc(l), l(0) = 0.
-    A solve that would pass affine._MAX_FLOW_STEPS step attempts (6 right
-    side calls each, after 2 to start) raises ValueError: RK45's step is
-    stability-limited, so a far horizon would step for ever."""
+# the Dormand-Prince 5(4) pair that scipy's RK45 steps: stage weights A (row
+# s for stage s = 1..5), solution weights B and error weights E (its dense
+# output weights P are read in _Steps); the right side does not read t, so
+# the stage times C are not needed
+_A = [row[:s] for s, row in enumerate(RK45.A.tolist())][1:]
+_B, _E = RK45.B.tolist(), RK45.E.tolist()
+_RTOL, _ATOL, _EPS = affine._RTOL, affine._ATOL, np.finfo(float).eps
+
+
+def _rms(u: float, v: float) -> float:
+    """scipy's RMS norm of the pair (u, v), squares written as products:
+    a float ** raises OverflowError where a product gives inf."""
+    return math.sqrt(u * u + v * v) / math.sqrt(2.0)
+
+
+def _dot(w, k) -> float:
+    """sum_s w[s] k[s] over the stages, added in stage order."""
+    acc = 0.0
+    for ws, ks in zip(w, k):
+        acc += ks * ws
+    return acc
+
+
+class _Steps:
+    """The accepted steps of one _solve_l run: t, the step ends from 0 (the
+    last cut back to where a stop fired), nfev, and sol(t) = [l, int l] at
+    the times t from each step's quartic dense output, as RK45 builds it."""
+
+    def __init__(self, steps, nfev):
+        t_end, y_old, k = zip(*steps)
+        self.t, self.nfev = np.array((0.0,) + t_end), nfev
+        self._h, self._y_old = np.diff(self.t), np.array(y_old)
+        self._q = np.array(k) @ RK45.P          # (steps, 2, 4)
+
+    def sol(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.t, t) - 1, 0, len(self._h) - 1)
+        x = (t - self.t[i]) / self._h[i]
+        p = np.cumprod(np.repeat(x[..., None], 4, axis=-1), axis=-1)
+        y = (self._h[i][..., None] * (self._q[i] @ p[..., None])[..., 0]
+             + self._y_old[i])
+        return np.moveaxis(y, -1, 0)
+
+
+def _solve_l(params: ModelParams, y: float, source, t_max: float, cut=None):
+    """Integrate [l, int l] with l' = source(l) - Psi_trunc(l), l(0) = 0,
+    from 0 to t_max, and return its _Steps.  The stepper follows scipy's
+    RK45 rule for rule at rtol 1e-10, atol 1e-12: Hairer-Norsett-Wanner's
+    initial step, the RMS error norm over both states, a step factor
+    0.9 err^(-1/5) kept in [0.2, 10] and not above 1 right after a
+    rejection, and the last stage reused as the next step's first.  A NaN
+    error norm rejects the step, as in RK45.
+
+    A step below 10 ulp of t raises RuntimeError.  A solve that would pass
+    affine._MAX_FLOW_STEPS step attempts (6 right side calls each, after 2
+    to start) raises ValueError: the step is stability-limited, so a far
+    horizon would step for ever.  With cut(l, int l) given, the solve stops
+    after the first step where cut falls from >= 0 to <= 0, at the crossing
+    that brentq finds on that step's dense output (xtol 4 eps, as scipy's
+    RK45 driver locates a terminal event)."""
     spec = JumpSpec.truncated(y)
     max_steps = affine._MAX_FLOW_STEPS
-    budget = 2 + 6 * max_steps
 
-    def rhs(_t, state):
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ValueError(f"the jump-law ODE needs more than {max_steps} "
-                             "steps to reach the horizon")
-        l = max(float(state[0]), 0.0)
-        return [source(l) - psi(l, params, spec), state[0]]
+    def rhs(l):
+        l = max(l, 0.0)
+        return source(l) - psi(l, params, spec)
 
-    sol = solve_ivp(rhs, (0.0, t_max), [0.0, 0.0], method="RK45",
-                    rtol=1e-10, atol=1e-12, dense_output=True, events=events)
-    if not sol.success:
-        raise RuntimeError(f"jump-law ODE failed: {sol.message}")
-    return sol
+    # the initial step from y(0) = 0, f(0) and one Euler probe of 1e-6
+    f, h0 = rhs(0.0), min(1e-6, t_max)
+    d1 = _rms(f / _ATOL, 0.0)
+    d2 = _rms((rhs(h0 * f) - f) / _ATOL, h0 * f / _ATOL) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.2)
+    h_abs = min(100 * h0, h1, t_max)
+
+    t, l, big_l, nfev, steps = 0.0, 0.0, 0.0, 2, []
+    g = None if cut is None else cut(0.0, 0.0)
+    while t < t_max:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("jump-law ODE failed: the step fell below "
+                                   f"10 ulp at t = {t}")
+            if nfev + 6 > 2 + 6 * max_steps:
+                raise ValueError(f"the jump-law ODE needs more than {max_steps} "
+                                 "steps to reach the horizon")
+            t_new = min(t + h_abs, t_max)
+            h = h_abs = t_new - t
+            kl, kbig = [f], [l]               # the stages of l' and (int l)'
+            for a in _A:
+                kbig.append(l + _dot(a, kl) * h)
+                kl.append(rhs(kbig[-1]))
+            l_new, big_new = l + h * _dot(_B, kl), big_l + h * _dot(_B, kbig)
+            kbig.append(l_new)
+            kl.append(rhs(l_new))
+            nfev += 6
+            err = _rms(_dot(_E, kl) * h / (_ATOL + max(abs(l), abs(l_new)) * _RTOL),
+                       _dot(_E, kbig) * h
+                       / (_ATOL + max(abs(big_l), abs(big_new)) * _RTOL))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)   # a NaN norm rejects
+            rejected = True
+        steps.append((t_new, (l, big_l), (kl, kbig)))
+        t, l, big_l, f = t_new, l_new, big_new, kl[-1]
+        if cut is not None:
+            g_old, g = g, cut(l, big_l)
+            if g_old >= 0.0 >= g:
+                sol = _Steps(steps, nfev)
+                sol.t[-1] = brentq(lambda s: cut(*sol.sol(s)), sol.t[-2], t,
+                                   xtol=4 * _EPS, rtol=4 * _EPS)
+                return sol
+    return _Steps(steps, nfev)
 
 
 def _affine_exponent(l, big_l, params: ModelParams):
@@ -153,7 +256,7 @@ def expected_tau(y_bar: float, params: ModelParams) -> ExpectedTau:
     exp(-l* r0) > 0 and E[tau] is infinite.
 
     Route 1 is Simpson's rule for S on linspace(0, t_max, 4001) from one ODE
-    solve, which a terminal event stops at the time t_e where log S =
+    solve, which a cut stops at the time t_e where log S =
     -l r0 - a b int l falls through log 1e-12 (or which ends at 2**24); t_max
     is the least power of two >= max(t_e, 1).  Past t_e, where l has settled
     at l*, S is the closed-form tail S(t_e) exp(-a b l* (t - t_e))."""
@@ -165,10 +268,9 @@ def expected_tau(y_bar: float, params: ModelParams) -> ExpectedTau:
     l_star = fixed_point_truncated(params, y)
 
     # route 1: one solve, stopped where the survival falls through 1e-12
-    def survival_cut(_t, state):
-        return -state[0] * params.r0 - ab * state[1] - math.log(1e-12)
-    survival_cut.terminal, survival_cut.direction = True, -1
-    sol = _solve_l(params, y, lambda l: nu, 2.0 ** 24, events=survival_cut)
+    def survival_cut(l, big_l):
+        return -l * params.r0 - ab * big_l - math.log(1e-12)
+    sol = _solve_l(params, y, lambda l: nu, 2.0 ** 24, cut=survival_cut)
     t_e = float(sol.t[-1])
     t_max = 2.0 ** max(0, math.ceil(math.log2(t_e)))
     ts = np.linspace(0.0, t_max, 4001)

@@ -29,10 +29,9 @@ from scipy.optimize import brentq
 from .stable import (
     _check_alpha,
     _scaled_upper_gammas,
+    _small_jump_integral,
     _truncation,
     big_jump_mass,
-    big_jump_mean,
-    small_jump_compensated_integral,
 )
 
 FULL = "full"
@@ -133,7 +132,7 @@ class JumpSpec:
 def truncated_drift(params: ModelParams, y: float) -> float:
     """a_tilde = a + sigma_z * Theta(alpha, y): drift after absorbing the
     big-jump compensator."""
-    return params.a + params.sigma_z * big_jump_mean(params.alpha, y)
+    return params.a + params.sigma_z * _truncation(params.alpha, y).theta
 
 
 def truncated_level(params: ModelParams, y: float) -> float:
@@ -168,8 +167,9 @@ def psi(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     if params.is_diffusion:
         return a * q + 0.5 * params.sigma_eff ** 2 * q * q
     if spec.variant == TRUNCATED:
-        return (truncated_drift(params, spec.y) * q + 0.5 * s * s * q * q
-                + small_jump_compensated_integral(q, spec.y, alpha, sz))
+        tr = _truncation(alpha, spec.y)     # the drift is truncated_drift's
+        return ((a + sz * tr.theta) * q + 0.5 * s * s * q * q
+                + _small_jump_integral(q, spec.y, sz, tr))
     cos_a = np.cos(np.pi * alpha / 2.0)
     th = spec.theta
     if spec.variant == FULL or (spec.variant == TEMPERED and th == 0.0):

@@ -92,10 +92,18 @@ def _check_threshold(y: float) -> None:
 
 
 def big_jump_mass(alpha: float, y: float) -> float:
-    """nu(y) = mu_alpha((y, inf)) = C_alpha * y^(-alpha)."""
+    """nu(y) = mu_alpha((y, inf)) = C_alpha * y^(-alpha), a Python float;
+    a threshold so small that nu(y) is not a finite float raises
+    ValueError."""
     _check_alpha(alpha, allow_two=False)
     _check_threshold(y)
-    return tail_constant(alpha) * y ** (-alpha)
+    try:
+        nu = float(tail_constant(alpha)) * y ** (-alpha)
+    except OverflowError:
+        nu = math.inf
+    if not math.isfinite(nu):
+        raise ValueError(f"threshold y = {y} is too small: nu(y) overflows")
+    return nu
 
 
 def big_jump_mean(alpha: float, y: float) -> float:
@@ -129,8 +137,7 @@ class _Truncation(NamedTuple):
 @lru_cache(maxsize=64, typed=True)
 def _truncation(alpha: float, y: float) -> _Truncation:
     """The constants at (alpha, y), after checking both."""
-    _check_alpha(alpha, allow_two=False)
-    _check_threshold(y)
+    big_jump_mass(alpha, y)     # C_alpha < K < 1, so K y^(-alpha) is finite
     k = float(levy_density_coefficient(alpha))
     y_1ma = y ** (1.0 - alpha)
     series = tuple(float((-1.0) ** j / math.factorial(j) / (j - alpha))
@@ -185,7 +192,11 @@ def small_jump_compensated_integral(q, y: float, alpha: float, sigma_z: float):
     order one, so the closed form loses about 2*log10(1/x) digits (1e-8
     relative at x = 1e-4); below x = 1 the series is summed instead.
     """
-    tr = _truncation(alpha, y)
+    return _small_jump_integral(q, y, sigma_z, _truncation(alpha, y))
+
+
+def _small_jump_integral(q, y: float, sigma_z: float, tr: _Truncation):
+    """small_jump_compensated_integral from the constants tr at (alpha, y)."""
     if isinstance(q, float):
         if q < 0.0:
             raise ValueError("q must be nonnegative")

@@ -4,9 +4,10 @@ stable-driver Laplace transform; adaptive quadratures of the truncated
 Levy-measure integrals that the library evaluates in closed form; a plain
 Euler loop of the root scheme driven by given increments; one
 solve_ivp run of the Riccati flow to its horizon, integrated by its own
-Gauss rule: it shares no code with the library's cut of a shared flow; and
-H_eps(theta, x) one (theta, x) at a time, with scipy's Simpson rule on its
-own tail grids."""
+Gauss rule: it shares no code with the library's cut of a shared flow; one
+solve_ivp run of a jump-law ODE, whose steps the library's own
+Dormand-Prince stepper takes; and H_eps(theta, x) one (theta, x) at a time,
+with scipy's Simpson rule on its own tail grids."""
 
 import numpy as np
 from scipy.integrate import quad, simpson, solve_ivp
@@ -137,6 +138,23 @@ def solve_v_ivp(xi: float, theta: float, horizon: float, params,
     if not sol.success:
         raise RuntimeError(f"Riccati flow failed: {sol.message}")
     return IvpCurve(sol)
+
+
+def solve_l_ivp(params, y: float, source, t_max: float):
+    """[l, int l] with l' = source(l) - Psi_trunc(l), l(0) = 0, by one
+    solve_ivp RK45 run over [0, t_max] with the jump laws' tolerances; the
+    right side clamps l at 0 for the source and Psi, as the library's does."""
+    spec = JumpSpec.truncated(y)
+
+    def rhs(_t, state):
+        l = max(float(state[0]), 0.0)
+        return [source(l) - psi(l, params, spec), state[0]]
+
+    sol = solve_ivp(rhs, (0.0, t_max), [0.0, 0.0], method="RK45",
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"jump-law ODE failed: {sol.message}")
+    return sol
 
 
 _G32_X, _G32_W = np.polynomial.legendre.leggauss(32)

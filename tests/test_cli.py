@@ -1,7 +1,6 @@
 import json
 import re
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +121,15 @@ def test_validation_error_exit_code(tmp_path, monkeypatch):
                  id="simulate-lou-y-inf"),
     pytest.param(["simulate", "--scheme", "lou", "--y", "nan"],
                  id="simulate-lou-y-nan"),
+    # a threshold so small that nu(y) = C_alpha y^(-alpha) is not a float
+    pytest.param(["jump-expectation", "--y-bar", "1e-300"],
+                 id="jump-expectation-y-bar-tiny"),
+    pytest.param(["jump-survival", "--y-bar", "1e-300"],
+                 id="jump-survival-y-bar-tiny"),
+    pytest.param(["jump-counter", "--p", "1", "--y-bar", "1e-300"],
+                 id="jump-counter-y-bar-tiny"),
+    pytest.param(["simulate", "--scheme", "thinned", "--y", "1e-300"],
+                 id="simulate-thinned-y-tiny"),
     # a step count horizon / dt that is not finite cannot be built
     pytest.param(["simulate", "--horizon", "inf"], id="simulate-horizon-inf"),
     pytest.param(["simulate", "--scheme", "thinned", "--horizon", "1e300",
@@ -315,19 +323,21 @@ def test_zero_points_exits_two(tmp_path, monkeypatch, capsys, argv):
 _STEP_FAILURE = "Required step size is less than spacing between numbers."
 
 
-def _failed_solve(*args, **kwargs):
-    return SimpleNamespace(success=False, message=_STEP_FAILURE)
-
-
 class _FailingRK45(RK45):
     def step(self):
         self.status = "failed"
         return _STEP_FAILURE
 
 
-# the solver each module runs: the Riccati flow steps an RK45 itself, the
-# jump laws call solve_ivp
-_SOLVERS = {"affine": ("RK45", _FailingRK45), "jumps": ("solve_ivp", _failed_solve)}
+def _nan_psi(*args, **kwargs):
+    return float("nan")
+
+
+# what each module's solve is made to fail on: the Riccati flow steps an
+# RK45, which is replaced by one that fails; the jump laws' own stepper
+# fails for real on a Psi that is NaN everywhere, since a NaN error norm
+# rejects every step until the step falls below 10 ulp of t
+_SOLVERS = {"affine": ("RK45", _FailingRK45), "jumps": ("psi", _nan_psi)}
 
 
 @pytest.mark.parametrize("module, argv", [

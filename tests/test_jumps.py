@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -12,7 +14,8 @@ from alphacir.jumps import (
     survival_tau_via_rhat,
     tail_asymptotics,
 )
-from alphacir.stable import big_jump_mass
+from alphacir.stable import big_jump_laplace_tail, big_jump_mass
+from oracles import solve_l_ivp
 
 Y_BAR = 0.1
 
@@ -34,6 +37,29 @@ def test_survival_ode_evaluation_count(jump_params, monkeypatch):
         jumps._solve_l(p, y, lambda l: nu, 30.0)
     with pytest.raises(ValueError, match=match):
         survival_curve(Y_BAR, [0.0, 30.0], p)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("law", ["survival", "counter"])
+def test_solve_l_takes_solve_ivp_steps(jump_params, alpha, law):
+    # the float stepper against one solve_ivp RK45 run of the same ODE: the
+    # same steps and evaluations, step ends that drift only by rounding in
+    # the error estimate, and the same l and int l to t = 30
+    p = jump_params(alpha=alpha)
+    y = Y_BAR / p.sigma_z
+    nu = big_jump_mass(alpha, y)
+    if law == "survival":
+        def source(l):
+            return nu
+    else:                 # the counter Laplace source at p = 1
+        def source(l):
+            return nu - math.exp(-1.0) * big_jump_laplace_tail(
+                l * p.sigma_z, y, alpha)
+    sol, ref = jumps._solve_l(p, y, source, 30.0), solve_l_ivp(p, y, source, 30.0)
+    assert sol.nfev == ref.nfev and len(sol.t) == len(ref.t)
+    np.testing.assert_allclose(sol.t, ref.t, rtol=1e-5, atol=0.0)
+    ts = np.concatenate((np.linspace(0.01, 30.0, 3000), ref.t[1:]))
+    np.testing.assert_allclose(sol.sol(ts), ref.sol(ts), rtol=1e-13, atol=0.0)
 
 
 def test_counter_laplace_degenerate_points(jump_params):

@@ -123,14 +123,18 @@ def test_levy_integrals_take_arrays():
         big_jump_mass(1.5, 0.7), rel=1e-14)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-def test_measure_functions_reject_bad_threshold(bad):
+@pytest.mark.parametrize("bad, match", [
+    pytest.param(bad, "finite and positive", id=str(bad))
+    for bad in (np.nan, np.inf, 0.0, -1.0)] + [
+    # finite and positive, but nu(y) = C_alpha y^(-alpha) is not a float
+    pytest.param(1e-300, "too small", id="1e-300")])
+def test_measure_functions_reject_bad_threshold(bad, match):
     size = _truncation.cache_info().currsize
     for call in (lambda: big_jump_mass(1.5, bad),
                  lambda: big_jump_mean(1.5, bad),
                  lambda: big_jump_laplace_tail(0.5, bad, 1.5),
                  lambda: small_jump_compensated_integral(1.0, bad, 1.5, 0.1)):
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match=match):
             call()
     assert _truncation.cache_info().currsize == size
 
