@@ -39,6 +39,7 @@ import numpy as np
 from scipy.integrate import RK45, OdeSolution, quad
 
 from .mechanism import JumpSpec, ModelParams, phi, psi
+from .stable import _check_input
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 _RTOL, _ATOL = 1e-10, 1e-12
@@ -211,9 +212,9 @@ def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
     from the shared flow of (xi, theta, params, spec).  A cut that raises
     (a failed step, or one past _MAX_FLOW_STEPS) empties the flow cache, so
     that no failed or cut-short flow is kept with its steps."""
-    _check_xi_theta(xi, theta)
-    if not (np.isfinite(horizon) and horizon > 0.0):
-        raise ValueError("horizon must be finite and positive")
+    _check_input("xi", xi, "nonnegative")
+    _check_input("theta", theta, "nonnegative")
+    _check_input("horizon", horizon, "positive")
     try:
         return _flow(xi, theta, _without_r0(params), spec).cut(float(horizon))
     except BaseException:
@@ -221,29 +222,14 @@ def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
         raise
 
 
-def _check_xi_theta(xi: float, theta: float) -> None:
-    """Reject a flow argument xi or theta that is NaN, infinite or
-    negative (NaN fails every comparison, so finiteness is tested)."""
-    if not (np.isfinite(xi) and np.isfinite(theta) and xi >= 0.0
-            and theta >= 0.0):
-        raise ValueError("xi and theta must be finite and nonnegative")
-
-
-def _check_rate(r: float) -> None:
-    """A rate the transforms can start from: NaN or inf would come back as a
-    NaN or 0 that looks like a result."""
-    if not (np.isfinite(r) and r >= 0.0):
-        raise ValueError("short rate must be finite and nonnegative")
-
-
 def joint_laplace(x: float, t: float, xi: float, theta: float,
                   params: ModelParams, spec: JumpSpec = JumpSpec.full()) -> float:
     """E_x[exp(-xi r_t - theta int_0^t r_s ds)]
     = exp(-x v(t,xi,theta) - int_0^t Phi(v(s,xi,theta)) ds)."""
-    _check_rate(x)
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError("t must be finite and nonnegative")
-    _check_xi_theta(xi, theta)
+    _check_input("x", x, "nonnegative")
+    _check_input("t", t, "nonnegative")
+    _check_input("xi", xi, "nonnegative")
+    _check_input("theta", theta, "nonnegative")
     if t == 0.0:
         return float(np.exp(-xi * x))
     if xi == 0.0 and theta == 0.0:
@@ -256,14 +242,14 @@ def bond_price(t: float, T: float, r_t: float, params: ModelParams) -> float:
     """Zero-coupon price B(t, T) = exp(-r_t v(T-t) - a b int_0^(T-t) v(s) ds),
     the joint Laplace functional at (xi, theta) = (0, 1) over T - t."""
     if T < t:
-        raise ValueError("maturity precedes valuation date")
+        raise ValueError(f"maturity T = {T} precedes valuation date t = {t}")
     return joint_laplace(r_t, T - t, 0.0, 1.0, params)
 
 
 def bond_price_from_curve(curve: OdeCurve, tau: float, r_t: float) -> float:
     """Bond price reusing a precomputed (xi=0, theta=1) curve; tau must lie
     in [0, horizon]."""
-    _check_rate(r_t)
+    _check_input("r_t", r_t, "nonnegative")
     if tau == 0.0:
         return 1.0
     p = curve.params
@@ -273,8 +259,7 @@ def bond_price_from_curve(curve: OdeCurve, tau: float, r_t: float) -> float:
 def bond_yield(kappa: float, r_t: float, params: ModelParams) -> float:
     """Constant-maturity yield at the current rate r_t: -ln B(t, t+kappa)/kappa
     = (r_t v(kappa) + a b int_0^kappa v)/kappa, which does not depend on t."""
-    if kappa <= 0.0:
-        raise ValueError("tenor must be positive")
+    _check_input("kappa", kappa, "positive")
     curve = solve_v(0.0, 1.0, kappa, params)
     return yield_from_curve(curve, kappa, r_t)
 
@@ -282,10 +267,8 @@ def bond_yield(kappa: float, r_t: float, params: ModelParams) -> float:
 def yield_from_curve(curve: OdeCurve, kappa: float, r_t):
     """Yield as a function of the current rate; r_t may be an array, each
     entry finite and nonnegative, and kappa must lie in (0, horizon]."""
-    if kappa <= 0.0:         # the curve itself rejects kappa past its horizon
-        raise ValueError("tenor must be positive")
-    if not np.all(np.isfinite(r_t) & (r_t >= 0.0)):
-        raise ValueError("short rate must be finite and nonnegative")
+    _check_input("kappa", kappa, "positive")   # the curve rejects one past its end
+    _check_input("r_t", r_t, "nonnegative")
     p = curve.params
     out = (r_t * curve(kappa) + p.a * p.b * curve.integral(kappa)) / kappa
     return float(out) if np.isscalar(r_t) else out
@@ -297,8 +280,7 @@ def stationary_laplace(p: float, params: ModelParams) -> float:
     Phi/Psi extends continuously to 0 with value a*b/Psi'(0+), so the
     quadrature sees no singularity.
     """
-    if not (np.isfinite(p) and p >= 0.0):
-        raise ValueError("p must be finite and nonnegative")
+    _check_input("p", p, "nonnegative")
     if p == 0.0:
         return 1.0
     limit0 = params.b        # a b / Psi'(0+), with Psi'(0+) = a

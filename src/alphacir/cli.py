@@ -6,7 +6,10 @@ Every subcommand runs in one envelope, kept in run().  A command only
 computes: it writes its own CSV, if it has one, and returns its result or
 None.  run() then writes <out>.json, the sidecar with the keys command,
 params (the model flags; null for hawkes-limit and the fig presets),
-config, seed, version and wall_time_s.  config is the command's preset,
+config, seed, version and wall_time_s.  Only the subcommands that draw
+random numbers (DRAWING: simulate, hawkes-limit, fig1, fig2, selfcheck)
+take --seed; the sidecar's seed is null for the others, which refuse the
+flag like any flag they lack (exit 2).  config is the command's preset,
 then the value of each flag the command declared, read after it ran: yield
 writes back its resolved rate, and simulate names the flags its scheme
 uses.  When result is not None, run() also writes <out>_result.json and
@@ -72,6 +75,8 @@ EXIT_DIAGNOSTIC = 3
 FIG12_PARAMS = dict(a=0.1, b=0.3, sigma=0.1, sigma_z=0.3, r0=0.1)
 FIG3_PARAMS = dict(a=0.1, b=0.3, sigma=0.1, sigma_z=0.3, r0=0.05)
 FIG45_PARAMS = dict(a=0.1, b=0.1, sigma=0.1, sigma_z=0.1, r0=0.2)
+# the subcommands that draw random numbers, the only ones with --seed
+DRAWING = ("simulate", "hawkes-limit", "fig1", "fig2", "selfcheck")
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -341,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", type=str, default=name.replace("-", "_"),
                            help="output stem; writes <out>.csv and <out>.json")
-        p.add_argument("--seed", type=int, default=0)
+        if name in DRAWING:
+            p.add_argument("--seed", type=int, default=0)
         settings = []
         p.set_defaults(func=func, model=model, preset=preset or {},
                        settings=settings)
@@ -462,7 +468,8 @@ def run(argv=None) -> int:
         if hasattr(args, "out"):     # selfcheck writes no file
             config = {**args.preset, **{k: getattr(args, k) for k in args.settings}}
             write_sidecar(args.out + ".json", args.command, params, config,
-                          args.seed, time.time() - t0, __version__)
+                          getattr(args, "seed", None), time.time() - t0,
+                          __version__)
             if result is not None:
                 with open(args.out + "_result.json", "w") as fh:
                     json.dump(result, fh, indent=2)

@@ -5,9 +5,11 @@ the spot rate with nominal v(kappa)/kappa and strike
 Kbar = (kappa K - ab int_0^kappa v)/v(kappa); its Laplace transform in the
 maturity is
 
-    L_theta = (v(kappa)/kappa) int_0^Kbar [H(theta, r0)/H(theta, y)] M(theta, y) dy
+    L_theta = (v(kappa)/kappa) [int_0^min(Kbar, r0) [H(theta, r0)/H(theta, y)]
+                                M(theta, y) dy + (Kbar - r0)+ M(theta, r0)]
 
-where H is the scale-type integral
+since a level y >= r0 is entered at time 0, where the bond restarts from
+r0.  H is the scale-type integral
 
     H_eps(theta, x) = int_{q1}^inf e^{-xz}/(Psi(z)-1)
                       * exp( int_{q1+eps}^z (ab u + theta)/(Psi(u)-1) du ) dz,
@@ -62,6 +64,7 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from .affine import _without_r0, solve_v
 from .mechanism import ModelParams, psi, psi_prime, root_psi_equals_one
+from .stable import _check_input
 
 _GAUSS64_X, _GAUSS64_W = np.polynomial.legendre.leggauss(64)
 _GAUSS32_X, _GAUSS32_W = np.polynomial.legendre.leggauss(32)
@@ -70,33 +73,26 @@ _GAUSS16_X, _GAUSS16_W = np.polynomial.legendre.leggauss(16)
 _PANEL_T, _PANEL_W = 0.5 * (_GAUSS32_X + 1.0), 0.5 * _GAUSS32_W
 # the R spline's log-spaced grid in h = z - q1: its upper end and size
 _H_MAX, _H_NODES = 1e9, 4000
-
-
-def _check_finite(**values) -> None:
-    """Reject NaN or infinite inputs (or array entries) before any solve:
-    comparisons with NaN are False, so range checks alone let them through."""
-    for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+# digits of the Gaver-Stehfest weights, abscissae and alternating sum: for
+# 1/(s + 0.7) at 26 terms and t = 0.5, 1, 3 the error is 5.19e-11 at 40
+# digits as at 60
+_DPS = 40
 
 
 class _HCache:
     """Per-(theta, params) machinery for H_eps: q1, beta, a spline of the
     smooth remainder R(z) = int_{q1+eps}^z [g(u) - beta/(u - q1)] du with
     g(u) = (ab u + theta)/(Psi(u) - 1), and the x-free factors of the
-    singular panel (its nodes z, (Psi(z) - 1)/h and R there)."""
+    singular panel (its nodes z, (Psi(z) - 1)/h and R there).  theta > 0
+    and eps > 0 are checked by the callers."""
 
     def __init__(self, theta: float, params: ModelParams, eps: Optional[float]):
-        if theta <= 0.0:
-            raise ValueError("theta must be positive")
         self.params = params
         self.q1 = root_psi_equals_one(params)
         self.psi1 = psi_prime(self.q1, params)
         ab = params.a * params.b
         self.beta = (ab * self.q1 + theta) / self.psi1
         self.eps = self.q1 / 10.0 if eps is None else eps
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
         h = np.geomspace(self.q1 * 1e-12, _H_MAX, _H_NODES)
         # integrand g(q1 + h) - beta/h of R; below the cut it is replaced by
         # its limit as h -> 0, where Psi(q1 + h) - 1 loses every digit
@@ -201,9 +197,10 @@ def h_scale(theta: float, x: float, eps: Optional[float],
             params: ModelParams) -> float:
     """The scale-type integral H_eps(theta, x); exposed mainly for tests,
     production code consumes ratios where eps cancels."""
-    _check_finite(theta=theta, x=x)
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
+    _check_input("theta", theta, "positive")
+    _check_input("x", x, "nonnegative")
+    if eps is not None:
+        _check_input("eps", eps, "positive")
     return _h_values(theta, params, eps, x)[0]
 
 
@@ -211,13 +208,11 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
                          params: ModelParams, eps: Optional[float] = None) -> float:
     """E[exp(-theta T_y - int_0^{T_y} r)] for the first entrance time T_y of
     the rate into [0, y]; equals 1 when y >= r0 (immediate entrance)."""
-    _check_finite(r0=r0, y=y, theta=theta)
-    if r0 < 0.0:
-        raise ValueError("r0 must be nonnegative")
-    if y <= 0.0:
-        raise ValueError("level y must be positive")
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
+    _check_input("r0", r0, "nonnegative")
+    _check_input("y", y, "positive")
+    _check_input("theta", theta, "positive")
+    if eps is not None:
+        _check_input("eps", eps, "positive")
     if y >= r0:
         return 1.0
     h_r0, h_y = _h_values(theta, params, eps, r0, y)
@@ -237,11 +232,10 @@ class _MCache:
     B_y(0,u) du: the y-dependence is only exp(-y v(u)), so one curve serves
     every y.  The curve is cut from the (0, 1) flow of the params, and the
     nodes of each step are kept with the step: the steps a theta shares
-    with the flow are evaluated once per params, only its tail per theta."""
+    with the flow are evaluated once per params, only its tail per theta.
+    theta > 0 is checked by the callers."""
 
     def __init__(self, theta: float, params: ModelParams):
-        if theta <= 0.0:
-            raise ValueError("theta must be positive")
         self.theta, self.params = theta, params
         x0 = root_psi_equals_one(params)
         decay = theta + params.a * params.b * x0
@@ -266,14 +260,15 @@ def _cached_m(theta: float, params: ModelParams) -> _MCache:
 
 def bond_transform_M(theta: float, y: float, params: ModelParams) -> float:
     """Laplace transform in time of the bond price with initial rate y."""
-    _check_finite(theta=theta, y=y)
-    if y < 0.0:
-        raise ValueError("y must be nonnegative")
+    _check_input("theta", theta, "positive")
+    _check_input("y", y, "nonnegative")
     return _cached_m(theta, _without_r0(params)).value(float(y))
 
 
 def effective_strike(kappa: float, K: float, params: ModelParams):
     """Kbar = (kappa K - ab int_0^kappa v)/v(kappa) and the nominal v(kappa)/kappa."""
+    _check_input("kappa", kappa, "positive")
+    _check_input("K", K, "finite")
     curve = solve_v(0.0, 1.0, kappa, params)
     v_k = curve(kappa)
     k_bar = (kappa * K - params.a * params.b * curve.integral(kappa)) / v_k
@@ -287,27 +282,31 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
     r0 = params.r0 if r0 is None else r0
     params = _without_r0(params)           # the key of the H and M caches
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    _check_finite(theta=theta, kappa=kappa, K=K, r0=r0)
-    if r0 < 0.0:
-        raise ValueError("r0 must be nonnegative")
-    if np.any(thetas <= 0.0):
-        raise ValueError("theta must be positive")
+    _check_input("theta", thetas, "positive")
+    _check_input("r0", r0, "nonnegative")
     k_bar, nominal = effective_strike(kappa, K, params)
     diag = {"kbar": k_bar, "void": k_bar <= 0.0}
     vals = np.zeros_like(thetas)
     if k_bar > 0.0:
         stack = _HStack([_cached_h(th, params, None) for th in thetas.tolist()])
-        ys, ws = 0.5 * k_bar * (_GAUSS64_X + 1.0), 0.5 * k_bar * _GAUSS64_W
-        below = ys < r0
-        # node-major: column 0 of h is r0, the rest the nodes below r0
-        h = np.column_stack([stack(x) for x in [r0] + ys[below].tolist()])
-        ratios = np.ones((thetas.size, ys.size))
-        ratios[:, below] = h[:, :1] / h[:, 1:]
+        # a level y >= r0 is entered at time 0, where the bond restarts from
+        # r0: the Gauss nodes cover [0, min(Kbar, r0)], and the rest of
+        # [0, Kbar] adds (Kbar - r0)+ M(theta, r0)
+        k_low, k_high = min(k_bar, r0), max(k_bar - r0, 0.0)
+        ys, ws = 0.5 * k_low * (_GAUSS64_X + 1.0), 0.5 * k_low * _GAUSS64_W
+        if k_low > 0.0:
+            # node-major: column 0 of h is r0, the rest the nodes
+            h = np.column_stack([stack(x) for x in [r0] + ys.tolist()])
+            ratios = h[:, :1] / h[:, 1:]
+        else:                               # r0 = 0: the nodes weigh nothing
+            ratios = np.zeros((thetas.size, ys.size))
         curves = []
         for i, th in enumerate(thetas.tolist()):
             mc = _cached_m(th, params)
             curves.append(mc.curve)
             vals[i] = nominal * float(np.dot(ws, ratios[i] * mc.value(ys)))
+            if k_high > 0.0:
+                vals[i] += nominal * k_high * mc.value(r0)
         bad = thetas[~np.isfinite(vals)]
         if bad.size:
             raise RuntimeError(f"put Laplace transform not finite at theta = "
@@ -323,17 +322,17 @@ def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
     return (val, diag) if with_diagnostics else val
 
 
-def gaver_stehfest_weights(n_terms: int = 14, dps: int = 40) -> tuple:
-    """Stehfest weights a_k, k = 1..n_terms (n_terms even), as mpmath floats.
-    The tuple is computed once per (n_terms, dps) and shared."""
+def gaver_stehfest_weights(n_terms: int = 14) -> tuple:
+    """Stehfest weights a_k, k = 1..n_terms (n_terms even), as mpmath floats
+    at _DPS digits.  The tuple is computed once per n_terms and shared."""
     if n_terms % 2:
-        raise ValueError("n_terms must be even")
-    return _stehfest_weights(n_terms, dps)
+        raise ValueError(f"n_terms must be even, got {n_terms}")
+    return _stehfest_weights(n_terms)
 
 
 @lru_cache(maxsize=None)
-def _stehfest_weights(n_terms: int, dps: int) -> tuple:
-    with mp.workdps(dps):
+def _stehfest_weights(n_terms: int) -> tuple:
+    with mp.workdps(_DPS):
         m = n_terms // 2
         out = []
         for k in range(1, n_terms + 1):
@@ -347,15 +346,15 @@ def _stehfest_weights(n_terms: int, dps: int) -> tuple:
         return tuple(out)
 
 
-def _stehfest_abscissae(t: float, n_terms: int, dps: int = 40) -> tuple:
+def _stehfest_abscissae(t: float, n_terms: int) -> tuple:
     """ln2/t and the points theta_k = k ln2/t, k = 1..n_terms, where
-    gaver_stehfest calls the transform, as mpmath numbers at dps digits."""
-    with mp.workdps(dps):
+    gaver_stehfest calls the transform, as mpmath numbers at _DPS digits."""
+    with mp.workdps(_DPS):
         ln2_t = mp.log(2) / t
         return ln2_t, [ln2_t * k for k in range(1, n_terms + 1)]
 
 
-def gaver_stehfest(transform, t: float, n_terms: int = 14, dps: int = 40,
+def gaver_stehfest(transform, t: float, n_terms: int = 14,
                    high_precision: bool = False) -> float:
     """Invert a Laplace transform on the real axis at time t.
 
@@ -366,11 +365,10 @@ def gaver_stehfest(transform, t: float, n_terms: int = 14, dps: int = 40,
     inversion error is then pure Stehfest truncation, which shrinks with
     n_terms instead of being drowned by float evaluation noise).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    weights = gaver_stehfest_weights(n_terms, dps)
-    ln2_t, thetas = _stehfest_abscissae(t, n_terms, dps)
-    with mp.workdps(dps):
+    _check_input("t", t, "positive")
+    weights = gaver_stehfest_weights(n_terms)
+    ln2_t, thetas = _stehfest_abscissae(t, n_terms)
+    with mp.workdps(_DPS):
         acc = mp.mpf(0)
         for a_k, theta in zip(weights, thetas):
             if high_precision:
@@ -386,9 +384,7 @@ def put_price(T: float, kappa: float, K: float, r0: Optional[float],
     """Price of the running-minimum yield put by Gaver-Stehfest inversion of
     put_laplace at the maturity.  Raises RuntimeError when the n-term and
     (n - 2)-term prices differ by more than 5 % of the price."""
-    _check_finite(T=T)
-    if T <= 0.0:
-        raise ValueError("maturity must be positive")
+    _check_input("T", T, "positive")
     if n_terms < 4 or n_terms % 2:
         raise ValueError("n_terms must be even and at least 4 (the n - 2 "
                          "check needs two terms)")

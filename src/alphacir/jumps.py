@@ -35,7 +35,8 @@ from scipy.optimize import brentq
 from . import affine
 from .mechanism import (JumpSpec, ModelParams, fixed_point_truncated, psi,
                         truncated_drift, truncated_level)
-from .stable import _check_alpha, big_jump_laplace_tail, big_jump_mass
+from .stable import (_check_alpha, _check_input, big_jump_laplace_tail,
+                     big_jump_mass)
 
 
 _ROUTE_TOL = 1e-3      # largest relative gap of the two E[tau] routes
@@ -47,16 +48,8 @@ def _mark_threshold(params: ModelParams, y_bar: float) -> float:
     _check_alpha(params.alpha, allow_two=False)
     if params.sigma_z <= 0.0:
         raise ValueError("jump analytics need sigma_z > 0")
-    if not (math.isfinite(y_bar) and y_bar > 0.0):
-        raise ValueError("y_bar must be finite and positive")
+    _check_input("y_bar", y_bar, "positive")
     return y_bar / params.sigma_z
-
-
-def _check_times(t) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(t) & (t >= 0.0)):
-        raise ValueError("times must be finite and nonnegative")
-    return t
 
 
 # the Dormand-Prince 5(4) pair that scipy's RK45 steps: stage weights A (row
@@ -187,7 +180,8 @@ def _jump_law(params: ModelParams, y: float, source, t):
     l(0) = 0, at the times t: 1 at t = 0, and elsewhere read from one
     solve to the largest time.  A scalar t gives a float, an array t an
     array; source None is the law that is 1 at every time."""
-    ts = _check_times(t)
+    _check_input("t", t, "nonnegative")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.ndim(t) == 0
     vals = np.ones_like(ts)
     live = ts > 0.0
@@ -204,8 +198,7 @@ def counter_laplace(p: float, y_bar: float, t, params: ModelParams):
     exp(-l sigma_z z) mu_alpha(dz), and at p = 0 the law is exactly 1.
     t may be an array of times."""
     y = _mark_threshold(params, y_bar)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError("p must be finite and nonnegative")
+    _check_input("p", p, "nonnegative")
     nu, e_p = big_jump_mass(params.alpha, y), math.exp(-p)
 
     def source(l):
@@ -232,7 +225,7 @@ def survival_tau_via_rhat(y_bar: float, t: float, params: ModelParams) -> float:
     process (truncated mechanism, same immigration) at rate nu(y):
     P(tau > t) = E[exp(-nu(y) int_0^t rhat_s ds)]."""
     y = _mark_threshold(params, y_bar)
-    _check_times(t)
+    _check_input("t", t, "nonnegative")
     nu = big_jump_mass(params.alpha, y)
     return affine.joint_laplace(params.r0, t, 0.0, nu, params,
                                 JumpSpec.truncated(y))
@@ -305,7 +298,7 @@ def lou_first_jump_cdf(y_bar: float, t: float, params: ModelParams) -> float:
     = 1 - exp(-nu(ybar/sigma_z) r0 t); the arrival is Poisson with the
     frozen-state intensity."""
     y = _mark_threshold(params, y_bar)
-    _check_times(t)
+    _check_input("t", t, "nonnegative")
     nu = big_jump_mass(params.alpha, y)
     return float(-np.expm1(-nu * params.r0 * t))
 
@@ -320,7 +313,7 @@ def tail_asymptotics(t: float, y_bar: float, params: ModelParams) -> TailAsympto
     """Asymptotic tail probabilities of the maximal jump up to t and the
     explicit upper bound; all three scale like nu(ybar/sigma_z)."""
     y = _mark_threshold(params, y_bar)
-    _check_times(t)
+    _check_input("t", t, "nonnegative")
     nu = big_jump_mass(params.alpha, y)
     a, b, r0 = params.a, params.b, params.r0
     m_lambda = nu * r0 * t

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import solve_v, yield_from_curve
-from .derivatives import _check_finite, effective_strike
+from .derivatives import effective_strike
 from .jumps import _mark_threshold
 from .mechanism import ModelParams
 from .sim import (
@@ -28,6 +28,7 @@ from .sim import (
     simulate_root_batch,
     simulate_thinned_batch,
 )
+from .stable import _check_input
 
 
 @dataclass
@@ -71,7 +72,7 @@ def mc_laplace(params: ModelParams, p: float, t: float,
                n_paths: int = 100_000, dt: float = 1e-3, seed: int = 0,
                scheme: str = "root", y: float = 1.0) -> McEstimate:
     """E[exp(-p r_t)] under the requested scheme."""
-    _check_finite(p=p)
+    _check_input("p", p, "finite")
     rng = np.random.default_rng(seed)
     if scheme == "root":
         r, _ = simulate_root_batch(params, dt, t, n_paths, rng)
@@ -101,7 +102,7 @@ def mc_survival(params: ModelParams, y_bar: float, t_grid, n_paths: int = 100_00
 def mc_counter(params: ModelParams, p: float, y_bar: float, t: float,
                n_paths: int = 100_000, dt: float = 2e-3, seed: int = 0) -> McEstimate:
     """Empirical E[exp(-p J_t)] for the big-jump counter."""
-    _check_finite(p=p)
+    _check_input("p", p, "finite")
     y = _mark_threshold(params, y_bar)
     rng = np.random.default_rng(seed)
     _, _, _, n_ev = simulate_thinned_batch(params, y, dt, t, n_paths, rng)
@@ -118,8 +119,8 @@ def mc_expected_tau(params: ModelParams, y_bar: float, n_paths: int = 10_000,
     doubles its horizon until no path is censored.  Paths still censored at
     the final horizon contribute that horizon (a downward bias, warned about
     when more than 1% of paths are censored)."""
-    if not (0.0 < horizon < np.inf and 0.0 < max_horizon < np.inf):
-        raise ValueError("horizon and max_horizon must be finite and positive")
+    _check_input("horizon", horizon, "positive")
+    _check_input("max_horizon", max_horizon, "positive")
     y = _mark_threshold(params, y_bar)
     while horizon < max_horizon:
         horizon *= 2.0
@@ -158,7 +159,6 @@ def mc_running_min_put(params: ModelParams, T: float, kappa: float, K: float,
     Kbar = (kappa K - ab int_0^kappa v) / v(kappa).  Both use the same paths;
     the identity makes them equal path by path up to rounding.
     """
-    _check_finite(K=K)
     rng = np.random.default_rng(seed)
     k_bar, nominal = effective_strike(kappa, K, params)
     if k_bar <= 0.0:

@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 
 from .stable import (
     _check_alpha,
+    _check_input,
     _scaled_upper_gammas,
     _small_jump_integral,
     _truncation,
@@ -59,13 +60,9 @@ class ModelParams:
     r0: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.sigma, self.sigma_z,
-                                       self.alpha, self.r0))):
-            raise ValueError("model parameters must be finite")
-        if self.a <= 0.0:
-            raise ValueError("mean-reversion speed a must be > 0")
-        if self.b < 0.0 or self.sigma < 0.0 or self.sigma_z < 0.0 or self.r0 < 0.0:
-            raise ValueError("b, sigma, sigma_z, r0 must be nonnegative")
+        _check_input("a", self.a, "positive")
+        for name in ("b", "sigma", "sigma_z", "r0"):
+            _check_input(name, getattr(self, name), "nonnegative")
         _check_alpha(self.alpha)
 
     @property
@@ -109,12 +106,12 @@ class JumpSpec:
     def __post_init__(self):
         if self.variant not in (FULL, TRUNCATED, TEMPERED):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if any(v is not None and not math.isfinite(v) for v in (self.y, self.theta)):
-            raise ValueError("jump spec y and theta must be finite")
-        if self.variant == TRUNCATED and (self.y is None or self.y <= 0.0):
-            raise ValueError("truncated variant needs y > 0")
-        if self.variant == TEMPERED and (self.theta is None or self.theta < 0.0):
-            raise ValueError("tempered variant needs theta >= 0")
+        # the variant's own field is required, and either field, when given,
+        # has the range the variant that reads it needs
+        if self.variant == TRUNCATED or self.y is not None:
+            _check_input("y", self.y, "positive")
+        if self.variant == TEMPERED or self.theta is not None:
+            _check_input("theta", self.theta, "nonnegative")
 
     @classmethod
     def full(cls) -> "JumpSpec":
@@ -265,8 +262,8 @@ def change_of_measure(params: ModelParams, eta: float, theta: float):
     b' = a*b/a'; the jump measure becomes tempered with rate theta
     (theta = 0 keeps the full stable measure).  Rejects a' <= 0.
     """
-    if theta < 0.0:
-        raise ValueError("tempering rate theta must be nonnegative")
+    _check_input("eta", eta, "finite")
+    _check_input("theta", theta, "nonnegative")
     alpha = params.alpha
     tilt = 0.0
     if theta > 0.0 and params.sigma_z > 0.0:

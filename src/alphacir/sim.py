@@ -50,6 +50,7 @@ from .stable import (
     sample_truncated_band,
     truncated_second_moment,
     _check_alpha,
+    _check_input,
 )
 
 _HAWKES_GRID_POINTS = 201       # grid of the single Hawkes path
@@ -85,8 +86,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.horizon < self.dt:
-            raise ValueError("need dt > 0 and horizon >= dt")
+        _check_input("dt", self.dt, "positive")
+        if not self.horizon >= self.dt:
+            raise ValueError(f"need horizon >= dt, got horizon {self.horizon}")
 
 
 @dataclass
@@ -328,8 +330,7 @@ class _ThinnedStep:
                  frozen: bool = False):
         alpha, sz = params.alpha, params.sigma_z
         _check_alpha(alpha, allow_two=False)
-        if not (np.isfinite(y) and y > 0.0):
-            raise ValueError("the mark threshold y must be finite and positive")
+        _check_input("mark threshold y", y, "positive")
         if not frozen and sz <= 0.0:
             raise ValueError("thinned scheme needs sigma_z > 0")
         eps = y / 100.0                   # small-jump cutoff (variance-matched below)
@@ -515,9 +516,9 @@ def _check_hawkes(a: float, b: float, sigma_z: float, horizon: float,
     """
     if n < 1:
         raise ValueError("rescaling index n must be >= 1")
-    if not (np.all(np.isfinite([a, b, sigma_z, horizon])) and horizon > 0.0):
-        raise ValueError("a, b, sigma_z must be finite and horizon finite "
-                         "and positive")
+    for name, value in (("a", a), ("b", b), ("sigma_z", sigma_z)):
+        _check_input(name, value, "finite")
+    _check_input("horizon", horizon, "positive")
     kappa = a / n + sigma_z
     return kappa, a * b / kappa, n * horizon
 

@@ -46,6 +46,34 @@ from scipy.special import gammaincc
 from scipy.special import gamma as gamma_fn
 
 
+# the range each rule of _check_input adds to finiteness, on a float or an array
+_IN_RANGE = {"finite": None, "nonnegative": lambda v: v >= 0.0,
+             "positive": lambda v: v > 0.0}
+
+
+def _check_input(name: str, value, rule: str) -> None:
+    """The input rule of every public entry point of the package: value, a
+    number or an array, must be finite in every entry, and then, by rule,
+    nonnegative or positive; else ValueError names the input and its first
+    bad entry.  Finiteness comes first because NaN fails every comparison,
+    so a range check alone lets it through, and it would come back as a
+    NaN result."""
+    in_range = _IN_RANGE[rule]
+    if isinstance(value, (int, float)):
+        ok = math.isfinite(value) and (in_range is None or in_range(value))
+    else:
+        v = np.asarray(value, dtype=float)
+        good = np.isfinite(v)
+        if in_range is not None:
+            good &= in_range(v)
+        ok = good.all()
+        if not ok:
+            value = float(v[~good][0])
+    if not ok:
+        rule = "finite" if in_range is None else f"finite and {rule}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _check_alpha(alpha: float, allow_two: bool = True) -> None:
     hi_ok = alpha <= 2.0 if allow_two else alpha < 2.0
     if not (1.0 < alpha and hi_ok):
@@ -86,17 +114,12 @@ def levy_density(z, alpha: float):
     return levy_density_coefficient(alpha) * z ** (-1.0 - alpha)
 
 
-def _check_threshold(y: float) -> None:
-    if not (math.isfinite(y) and y > 0.0):
-        raise ValueError(f"threshold y must be finite and positive, got {y}")
-
-
 def big_jump_mass(alpha: float, y: float) -> float:
     """nu(y) = mu_alpha((y, inf)) = C_alpha * y^(-alpha), a Python float;
     a threshold so small that nu(y) is not a finite float raises
     ValueError."""
     _check_alpha(alpha, allow_two=False)
-    _check_threshold(y)
+    _check_input("threshold y", y, "positive")
     try:
         nu = float(tail_constant(alpha)) * y ** (-alpha)
     except OverflowError:
@@ -234,8 +257,7 @@ def sample_stable_increment(spec: StableSpec, dt: float, rng: np.random.Generato
     in the 1-parametrization; for alpha > 1 that law already has mean zero.
     alpha = 2 is Gaussian with variance 2*dt.
     """
-    if not 0.0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
+    _check_input("dt", dt, "positive")
     alpha = spec.alpha
     if alpha == 2.0:
         return rng.normal(0.0, np.sqrt(2.0 * dt), size=size)
@@ -253,6 +275,7 @@ def sample_stable_increment(spec: StableSpec, dt: float, rng: np.random.Generato
 def sample_pareto_tail(alpha: float, y: float, rng: np.random.Generator, size=None):
     """Jump marks above y under the normalized tail of mu_alpha: z = y * U^(-1/alpha)."""
     _check_alpha(alpha, allow_two=False)
+    _check_input("y", y, "positive")
     u = rng.random(size)
     return y * u ** (-1.0 / alpha)
 
@@ -271,4 +294,5 @@ def sample_truncated_band(alpha: float, lo: float, hi: float,
 def truncated_second_moment(alpha: float, eps: float) -> float:
     """int_0^eps z^2 mu_alpha(dz) = K * eps^(2-alpha) / (2-alpha)."""
     _check_alpha(alpha, allow_two=False)
+    _check_input("eps", eps, "positive")
     return levy_density_coefficient(alpha) * eps ** (2.0 - alpha) / (2.0 - alpha)

@@ -293,7 +293,7 @@ def test_criterion_08_stable_sampler_law():
 def test_criterion_09_put_pipeline():
     c = 0.7
     gs_err = max(abs(gaver_stehfest(lambda s: 1.0 / (s + c), t, n_terms=26,
-                                    dps=60, high_precision=True)
+                                    high_precision=True)
                      - np.exp(-c * t)) for t in (0.5, 1.0, 3.0))
     gs_ok = gs_err <= 1e-8
     p = bond_p(1.5)

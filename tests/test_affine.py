@@ -94,7 +94,7 @@ def test_joint_laplace_rejects_bad_xi_theta(bond_params, xi, theta):
     # checked before the t = 0 and xi = theta = 0 shortcuts, which returned
     # nan, 1.0513 and 1.0 for these arguments at t = 0
     with pytest.raises(ValueError,
-                       match="xi and theta must be finite and nonnegative"):
+                       match="(xi|theta) must be finite and nonnegative"):
         joint_laplace(0.05, 0.0, xi, theta, bond_params(alpha=1.5))
 
 

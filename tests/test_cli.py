@@ -407,7 +407,8 @@ def test_flow_step_bound_exits_two(tmp_path, monkeypatch, capsys, argv, ode):
 
 # The run envelope of every subcommand at tiny sizes: exit code, the files
 # written and the sidecar's (command, params, config, seed).  The values were
-# recorded from the CLI before its commands shared one envelope in run().
+# recorded from the CLI before its commands shared one envelope in run(); the
+# seed is None for the subcommands that draw nothing and take no --seed.
 ENVELOPE = {
     "simulate-root": (
         ["simulate", "--scheme", "root", "--dt", "1e-2", "--horizon", "1",
@@ -434,56 +435,57 @@ ENVELOPE = {
                                       "n_agents": 5, "seed": 0}, 0)),
     "bond": (
         ["bond", "--tmax", "5", "--points", "6"], 0, {"bond.csv", "bond.json"},
-        ("bond", DEFAULT_PARAMS, {"tmax": 5.0, "points": 6}, 0)),
+        ("bond", DEFAULT_PARAMS, {"tmax": 5.0, "points": 6}, None)),
     "yield": (
         ["yield", "--kappa", "1"], 0, {"yield.json", "yield_result.json"},
-        ("yield", DEFAULT_PARAMS, {"kappa": 1.0, "rate": 0.05}, 0)),
+        ("yield", DEFAULT_PARAMS, {"kappa": 1.0, "rate": 0.05}, None)),
     "yield-rate-out": (
         ["yield", "--kappa", "2", "--rate", "0.03", "--out", "y2"], 0,
         {"y2.json", "y2_result.json"},
-        ("yield", DEFAULT_PARAMS, {"kappa": 2.0, "rate": 0.03}, 0)),
+        ("yield", DEFAULT_PARAMS, {"kappa": 2.0, "rate": 0.03}, None)),
     "put-laplace": (
         ["put-laplace", "--theta", "1", "--strike", "0.04"], 0,
         {"put_laplace.json", "put_laplace_result.json"},
         ("put-laplace", DEFAULT_PARAMS, {"theta": 1.0, "kappa": 1.0,
-                                         "K": 0.04}, 0)),
+                                         "K": 0.04}, None)),
     "put-laplace-void": (
         ["put-laplace", "--theta", "1", "--strike", "0.005"], 0,
         {"put_laplace.json", "put_laplace_result.json"},
         ("put-laplace", DEFAULT_PARAMS, {"theta": 1.0, "kappa": 1.0,
-                                         "K": 0.005}, 0)),
+                                         "K": 0.005}, None)),
     "put-laplace-nan": (
         ["put-laplace", "--theta", "400", "--strike", "0.04"], 3, set(), None),
     "put-price": (
         ["put-price", "--maturity", "1", "--strike", "0.04", "--n-terms", "6"],
         0, {"put_price.json", "put_price_result.json"},
         ("put-price", DEFAULT_PARAMS, {"T": 1.0, "kappa": 1.0, "K": 0.04,
-                                       "n_terms": 6}, 0)),
+                                       "n_terms": 6}, None)),
     "stationary": (
         ["stationary", "--pmax", "5", "--points", "4"], 0,
         {"stationary.csv", "stationary.json"},
-        ("stationary", DEFAULT_PARAMS, {"pmax": 5.0, "points": 4}, 0)),
+        ("stationary", DEFAULT_PARAMS, {"pmax": 5.0, "points": 4}, None)),
     "boundary": (
         ["boundary"], 0, {"boundary.json", "boundary_result.json"},
-        ("boundary", DEFAULT_PARAMS, {}, 0)),
+        ("boundary", DEFAULT_PARAMS, {}, None)),
     "measure-change": (
         ["measure-change", "--eta", "0.5", "--theta", "0.2"], 0,
         {"measure_change.json", "measure_change_result.json"},
-        ("measure-change", DEFAULT_PARAMS, {"eta": 0.5, "theta": 0.2}, 0)),
+        ("measure-change", DEFAULT_PARAMS, {"eta": 0.5, "theta": 0.2},
+         None)),
     "jump-survival": (
         ["jump-survival", "--tmax", "5", "--points", "6"] + JUMP_FLAGS, 0,
         {"jump_survival.csv", "jump_survival.json"},
         ("jump-survival", JUMP_PARAMS, {"y_bar": 0.1, "tmax": 5.0,
-                                        "points": 6}, 0)),
+                                        "points": 6}, None)),
     "jump-counter": (
         ["jump-counter", "--p", "1", "--tmax", "5", "--points", "6"]
         + JUMP_FLAGS, 0, {"jump_counter.csv", "jump_counter.json"},
         ("jump-counter", JUMP_PARAMS, {"p": 1.0, "y_bar": 0.1, "tmax": 5.0,
-                                       "points": 6}, 0)),
+                                       "points": 6}, None)),
     "jump-expectation": (
         ["jump-expectation", "--y-bar", "0.1"] + JUMP_FLAGS, 0,
         {"jump_expectation.json", "jump_expectation_result.json"},
-        ("jump-expectation", JUMP_PARAMS, {"y_bar": 0.1}, 0)),
+        ("jump-expectation", JUMP_PARAMS, {"y_bar": 0.1}, None)),
     "hawkes-limit": (
         ["hawkes-limit", "--n-paths", "20", "--horizon", "0.5", "--n-agents",
          "5", "--seed", "4"], 0,
@@ -501,15 +503,16 @@ ENVELOPE = {
         ("fig2", None, {**FIG12, "dt": 0.01, "horizon": 0.5}, 7)),
     "fig3": (
         ["fig3", "--tmax", "2", "--points", "3"], 0, {"fig3.csv", "fig3.json"},
-        ("fig3", None, {**FIG3, "tmax": 2.0, "points": 3}, 0)),
+        ("fig3", None, {**FIG3, "tmax": 2.0, "points": 3}, None)),
     "fig4": (
         ["fig4", "--tmax", "5", "--points", "6"], 0, {"fig4.csv", "fig4.json"},
-        ("fig4", None, {**FIG45, "y_bar": 0.1, "tmax": 5.0, "points": 6}, 0)),
+        ("fig4", None, {**FIG45, "y_bar": 0.1, "tmax": 5.0, "points": 6},
+         None)),
     "fig5": (
         ["fig5", "--points", "2", "--alpha-min", "1.5", "--alpha-max", "1.6"],
         0, {"fig5.csv", "fig5.json"},
         ("fig5", None, {**FIG45, "y_bar": 0.1, "alpha_min": 1.5,
-                        "alpha_max": 1.6, "points": 2}, 0)),
+                        "alpha_max": 1.6, "points": 2}, None)),
     "selfcheck": (["selfcheck", "--n-paths", "500"], 0, set(), None),
     "bond-invalid": (["bond", "--tmax", "-1"], 2, set(), None),
     "simulate-invalid": (["simulate", "--dt", "0"], 2, set(), None),
@@ -541,11 +544,26 @@ def test_run_envelope(tmp_path, monkeypatch, capsys, argv, code, files,
         assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(case[0], id=name) for name, case in ENVELOPE.items()
+    if case[3] is not None and case[3][3] is None])
+def test_seed_refused_where_nothing_is_drawn(tmp_path, monkeypatch, capsys,
+                                             argv):
+    # --seed is a flag of the five subcommands that draw; the others refuse
+    # it as any flag they lack, and write nothing
+    _in_tmp(tmp_path, monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 MODEL = ["--a", "--b", "--sigma", "--sigma-z", "--alpha", "--r0"]
-# the flags of every subcommand besides --seed
+# the flags of every subcommand
 FLAGS = {
-    "simulate": MODEL + ["--out", "--scheme", "--dt", "--horizon", "--y",
-                         "--n-agents"],
+    "simulate": MODEL + ["--out", "--seed", "--scheme", "--dt", "--horizon",
+                         "--y", "--n-agents"],
     "bond": MODEL + ["--out", "--tmax", "--points"],
     "yield": MODEL + ["--out", "--kappa", "--rate"],
     "put-laplace": MODEL + ["--out", "--theta", "--kappa", "--strike"],
@@ -556,15 +574,15 @@ FLAGS = {
     "jump-expectation": MODEL + ["--out", "--y-bar"],
     "stationary": MODEL + ["--out", "--pmax", "--points"],
     "boundary": MODEL + ["--out"],
-    "hawkes-limit": ["--out", "--a", "--b", "--sigma-z", "--horizon",
-                     "--n-agents", "--n-paths"],
+    "hawkes-limit": ["--out", "--seed", "--a", "--b", "--sigma-z",
+                     "--horizon", "--n-agents", "--n-paths"],
     "measure-change": MODEL + ["--out", "--eta", "--theta"],
-    "fig1": ["--out", "--dt", "--horizon"],
-    "fig2": ["--out", "--dt", "--horizon"],
+    "fig1": ["--out", "--seed", "--dt", "--horizon"],
+    "fig2": ["--out", "--seed", "--dt", "--horizon"],
     "fig3": ["--out", "--tmax", "--points"],
     "fig4": ["--out", "--y-bar", "--tmax", "--points"],
     "fig5": ["--out", "--y-bar", "--alpha-min", "--alpha-max", "--points"],
-    "selfcheck": ["--n-paths"],
+    "selfcheck": ["--seed", "--n-paths"],
 }
 
 
@@ -584,7 +602,7 @@ def test_help_lists_every_subcommand(capsys):
 def test_help_lists_flags(capsys, name):
     out = _help(capsys, [name])
     listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", out, re.M)
-    assert set(listed) == set(FLAGS[name]) | {"--help", "--seed"}
+    assert set(listed) == set(FLAGS[name]) | {"--help"}
 
 
 def test_jump_survival_route_gap_exits_three(tmp_path, monkeypatch, capsys):

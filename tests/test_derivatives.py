@@ -39,7 +39,6 @@ def test_gaver_stehfest_weights_are_a_shared_tuple():
     w = gaver_stehfest_weights(14)
     assert isinstance(w, tuple) and len(w) == 14
     assert gaver_stehfest_weights(14) is w
-    assert gaver_stehfest_weights(14, dps=60) is not w
 
 
 def test_gaver_stehfest_recovers_exponential():
@@ -51,7 +50,7 @@ def test_gaver_stehfest_recovers_exponential():
 
 def test_gaver_stehfest_high_precision_mode():
     c = 0.7
-    val = gaver_stehfest(lambda s: 1.0 / (s + c), 1.0, n_terms=26, dps=60,
+    val = gaver_stehfest(lambda s: 1.0 / (s + c), 1.0, n_terms=26,
                          high_precision=True)
     assert val == pytest.approx(np.exp(-0.7), abs=1e-9)
 
@@ -278,7 +277,7 @@ def test_put_rejects_non_finite_input(bond_params, field, bad):
 def test_transforms_reject_negative_start_rate(bond_params, call, r0):
     # the short rate lives on [0, inf): a negative start is an input error,
     # not a price
-    with pytest.raises(ValueError, match="r0 must be nonnegative"):
+    with pytest.raises(ValueError, match="r0 must be finite and nonnegative"):
         call(bond_params(alpha=1.5), r0)
 
 
@@ -405,3 +404,47 @@ def test_panel_psi_is_paid_once_per_theta(bond_params, monkeypatch):
     thetas = [float(th) for th in _stehfest_abscissae(1.0, 14)[1]]
     put_laplace(thetas, KAPPA, STRIKE, p.r0, p)
     assert len(calls) == 14 * 3 + 65
+
+
+def _strike_at_r0(p):
+    """The strike K whose effective strike is r0 (Kbar is affine in K)."""
+    k_bar0, nominal = effective_strike(KAPPA, 0.0, p)
+    return (p.r0 - k_bar0) * nominal
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_put_slope_above_r0_is_the_bond(bond_params, alpha):
+    # once Kbar >= r0 every path has min r <= r0 <= Kbar, so the price is
+    # nominal (Kbar B(0,T) - E[D min r]) and its slope in K is B(0,T);
+    # measured within 1.4e-7 at 14 terms (the transform that read M at y
+    # instead of r0 above r0 gave slopes 0.5-1 % low)
+    p = bond_params(alpha=alpha)
+    k1 = _strike_at_r0(p) + 0.002
+    k2 = k1 + 0.005
+    assert effective_strike(KAPPA, k1, p)[0] > p.r0
+    slope = (put_price(1.0, KAPPA, k2, p.r0, p)
+             - put_price(1.0, KAPPA, k1, p.r0, p)) / (k2 - k1)
+    assert slope == pytest.approx(bond_price(0.0, 1.0, p.r0, p), rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_put_convex_in_strike_across_r0(bond_params, alpha):
+    # a ladder of step 0.002 whose Kbar crosses r0: the second differences
+    # are >= -9.2e-11 here (Stehfest noise where the price is linear), and
+    # were -3.2e-6 to -4.6e-6 above r0 when the transform read M at y
+    p = bond_params(alpha=alpha)
+    ladder = round(_strike_at_r0(p), 3) + np.arange(-0.006, 0.0161, 0.002)
+    k_bars = [effective_strike(KAPPA, k, p)[0] for k in ladder]
+    assert k_bars[0] < p.r0 < k_bars[-1]
+    prices = [put_price(1.0, KAPPA, float(k), p.r0, p) for k in ladder]
+    assert np.all(np.diff(prices, 2) >= -1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_put_at_zero_rate_is_strike_times_bond(bond_params, alpha):
+    # from r0 = 0 the minimum is 0 on every path, so the price is
+    # nominal Kbar B(0,T); the 14-term inversion meets it within 8.6e-8
+    p = bond_params(alpha=alpha, r0=0.0)
+    k_bar, nominal = effective_strike(KAPPA, 0.04, p)
+    assert put_price(1.0, KAPPA, 0.04, 0.0, p) == pytest.approx(
+        nominal * k_bar * bond_price(0.0, 1.0, 0.0, p), rel=1e-7)
