@@ -2,6 +2,9 @@
 figure-data presets, emitting CSV data files and a JSON reproducibility
 sidecar per run.  No plotting here; the CSVs are the deliverable.
 
+run() parses with one parser per process, built on its first call;
+build_parser() still returns a fresh one.
+
 Every subcommand runs in one envelope, kept in run().  A command only
 computes: it writes its own CSV, if it has one, and returns its result or
 None.  run() then writes <out>.json, the sidecar with the keys command,
@@ -457,10 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the parser run() parses with, built on its first call.  Each parse fills
+# a new namespace, so nothing passes from one call to the next as long as
+# no command mutates a default in place (simulate rebinds its settings)
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def run(argv=None) -> int:
     """Parse argv, run the subcommand and write its envelope; returns the
     exit code."""
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     t0 = time.time()
     try:
         params = _params(args) if args.model else None

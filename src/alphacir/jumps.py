@@ -7,10 +7,12 @@ threshold is y = ybar / sigma_z.  All exponents solve ODEs of the form
 
     l'(t) = (big-jump source term) - Psi_trunc(l(t)),   l(0) = 0,
 
-where Psi_trunc is the truncated branching mechanism at level y, which
-mechanism.psi evaluates in closed form; the ODE right sides call it
-directly.  The source is nu(y) = C_alpha y^(-alpha) for the survival law,
-and int_y^inf (1 - exp(-p - l sigma_z z)) mu_alpha(dz) for the counter
+where Psi_trunc is the truncated branching mechanism at level y, in
+closed form.  The ODE right side calls the float function that
+mechanism.truncated_psi binds once per solve, which equals mechanism.psi
+bit for bit without its per-call dispatch.  The source is
+nu(y) = C_alpha y^(-alpha) for the survival law, and
+int_y^inf (1 - exp(-p - l sigma_z z)) mu_alpha(dz) for the counter
 Laplace.
 
 _solve_l integrates [l, int l] with its own Dormand-Prince 5(4) stepper on
@@ -34,7 +36,7 @@ from scipy.optimize import brentq
 
 from . import affine
 from .mechanism import (JumpSpec, ModelParams, fixed_point_truncated, psi,
-                        truncated_drift, truncated_level)
+                        truncated_drift, truncated_level, truncated_psi)
 from .stable import (_check_alpha, _check_input, big_jump_laplace_tail,
                      big_jump_mass)
 
@@ -98,8 +100,10 @@ class _Steps:
 
 def _solve_l(params: ModelParams, y: float, source, t_max: float, cut=None):
     """Integrate [l, int l] with l' = source(l) - Psi_trunc(l), l(0) = 0,
-    from 0 to t_max, and return its _Steps.  The stepper follows scipy's
-    RK45 rule for rule at rtol 1e-10, atol 1e-12: Hairer-Norsett-Wanner's
+    from 0 to t_max, and return its _Steps.  The right side evaluates
+    Psi_trunc by the function truncated_psi binds here, not by psi.  The
+    stepper follows scipy's RK45 rule for rule at rtol 1e-10, atol 1e-12:
+    Hairer-Norsett-Wanner's
     initial step, the RMS error norm over both states, a step factor
     0.9 err^(-1/5) kept in [0.2, 10] and not above 1 right after a
     rejection, and the last stage reused as the next step's first.  A NaN
@@ -112,12 +116,11 @@ def _solve_l(params: ModelParams, y: float, source, t_max: float, cut=None):
     after the first step where cut falls from >= 0 to <= 0, at the crossing
     that brentq finds on that step's dense output (xtol 4 eps, as scipy's
     RK45 driver locates a terminal event)."""
-    spec = JumpSpec.truncated(y)
-    max_steps = affine._MAX_FLOW_STEPS
+    psi_y, max_steps = truncated_psi(params, y), affine._MAX_FLOW_STEPS
 
     def rhs(l):
         l = max(l, 0.0)
-        return source(l) - psi(l, params, spec)
+        return source(l) - psi_y(l)
 
     # the initial step from y(0) = 0, f(0) and one Euler probe of 1e-6
     f, h0 = rhs(0.0), min(1e-6, t_max)

@@ -13,7 +13,8 @@ Every variant has a closed form; the truncated one is
     Psi_trunc(q) = Psi(q) + nu(y) - K (sigma_z q)^alpha Gamma(-alpha, sigma_z q y)
 
 (see the stable module for how it is evaluated).  psi and psi_prime take a
-scalar or a NumPy array.
+scalar or a NumPy array and refuse q < 0; truncated_psi binds the truncated
+one at a level y as a float function, for ODE right sides.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .stable import (
     _check_alpha,
     _check_input,
     _scaled_upper_gammas,
+    _small_jump_at,
     _small_jump_integral,
     _truncation,
     big_jump_mass,
@@ -145,21 +147,26 @@ def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
     return np.fromiter(flat, dtype=float, count=x.size).reshape(x.shape)
 
 
+def _power_for(q):
+    """The power that psi and psi_prime take for q, libm pow elementwise on
+    an array and float ** on a scalar, after checking that q >= 0."""
+    if isinstance(q, np.ndarray):
+        negative, power = np.any(q < 0.0), _libm_pow
+    else:
+        negative, power = q < 0.0, pow
+    if negative:
+        raise ValueError("q must be nonnegative")
+    return power
+
+
 def psi(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     """Branching mechanism Psi(q) for q >= 0 in the requested variant.
 
     q may be a NumPy array; the result then has its shape and equals the
     scalar value element for element."""
-    if isinstance(q, np.ndarray):
-        if np.any(q < 0.0):
-            raise ValueError("q must be nonnegative")
-        power = _libm_pow
-    else:
-        if q < 0.0:
-            raise ValueError("q must be nonnegative")
-        if q == 0.0:
-            return 0.0
-        power = pow
+    power = _power_for(q)
+    if power is pow and q == 0.0:
+        return 0.0
     a, s, sz, alpha = params.a, params.sigma, params.sigma_z, params.alpha
     if params.is_diffusion:
         return a * q + 0.5 * params.sigma_eff ** 2 * q * q
@@ -176,12 +183,31 @@ def psi(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     return a * q + 0.5 * s * s * q * q + jump
 
 
+def truncated_psi(params: ModelParams, y: float):
+    """Psi_trunc at the jump mark y as a float -> float function, equal to
+    psi(q, params, JumpSpec.truncated(y)) bit for bit for every float
+    q >= 0, for a right side that calls it at every stage: its constants
+    are read here once, not on each call.  A NaN q gives NaN.  Needs a jump
+    component (sigma_z > 0 and alpha < 2), where psi's truncated branch is
+    the one that runs."""
+    if params.sigma_z <= 0.0:
+        raise ValueError("the truncated mechanism needs sigma_z > 0")
+    tr, drift = _truncation(params.alpha, y), truncated_drift(params, y)
+    half_s2, sz = 0.5 * params.sigma * params.sigma, params.sigma_z
+
+    def psi_y(q: float) -> float:
+        if q < 0.0:
+            raise ValueError("q must be nonnegative")
+        return drift * q + half_s2 * q * q + _small_jump_at(q * sz * y, tr)
+    return psi_y
+
+
 def psi_prime(q, params: ModelParams, spec: JumpSpec = JumpSpec.full()):
     """dPsi/dq for q >= 0 in closed form; q may be a NumPy array, as in psi.
 
     Removing the jumps above y adds sigma_z K (sigma_z q)^(alpha-1)
     Gamma(1-alpha, sigma_z q y) to the full derivative."""
-    power = _libm_pow if isinstance(q, np.ndarray) else pow
+    power = _power_for(q)
     a, s, sz, alpha = params.a, params.sigma, params.sigma_z, params.alpha
     if params.is_diffusion:
         return a + params.sigma_eff ** 2 * q

@@ -24,14 +24,15 @@ summed there instead.
 The constants of the measure truncated at y (K y^-alpha, the series
 coefficients, Gamma(-alpha), ...) are built once per (alpha, y) by the
 cached _truncation, as Python floats, which big_jump_mean, the two
-integrals and the truncated mechanism's psi and psi_prime all read.  A
-scalar argument to the small-jump integral evaluates only the branch it
-falls in.  The series is summed by Horner's rule, which takes only * and
-+; these round the same on a float as on an array element, so a float
-below the cut stays a float and still equals an array element bit for
-bit.  The closed form needs exp and a power, where NumPy's SIMD loops may
-differ from libm by one ulp, so a scalar above the cut goes through them
-on a one-element array.
+integrals and the truncated mechanism's psi, psi_prime and truncated_psi
+all read.  A scalar argument to the small-jump integral evaluates only the
+branch it falls in, in _small_jump_at, which truncated_psi calls too.  The
+series is summed by Horner's rule, which takes only * and +; these round
+the same on a float as on an array element, so a float below the cut
+stays a float and still equals an array element bit for bit.  The closed
+form needs exp and a power, where NumPy's SIMD loops may differ from libm
+by one ulp, so a scalar above the cut goes through them on a one-element
+array.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def tail_constant(alpha: float) -> float:
 
 
 def levy_density(z, alpha: float):
-    """Density of mu_alpha at z > 0."""
+    """Density of mu_alpha at z > 0; z may be an array."""
+    _check_input("z", z, "positive")
     z = np.asarray(z, dtype=float)
     return levy_density_coefficient(alpha) * z ** (-1.0 - alpha)
 
@@ -218,15 +220,21 @@ def small_jump_compensated_integral(q, y: float, alpha: float, sigma_z: float):
     return _small_jump_integral(q, y, sigma_z, _truncation(alpha, y))
 
 
+def _small_jump_at(x: float, tr: _Truncation) -> float:
+    """K y^(-alpha) f(x) for a float x = q*sigma_z*y >= 0: the series below
+    the cut, the closed form on a one-element array above it.  A NaN x
+    falls to the closed form, which returns NaN."""
+    if x < _SERIES_CUT:
+        return tr.k_y * _small_jump_series(x, tr)
+    return float(tr.k_y * _small_jump_closed(np.array([x]), tr)[0])
+
+
 def _small_jump_integral(q, y: float, sigma_z: float, tr: _Truncation):
     """small_jump_compensated_integral from the constants tr at (alpha, y)."""
     if isinstance(q, float):
         if q < 0.0:
             raise ValueError("q must be nonnegative")
-        x = q * sigma_z * y
-        if x < _SERIES_CUT:
-            return float(tr.k_y * _small_jump_series(x, tr))
-        return float(tr.k_y * _small_jump_closed(np.array([x]), tr)[0])
+        return _small_jump_at(q * sigma_z * y, tr)
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("q must be nonnegative")

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45
 
-from alphacir import affine
+from alphacir import affine, cli
 from alphacir.cli import FIG12_PARAMS, _fig2_rate, run, write_sidecar
 from alphacir.stable import StableSpec, sample_stable_increment
 
@@ -329,15 +330,17 @@ class _FailingRK45(RK45):
         return _STEP_FAILURE
 
 
-def _nan_psi(*args, **kwargs):
-    return float("nan")
+def _nan_truncated_psi(params, y):
+    return lambda q: float("nan")
 
 
 # what each module's solve is made to fail on: the Riccati flow steps an
 # RK45, which is replaced by one that fails; the jump laws' own stepper
-# fails for real on a Psi that is NaN everywhere, since a NaN error norm
-# rejects every step until the step falls below 10 ulp of t
-_SOLVERS = {"affine": ("RK45", _FailingRK45), "jumps": ("psi", _nan_psi)}
+# fails for real on a Psi that is NaN everywhere (the function it binds
+# from truncated_psi), since a NaN error norm rejects every step until the
+# step falls below 10 ulp of t
+_SOLVERS = {"affine": ("RK45", _FailingRK45),
+            "jumps": ("truncated_psi", _nan_truncated_psi)}
 
 
 @pytest.mark.parametrize("module, argv", [
@@ -557,6 +560,58 @@ def test_seed_refused_where_nothing_is_drawn(tmp_path, monkeypatch, capsys,
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _outcome(argv, capsys, work):
+    """Exit code, stdout, stderr and the bytes of each file in work after
+    one run(argv) there, with the sidecar's wall_time_s set to null."""
+    work.mkdir()
+    os.chdir(work)
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    files = {p.name: re.sub(rb'"wall_time_s": [^\n]*', b'"wall_time_s": null',
+                            p.read_bytes())
+             for p in work.iterdir()}
+    return code, out, err, files
+
+
+# (first argv, its exit code, second argv, its exit code, a check of the
+# second's sidecar) run in one process on the parser run() keeps
+SHARED_PARSER = {
+    "scheme": (["simulate", "--scheme", "hawkes"], 0,
+               ["simulate", "--scheme", "root"], 0,
+               lambda doc: list(doc["config"])
+               == ["dt", "horizon", "scheme", "y", "seed"]),
+    "seed": (["simulate", "--seed", "5"], 0, ["simulate"], 0,
+             lambda doc: doc["seed"] == 0),
+    "points": (["jump-survival", "--points", "0"], 2, ["jump-survival"], 0,
+               lambda doc: doc["config"]["points"] == 301),
+    "refused": (["simulate", "--seed", "1"], 0, ["bond", "--seed", "1"], 2,
+                None),
+}
+
+
+@pytest.mark.parametrize("first, first_code, second, code, check",
+                         [pytest.param(*case, id=name)
+                          for name, case in SHARED_PARSER.items()])
+def test_shared_parser_leaks_nothing(tmp_path, monkeypatch, capsys, first,
+                                     first_code, second, code, check):
+    # the second run after the first gives what it gives on a parser built
+    # for it alone, byte for byte
+    monkeypatch.chdir(tmp_path)
+    assert _outcome(first, capsys, tmp_path / "first")[0] == first_code
+    parser = cli._PARSER
+    shared = _outcome(second, capsys, tmp_path / "shared")
+    assert cli._PARSER is parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert _outcome(second, capsys, tmp_path / "fresh") == shared
+    assert shared[0] == code
+    if check is not None:
+        stem = second[0].replace("-", "_")
+        assert check(json.loads(shared[3][stem + ".json"]))
 
 
 MODEL = ["--a", "--b", "--sigma", "--sigma-z", "--alpha", "--r0"]

@@ -18,6 +18,7 @@ from alphacir.mechanism import (
     root_psi_equals_one,
     truncated_drift,
     truncated_level,
+    truncated_psi,
 )
 from alphacir.stable import big_jump_laplace_tail, big_jump_mass, big_jump_mean
 
@@ -112,6 +113,34 @@ def test_array_psi_rejects_negative(bond_params):
     for spec in (JumpSpec.full(), JumpSpec.truncated(1.0)):
         with pytest.raises(ValueError):
             psi(np.array([1.0, -1.0]), p, spec)
+
+
+# every variant, and the diffusion that psi_prime special-cases
+VARIANTS = pytest.mark.parametrize("alpha, spec", [
+    (1.5, JumpSpec.full()), (1.5, JumpSpec.truncated(1.0)),
+    (1.2, JumpSpec.tempered(0.7)), (1.8, JumpSpec.tempered(0.0)),
+    (2.0, JumpSpec.full())])
+
+
+@VARIANTS
+def test_psi_prime_rejects_negative(bond_params, alpha, spec):
+    # the full derivative of a negative q was complex, the truncated one NaN
+    p = bond_params(alpha=alpha)
+    for q in (-1.0, np.array([1.0, -1.0])):
+        with pytest.raises(ValueError, match="q must be nonnegative"):
+            psi_prime(q, p, spec)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_truncated_psi_equals_psi(jump_params, alpha):
+    # sigma_z q y crosses the series cut-off 1 at q = 10 (sigma_z 0.1, y 1)
+    p, y = jump_params(alpha=alpha), 1.0
+    psi_y, spec = truncated_psi(p, y), JumpSpec.truncated(y)
+    for q in (0.0, 1e-12, 0.5, 3.0, 9.999999, 10.0, 10.000001, 42.0, 1e4):
+        assert psi_y(q) == psi(q, p, spec)
+    assert np.isnan(psi_y(np.nan))
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        psi_y(-1e-9)
 
 
 @given(param_draws, st.floats(min_value=0.01, max_value=10.0),

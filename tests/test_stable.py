@@ -139,6 +139,15 @@ def test_measure_functions_reject_bad_threshold(bad, match):
     assert _truncation.cache_info().currsize == size
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0], ids=str)
+def test_levy_density_rejects_bad_point(bad):
+    # a NaN point came back as NaN, a negative one as NaN with a warning
+    with pytest.raises(ValueError, match="z must be finite and positive"):
+        levy_density(bad, 1.5)
+    with pytest.raises(ValueError, match="z must be finite and positive"):
+        levy_density(np.array([1.0, bad]), 1.5)
+
+
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
 def test_increment_sampler_laplace_transform(alpha, rng):
     dt = 1.0
