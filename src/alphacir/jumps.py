@@ -20,7 +20,10 @@ Python floats.  It reads the tableau from scipy's RK45 and copies RK45's
 step rules (initial step, RMS error norm, step factors, first-same-as-last
 stage, 10-ulp minimum step), so it takes the steps scipy's RK45 driver
 takes, up to rounding in the error estimate, without that run's per-step
-array work; a test checks it against such a run.  Each step keeps its
+array work; a test checks it against such a run.  Its five stage sums and
+its solution and error sums are written out as straight-line float
+expressions over the tableau's weights, unpacked into module constants,
+in the order a loop over the stages adds them.  Each step keeps its
 stages, from which its quartic dense output is built for all the requested
 times in one NumPy pass.
 """
@@ -54,12 +57,15 @@ def _mark_threshold(params: ModelParams, y_bar: float) -> float:
     return y_bar / params.sigma_z
 
 
-# the Dormand-Prince 5(4) pair that scipy's RK45 steps: stage weights A (row
-# s for stage s = 1..5), solution weights B and error weights E (its dense
-# output weights P are read in _Steps); the right side does not read t, so
-# the stage times C are not needed
-_A = [row[:s] for s, row in enumerate(RK45.A.tolist())][1:]
-_B, _E = RK45.B.tolist(), RK45.E.tolist()
+# the Dormand-Prince 5(4) pair that scipy's RK45 steps, as floats: stage
+# weights _Asj (stage s = 1..5 from stage j < s), solution weights _Bj and
+# error weights _Ej (its dense output weights P are read in _Steps); the
+# right side does not read t, so the stage times C are not needed
+((_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
+ (_A50, _A51, _A52, _A53, _A54)) = [row[:s] for s, row
+                                    in enumerate(RK45.A.tolist())][1:]
+_B0, _B1, _B2, _B3, _B4, _B5 = RK45.B.tolist()
+_E0, _E1, _E2, _E3, _E4, _E5, _E6 = RK45.E.tolist()
 _RTOL, _ATOL, _EPS = affine._RTOL, affine._ATOL, np.finfo(float).eps
 
 
@@ -67,14 +73,6 @@ def _rms(u: float, v: float) -> float:
     """scipy's RMS norm of the pair (u, v), squares written as products:
     a float ** raises OverflowError where a product gives inf."""
     return math.sqrt(u * u + v * v) / math.sqrt(2.0)
-
-
-def _dot(w, k) -> float:
-    """sum_s w[s] k[s] over the stages, added in stage order."""
-    acc = 0.0
-    for ws, ks in zip(w, k):
-        acc += ks * ws
-    return acc
 
 
 class _Steps:
@@ -107,7 +105,9 @@ def _solve_l(params: ModelParams, y: float, source, t_max: float, cut=None):
     initial step, the RMS error norm over both states, a step factor
     0.9 err^(-1/5) kept in [0.2, 10] and not above 1 right after a
     rejection, and the last stage reused as the next step's first.  A NaN
-    error norm rejects the step, as in RK45.
+    error norm rejects the step, as in RK45.  Each sum over the stages is
+    one expression, 0.0 + k0 w0 + k1 w1 + ..., added left to right with
+    the zero weights kept, so that a NaN stage still spreads.
 
     A step below 10 ulp of t raises RuntimeError.  A solve that would pass
     affine._MAX_FLOW_STEPS step attempts (6 right side calls each, after 2
@@ -119,7 +119,7 @@ def _solve_l(params: ModelParams, y: float, source, t_max: float, cut=None):
     psi_y, max_steps = truncated_psi(params, y), affine._MAX_FLOW_STEPS
 
     def rhs(l):
-        l = max(l, 0.0)
+        l = 0.0 if l < 0.0 else l
         return source(l) - psi_y(l)
 
     # the initial step from y(0) = 0, f(0) and one Euler probe of 1e-6
@@ -144,16 +144,32 @@ def _solve_l(params: ModelParams, y: float, source, t_max: float, cut=None):
                                  "steps to reach the horizon")
             t_new = min(t + h_abs, t_max)
             h = h_abs = t_new - t
-            kl, kbig = [f], [l]               # the stages of l' and (int l)'
-            for a in _A:
-                kbig.append(l + _dot(a, kl) * h)
-                kl.append(rhs(kbig[-1]))
-            l_new, big_new = l + h * _dot(_B, kl), big_l + h * _dot(_B, kbig)
-            kbig.append(l_new)
-            kl.append(rhs(l_new))
+            # the stages k0..k6 of l' at the stage values l, l1..l5, l_new of
+            # l, which are also the stages of (int l)' = l
+            k0 = f
+            l1 = l + (0.0 + k0 * _A10) * h
+            k1 = rhs(l1)
+            l2 = l + (0.0 + k0 * _A20 + k1 * _A21) * h
+            k2 = rhs(l2)
+            l3 = l + (0.0 + k0 * _A30 + k1 * _A31 + k2 * _A32) * h
+            k3 = rhs(l3)
+            l4 = l + (0.0 + k0 * _A40 + k1 * _A41 + k2 * _A42 + k3 * _A43) * h
+            k4 = rhs(l4)
+            l5 = l + (0.0 + k0 * _A50 + k1 * _A51 + k2 * _A52 + k3 * _A53
+                      + k4 * _A54) * h
+            k5 = rhs(l5)
+            l_new = l + h * (0.0 + k0 * _B0 + k1 * _B1 + k2 * _B2 + k3 * _B3
+                             + k4 * _B4 + k5 * _B5)
+            big_new = big_l + h * (0.0 + l * _B0 + l1 * _B1 + l2 * _B2
+                                   + l3 * _B3 + l4 * _B4 + l5 * _B5)
+            k6 = rhs(l_new)
             nfev += 6
-            err = _rms(_dot(_E, kl) * h / (_ATOL + max(abs(l), abs(l_new)) * _RTOL),
-                       _dot(_E, kbig) * h
+            err_l = (0.0 + k0 * _E0 + k1 * _E1 + k2 * _E2 + k3 * _E3 + k4 * _E4
+                     + k5 * _E5 + k6 * _E6)
+            err_big = (0.0 + l * _E0 + l1 * _E1 + l2 * _E2 + l3 * _E3
+                       + l4 * _E4 + l5 * _E5 + l_new * _E6)
+            err = _rms(err_l * h / (_ATOL + max(abs(l), abs(l_new)) * _RTOL),
+                       err_big * h
                        / (_ATOL + max(abs(big_l), abs(big_new)) * _RTOL))
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
@@ -161,8 +177,9 @@ def _solve_l(params: ModelParams, y: float, source, t_max: float, cut=None):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)   # a NaN norm rejects
             rejected = True
-        steps.append((t_new, (l, big_l), (kl, kbig)))
-        t, l, big_l, f = t_new, l_new, big_new, kl[-1]
+        steps.append((t_new, (l, big_l), ((k0, k1, k2, k3, k4, k5, k6),
+                                          (l, l1, l2, l3, l4, l5, l_new))))
+        t, l, big_l, f = t_new, l_new, big_new, k6
         if cut is not None:
             g_old, g = g, cut(l, big_l)
             if g_old >= 0.0 >= g:
@@ -182,7 +199,13 @@ def _jump_law(params: ModelParams, y: float, source, t):
     """exp(-l(t) r0 - a b int_0^t l) for l' = source(l) - Psi_trunc(l),
     l(0) = 0, at the times t: 1 at t = 0, and elsewhere read from one
     solve to the largest time.  A scalar t gives a float, an array t an
-    array; source None is the law that is 1 at every time."""
+    array; source None is the law that is 1 at every time.
+
+    The law is a probability or a Laplace transform of a count, so it is
+    returned capped at 1 and as its running minimum in increasing t.  This
+    moves only noise: the solve holds l and int l to atol 1e-12, and where
+    l itself is about that small (the counter law at p below about 1e-11)
+    the law came out up to 3e-11 above 1 and rising in t by up to 4e-12."""
     _check_input("t", t, "nonnegative")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.ndim(t) == 0
@@ -192,6 +215,8 @@ def _jump_law(params: ModelParams, y: float, source, t):
         sol = _solve_l(params, y, source, float(ts.max()))
         vals[live] = _affine_exponent(
             *sol.sol(float(t) if scalar else ts[live]), params)
+        order = np.argsort(ts, kind="stable")
+        vals[order] = np.minimum.accumulate(np.minimum(vals[order], 1.0))
     return float(vals[0]) if scalar else vals
 
 

@@ -27,12 +27,12 @@ cached _truncation, as Python floats, which big_jump_mean, the two
 integrals and the truncated mechanism's psi, psi_prime and truncated_psi
 all read.  A scalar argument to the small-jump integral evaluates only the
 branch it falls in, in _small_jump_at, which truncated_psi calls too.  The
-series is summed by Horner's rule, which takes only * and +; these round
-the same on a float as on an array element, so a float below the cut
-stays a float and still equals an array element bit for bit.  The closed
-form needs exp and a power, where NumPy's SIMD loops may differ from libm
-by one ulp, so a scalar above the cut goes through them on a one-element
-array.
+series is summed by Horner's rule, written out as one expression, which
+takes only * and +; these round the same on a float as on an array
+element, so a float below the cut stays a float and still equals an array
+element bit for bit.  The closed form needs exp and a power, where
+NumPy's SIMD loops may differ from libm by one ulp, so a scalar above the
+cut goes through them on a one-element array.
 """
 
 from __future__ import annotations
@@ -189,12 +189,15 @@ def _scaled_upper_gammas(tr: _Truncation, x):
 
 def _small_jump_series(x, tr: _Truncation):
     """f(x) of the small-jump integral by its series, for 0 <= x < 1, by
-    Horner's rule: x^2 (c_2 + x (c_3 + ... + x c_20)).  x may be a float or
-    an array; each element of an array rounds as the float would."""
-    acc = 0.0
-    for c in tr.series:
-        acc = acc * x + c
-    return acc * x * x
+    Horner's rule: x^2 (c_2 + x (c_3 + ... + x c_20)), written out as one
+    expression from c_20 down.  x may be a float or an array; each element
+    of an array rounds as the float would."""
+    (c20, c19, c18, c17, c16, c15, c14, c13, c12, c11, c10, c9, c8, c7, c6,
+     c5, c4, c3, c2) = tr.series
+    return ((((((((((((((((((c20 * x + c19) * x + c18) * x + c17) * x + c16)
+                         * x + c15) * x + c14) * x + c13) * x + c12) * x + c11)
+                    * x + c10) * x + c9) * x + c8) * x + c7) * x + c6) * x + c5)
+               * x + c4) * x + c3) * x + c2) * x * x
 
 
 def _small_jump_closed(x: np.ndarray, tr: _Truncation) -> np.ndarray:

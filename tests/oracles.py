@@ -6,13 +6,20 @@ Euler loop of the root scheme driven by given increments; one
 solve_ivp run of the Riccati flow to its horizon, integrated by its own
 Gauss rule: it shares no code with the library's cut of a shared flow; one
 solve_ivp run of a jump-law ODE, whose steps the library's own
-Dormand-Prince stepper takes; and H_eps(theta, x) one (theta, x) at a time,
-with scipy's Simpson rule on its own tail grids."""
+Dormand-Prince stepper takes; that stepper and the small-jump series in
+their loop forms, which the library writes out as straight-line
+expressions; and H_eps(theta, x) one (theta, x) at a time, with scipy's
+Simpson rule on its own tail grids."""
+
+import math
 
 import numpy as np
-from scipy.integrate import quad, simpson, solve_ivp
+from scipy.integrate import RK45, quad, simpson, solve_ivp
+from scipy.optimize import brentq
 
-from alphacir.mechanism import JumpSpec, psi
+from alphacir import affine
+from alphacir.jumps import _Steps, _rms
+from alphacir.mechanism import JumpSpec, psi, truncated_psi
 from alphacir.stable import levy_density_coefficient
 
 
@@ -155,6 +162,88 @@ def solve_l_ivp(params, y: float, source, t_max: float):
     if not sol.success:
         raise RuntimeError(f"jump-law ODE failed: {sol.message}")
     return sol
+
+
+def _dot(w, k) -> float:
+    """sum_s w[s] k[s] over the stages, added in stage order."""
+    acc = 0.0
+    for ws, ks in zip(w, k):
+        acc += ks * ws
+    return acc
+
+
+_A = [row[:s] for s, row in enumerate(RK45.A.tolist())][1:]
+_B, _E = RK45.B.tolist(), RK45.E.tolist()
+
+
+def solve_l_loop(params, y: float, source, t_max: float, cut=None):
+    """jumps._solve_l with its stage, solution and error sums as loops over
+    the RK45 tableau (the form it had before they were written out); it
+    must give the same steps, evaluations and stages bit for bit."""
+    psi_y, max_steps = truncated_psi(params, y), affine._MAX_FLOW_STEPS
+    rtol, atol, eps = affine._RTOL, affine._ATOL, np.finfo(float).eps
+
+    def rhs(l):
+        l = max(l, 0.0)
+        return source(l) - psi_y(l)
+
+    f, h0 = rhs(0.0), min(1e-6, t_max)
+    d1 = _rms(f / atol, 0.0)
+    d2 = _rms((rhs(h0 * f) - f) / atol, h0 * f / atol) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.2)
+    h_abs = min(100 * h0, h1, t_max)
+
+    t, l, big_l, nfev, steps = 0.0, 0.0, 0.0, 2, []
+    g = None if cut is None else cut(0.0, 0.0)
+    while t < t_max:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("jump-law ODE failed: the step fell below "
+                                   f"10 ulp at t = {t}")
+            if nfev + 6 > 2 + 6 * max_steps:
+                raise ValueError(f"the jump-law ODE needs more than {max_steps} "
+                                 "steps to reach the horizon")
+            t_new = min(t + h_abs, t_max)
+            h = h_abs = t_new - t
+            kl, kbig = [f], [l]
+            for a in _A:
+                kbig.append(l + _dot(a, kl) * h)
+                kl.append(rhs(kbig[-1]))
+            l_new, big_new = l + h * _dot(_B, kl), big_l + h * _dot(_B, kbig)
+            kbig.append(l_new)
+            kl.append(rhs(l_new))
+            nfev += 6
+            err = _rms(_dot(_E, kl) * h / (atol + max(abs(l), abs(l_new)) * rtol),
+                       _dot(_E, kbig) * h
+                       / (atol + max(abs(big_l), abs(big_new)) * rtol))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        steps.append((t_new, (l, big_l), (kl, kbig)))
+        t, l, big_l, f = t_new, l_new, big_new, kl[-1]
+        if cut is not None:
+            g_old, g = g, cut(l, big_l)
+            if g_old >= 0.0 >= g:
+                sol = _Steps(steps, nfev)
+                sol.t[-1] = brentq(lambda s: cut(*sol.sol(s)), sol.t[-2], t,
+                                   xtol=4 * eps, rtol=4 * eps)
+                return sol
+    return _Steps(steps, nfev)
+
+
+def small_jump_series_loop(x, series):
+    """Horner's rule over the coefficients c_20 .. c_2 of
+    stable._Truncation.series as a loop, times x^2."""
+    acc = 0.0
+    for c in series:
+        acc = acc * x + c
+    return acc * x * x
 
 
 _G32_X, _G32_W = np.polynomial.legendre.leggauss(32)

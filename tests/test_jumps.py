@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import trapezoid
 
 from alphacir import affine, jumps
@@ -14,8 +15,9 @@ from alphacir.jumps import (
     survival_tau_via_rhat,
     tail_asymptotics,
 )
+from alphacir.mechanism import ModelParams
 from alphacir.stable import big_jump_laplace_tail, big_jump_mass
-from oracles import solve_l_ivp
+from oracles import solve_l_ivp, solve_l_loop
 
 Y_BAR = 0.1
 
@@ -60,6 +62,81 @@ def test_solve_l_takes_solve_ivp_steps(jump_params, alpha, law):
     np.testing.assert_allclose(sol.t, ref.t, rtol=1e-5, atol=0.0)
     ts = np.concatenate((np.linspace(0.01, 30.0, 3000), ref.t[1:]))
     np.testing.assert_allclose(sol.sol(ts), ref.sol(ts), rtol=1e-13, atol=0.0)
+
+
+def _jump_sources(p, y):
+    """The survival source nu(y) and the counter Laplace source at p = 1."""
+    nu = big_jump_mass(p.alpha, y)
+
+    def counter(l):
+        return nu - math.exp(-1.0) * big_jump_laplace_tail(
+            l * p.sigma_z, y, p.alpha)
+    return {"survival": lambda l: nu, "counter": counter}
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("law", ["survival", "counter"])
+def test_solve_l_equals_loop_form(jump_params, alpha, law):
+    # the stepper with its stage, solution and error sums written out against
+    # the same stepper summing them in loops: the same floating-point
+    # operations in the same order, so the same steps and stages bit for bit
+    p = jump_params(alpha=alpha)
+    y = Y_BAR / p.sigma_z
+    source = _jump_sources(p, y)[law]
+    sol, ref = jumps._solve_l(p, y, source, 30.0), solve_l_loop(p, y, source, 30.0)
+    assert sol.nfev == ref.nfev and np.array_equal(sol.t, ref.t)
+    ts = np.concatenate((np.linspace(0.0, 30.0, 3001), ref.t))
+    assert np.array_equal(sol.sol(ts), ref.sol(ts))
+
+
+def test_solve_l_equals_loop_form_with_cut(jump_params):
+    # E[tau]'s solve at the fixture, stopped where its survival falls
+    # through 1e-12: the same stop time from the same dense output
+    p = jump_params(alpha=1.5)
+    y = Y_BAR / p.sigma_z
+    ab = p.a * p.b
+
+    def cut(l, big_l):
+        return -l * p.r0 - ab * big_l - math.log(1e-12)
+    source = _jump_sources(p, y)["survival"]
+    sol = jumps._solve_l(p, y, source, 2.0 ** 24, cut=cut)
+    ref = solve_l_loop(p, y, source, 2.0 ** 24, cut=cut)
+    assert sol.nfev == ref.nfev and np.array_equal(sol.t, ref.t)
+    ts = np.concatenate((np.linspace(0.0, sol.t[-1], 4001), ref.t))
+    assert np.array_equal(sol.sol(ts), ref.sol(ts))
+
+
+# the changed solver under random models: a jump law must come back finite,
+# in [0, 1] and nonincreasing in t, or be refused with ValueError (bad input,
+# too many steps) or RuntimeError (a failed solve).  At p 2.4e-32 the
+# counter's l is far below the solve's atol, and the law came out above 1
+# (first example) and rising in t (second)
+unit = st.floats(min_value=0.01, max_value=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@example(alpha=1.5, a=0.5, b=1.0, sigma=1.0, sigma_z=0.9375, r0=0.0,
+         y_bar=0.5, p=2.4482764731786953e-32, t_max=5.0)
+@example(alpha=1.5, a=0.5, b=1.0, sigma=1.0, sigma_z=0.9375, r0=1.0,
+         y_bar=0.5, p=2.4482764731786953e-32, t_max=2.0)
+@given(alpha=st.floats(min_value=1.05, max_value=1.95), a=unit, b=unit,
+       sigma=unit, sigma_z=unit, r0=st.floats(min_value=0.0, max_value=1.0),
+       y_bar=st.floats(min_value=0.02, max_value=0.5),
+       p=st.floats(min_value=0.0, max_value=5.0),
+       t_max=st.floats(min_value=0.0, max_value=30.0))
+def test_jump_laws_fuzz(alpha, a, b, sigma, sigma_z, r0, y_bar, p, t_max):
+    params = ModelParams(a=a, b=b, sigma=sigma, sigma_z=sigma_z, alpha=alpha,
+                         r0=r0)
+    ts = np.linspace(0.0, t_max, 11)
+    for law in (lambda: survival_curve(y_bar, ts, params),
+                lambda: counter_laplace(p, y_bar, ts, params)):
+        try:
+            vals = law()
+        except (ValueError, RuntimeError):
+            continue
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) <= 0.0)
 
 
 def test_counter_laplace_degenerate_points(jump_params):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from alphacir.stable import (
     StableSpec,
+    _small_jump_series,
     _truncation,
     big_jump_laplace_tail,
     big_jump_mass,
@@ -22,6 +23,7 @@ from alphacir.stable import (
 from oracles import (
     big_jump_laplace_tail_quad,
     compensated_small_jump_quad,
+    small_jump_series_loop,
     stable_laplace,
 )
 
@@ -101,6 +103,25 @@ def test_small_jump_series_matches_mpmath(alpha, x):
     ours = small_jump_compensated_integral(q, y, alpha, 1.0)
     assert type(ours) is float
     assert ours == pytest.approx(small, rel=1e-14, abs=0.0)
+
+
+# the series written out as one Horner expression against the loop that
+# summed it before: the same operations in the same order, so the same bits,
+# on a float and on each element of an array, from the smallest subnormal to
+# the largest float below the cut
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+def test_small_jump_series_equals_loop_form(alpha):
+    tr = _truncation(alpha, 0.5)
+    xs = [0.0, 5e-324, 1e-8, 0.3, 1.0 - 2.0 ** -53]
+    for x in xs:
+        ours = _small_jump_series(x, tr)
+        assert type(ours) is float
+        assert ours == small_jump_series_loop(x, tr.series)
+    arr = np.array(xs)
+    assert np.array_equal(_small_jump_series(arr, tr),
+                          small_jump_series_loop(arr, tr.series))
+    assert np.array_equal(_small_jump_series(arr, tr),
+                          [_small_jump_series(x, tr) for x in xs])
 
 
 def test_levy_integrals_take_arrays():
