@@ -1,8 +1,11 @@
-"""Count the code lines of each src/alphacir module and their total.
+"""Count the code lines and the defaulted parameters of each src/alphacir
+module, and their totals.
 
 A code line holds at least one token that is not a comment; blank lines,
 comments and docstrings (the leading string of a module, class or
-function) are left out.  Run as python3 scripts/code_lines.py.
+function) are left out.  A defaulted parameter is a parameter of a def
+(a method included, a lambda not) that has a default value: each option
+a caller may leave unset.  Run as python3 scripts/code_lines.py.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "alphacir"
 _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENDMARKER}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _docstring_lines(tree: ast.Module) -> set:
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
+        if isinstance(node, (ast.Module, ast.ClassDef) + _DEFS) and node.body:
             first = node.body[0]
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
@@ -39,13 +42,24 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
+def defaulted_params(source: str) -> int:
+    """The number of def parameters with a default in one module's source,
+    positional and keyword-only."""
+    return sum(len(node.args.defaults)
+               + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, _DEFS))
+
+
 def main() -> None:
-    total = 0
+    lines = defaults = 0
+    print(f"{'module':16s} {'lines':>5s} {'defaults':>8s}")
     for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{path.name:16s} {n:5d}")
-    print(f"{'total':16s} {total:5d}")
+        source = path.read_text()
+        n, d = code_lines(source), defaulted_params(source)
+        lines, defaults = lines + n, defaults + d
+        print(f"{path.name:16s} {n:5d} {d:8d}")
+    print(f"{'total':16s} {lines:5d} {defaults:8d}")
 
 
 if __name__ == "__main__":

@@ -49,7 +49,6 @@ from .jumps import (
     tail_asymptotics,
 )
 from .derivatives import (
-    h_scale,
     hitting_time_laplace,
     bond_transform_M,
     effective_strike,

@@ -96,18 +96,7 @@ def _params(args) -> ModelParams:
                        sigma_z=args.sigma_z, alpha=args.alpha, r0=args.r0)
 
 
-def write_sidecar(path, command: str, params: Optional[ModelParams],
-                  config: Optional[dict], seed: Optional[int],
-                  wall_time_s: float, version: str) -> None:
-    """JSON sidecar with the reproducibility envelope of a CLI run."""
-    doc = {
-        "command": command,
-        "params": params.to_json() if params is not None else None,
-        "config": config,
-        "seed": seed,
-        "version": version,
-        "wall_time_s": wall_time_s,
-    }
+def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -161,15 +150,15 @@ def cmd_yield(args, params):
 
 
 def cmd_put_laplace(args, params):
-    val, diag = put_laplace(args.theta, args.kappa, args.K, params.r0,
-                            params, with_diagnostics=True)
+    val, diag = put_laplace(args.theta, args.kappa, args.K, params,
+                            with_diagnostics=True)
     return {"laplace_value": val, "theta": args.theta, "kappa": args.kappa,
             "K": args.K, "kbar": diag["kbar"], "diagnostics": diag}
 
 
 def cmd_put_price(args, params):
-    price, diag = put_price(args.T, args.kappa, args.K, params.r0,
-                            params, n_terms=args.n_terms, with_diagnostics=True)
+    price, diag = put_price(args.T, args.kappa, args.K, params,
+                            n_terms=args.n_terms, with_diagnostics=True)
     return {"price": price, "T": args.T, "kappa": args.kappa,
             "K": args.K, "kbar": diag["kbar"], "diagnostics": diag}
 
@@ -479,13 +468,16 @@ def run(argv=None) -> int:
         result = args.func(args, params)
         if hasattr(args, "out"):     # selfcheck writes no file
             config = {**args.preset, **{k: getattr(args, k) for k in args.settings}}
-            write_sidecar(args.out + ".json", args.command, params, config,
-                          getattr(args, "seed", None), time.time() - t0,
-                          __version__)
+            _write_json(args.out + ".json", {
+                "command": args.command,
+                "params": params.to_json() if params is not None else None,
+                "config": config,
+                "seed": getattr(args, "seed", None),
+                "version": __version__,
+                "wall_time_s": time.time() - t0,
+            })
             if result is not None:
-                with open(args.out + "_result.json", "w") as fh:
-                    json.dump(result, fh, indent=2)
-                    fh.write("\n")
+                _write_json(args.out + "_result.json", result)
                 print(json.dumps(result))
     except RuntimeError as exc:
         # a failed ODE solve, a dual-route disagreement (RouteDisagreement),

@@ -193,17 +193,6 @@ def _h_values(theta, params, eps, *xs) -> list:
     return values
 
 
-def h_scale(theta: float, x: float, eps: Optional[float],
-            params: ModelParams) -> float:
-    """The scale-type integral H_eps(theta, x); exposed mainly for tests,
-    production code consumes ratios where eps cancels."""
-    _check_input("theta", theta, "positive")
-    _check_input("x", x, "nonnegative")
-    if eps is not None:
-        _check_input("eps", eps, "positive")
-    return _h_values(theta, params, eps, x)[0]
-
-
 def hitting_time_laplace(r0: float, y: float, theta: float,
                          params: ModelParams, eps: Optional[float] = None) -> float:
     """E[exp(-theta T_y - int_0^{T_y} r)] for the first entrance time T_y of
@@ -275,15 +264,14 @@ def effective_strike(kappa: float, K: float, params: ModelParams):
     return k_bar, v_k / kappa
 
 
-def put_laplace(theta, kappa: float, K: float, r0: Optional[float],
-                params: ModelParams, with_diagnostics: bool = False):
-    """Laplace transform in the maturity of the running-minimum yield put.
-    theta may be a 1-D array; the result then has its shape."""
-    r0 = params.r0 if r0 is None else r0
-    params = _without_r0(params)           # the key of the H and M caches
+def put_laplace(theta, kappa: float, K: float, params: ModelParams,
+                with_diagnostics: bool = False):
+    """Laplace transform in the maturity of the running-minimum yield put
+    started from params.r0.  theta may be a 1-D array; the result then has
+    its shape."""
+    r0, params = params.r0, _without_r0(params)   # the H and M cache key
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_input("theta", thetas, "positive")
-    _check_input("r0", r0, "nonnegative")
     k_bar, nominal = effective_strike(kappa, K, params)
     diag = {"kbar": k_bar, "void": k_bar <= 0.0}
     vals = np.zeros_like(thetas)
@@ -378,12 +366,12 @@ def gaver_stehfest(transform, t: float, n_terms: int = 14,
         return float(acc * ln2_t)
 
 
-def put_price(T: float, kappa: float, K: float, r0: Optional[float],
-              params: ModelParams, n_terms: int = 14,
-              with_diagnostics: bool = False):
-    """Price of the running-minimum yield put by Gaver-Stehfest inversion of
-    put_laplace at the maturity.  Raises RuntimeError when the n-term and
-    (n - 2)-term prices differ by more than 5 % of the price."""
+def put_price(T: float, kappa: float, K: float, params: ModelParams,
+              n_terms: int = 14, with_diagnostics: bool = False):
+    """Price of the running-minimum yield put started from params.r0, by
+    Gaver-Stehfest inversion of put_laplace at the maturity.  Raises
+    RuntimeError when the n-term and (n - 2)-term prices differ by more than
+    5 % of the price."""
     _check_input("T", T, "positive")
     if n_terms < 4 or n_terms % 2:
         raise ValueError("n_terms must be even and at least 4 (the n - 2 "
@@ -391,8 +379,7 @@ def put_price(T: float, kappa: float, K: float, r0: Optional[float],
     # one put_laplace call at every abscissa of the n-term sum, which the
     # n - 2 check reuses; any other theta raises KeyError
     thetas = [float(th) for th in _stehfest_abscissae(T, n_terms)[1]]
-    vals, diag = put_laplace(thetas, kappa, K, r0, params,
-                             with_diagnostics=True)
+    vals, diag = put_laplace(thetas, kappa, K, params, with_diagnostics=True)
     diag["n_terms"] = n_terms
     if diag["void"]:
         return (0.0, diag) if with_diagnostics else 0.0

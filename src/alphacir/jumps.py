@@ -224,7 +224,10 @@ def counter_laplace(p: float, y_bar: float, t, params: ModelParams):
     """E[exp(-p * J_t)] for the counter J of rate jumps larger than ybar;
     the source of its exponent ODE is nu(y) - e^(-p) int_y^inf
     exp(-l sigma_z z) mu_alpha(dz), and at p = 0 the law is exactly 1.
-    t may be an array of times."""
+    t may be an array of times.  The law comes back capped at 1 and
+    nonincreasing in t, but l, which is O(p), is held only to the absolute
+    atol 1e-12: below p of about 1e-11 the gap 1 - E[exp(-p J_t)] is solver
+    noise of up to 3e-11, with no relative accuracy."""
     y = _mark_threshold(params, y_bar)
     _check_input("p", p, "nonnegative")
     nu, e_p = big_jump_mass(params.alpha, y), math.exp(-p)

@@ -255,14 +255,12 @@ def _run(step, r0: float, horizon: float, n_paths: int,
 def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
                         n_paths: int, rng: np.random.Generator,
                         antithetic: bool = False,
-                        keep_paths: bool = False,
                         running_min: bool = False):
     """Full-truncation Euler for the root representation (see _RootStep).
 
-    Returns (r_T, integral[, run_min][, paths, times]): terminal values, the
-    trapezoid integral of r over [0, horizon], with running_min=True the
-    minimum of r over the grid (r0 included), and with keep_paths=True the
-    full (n_paths, n_steps+1) array.
+    Returns (r_T, integral[, run_min]): terminal values, the trapezoid
+    integral of r over [0, horizon], and with running_min=True the minimum
+    of r over the grid (r0 included).
 
     With antithetic=True the Gaussian driver of the second half of the batch
     mirrors the first half (n_paths must be even); the stable increments are
@@ -275,10 +273,10 @@ def simulate_root_batch(params: ModelParams, dt: float, horizon: float,
     """
     if antithetic and n_paths % 2:
         raise ValueError("antithetic batches need an even n_paths")
-    r, integral, run_min, _, _, kept = _run(
+    r, integral, run_min, *_ = _run(
         _RootStep(params, dt, antithetic), params.r0, horizon, n_paths, rng,
-        running_min=running_min, keep_paths=keep_paths)
-    return (r, integral) + ((run_min,) if running_min else ()) + kept
+        running_min=running_min)
+    return (r, integral) + ((run_min,) if running_min else ())
 
 
 class _ThinnedStep:
@@ -420,23 +418,17 @@ class _ThinnedStep:
 
 def simulate_thinned_batch(params: ModelParams, y: float, dt: float,
                            horizon: float, n_paths: int,
-                           rng: np.random.Generator,
-                           keep_paths: bool = False,
-                           events: Optional[list] = None):
+                           rng: np.random.Generator):
     """Truncated dynamics with superposed mid-band jumps and big jumps on a
     compensator clock (see _ThinnedStep).
 
-    Returns (r_T, integral, first_event_time, n_events[, paths, times]).
-    first_event_time is +inf for paths without a big jump; n_events counts
-    every big jump, two in one step included.  When events is a list, every
-    big jump is appended to it as (path, time, size) with the time and
-    rate-space size the kernel drew.
+    Returns (r_T, integral, first_event_time, n_events).  first_event_time
+    is +inf for paths without a big jump; n_events counts every big jump,
+    two in one step included.
     """
-    step = _ThinnedStep(params, y, dt)
-    r, integral, _, first_event, n_events, kept = _run(
-        step, params.r0, horizon, n_paths, rng, keep_paths=keep_paths,
-        events=events)
-    return (r, integral, first_event, n_events) + kept
+    r, integral, _, first_event, n_events, _ = _run(
+        _ThinnedStep(params, y, dt), params.r0, horizon, n_paths, rng)
+    return r, integral, first_event, n_events
 
 
 @dataclass
@@ -444,12 +436,11 @@ class FirstPassage:
     """A thinned batch run until each path's first big jump.
 
     first holds the first-event time of every path (+inf without one);
-    active and r are the indices and end values of the paths without one.
+    active holds the indices of the paths without one.
     """
 
     first: np.ndarray
     active: np.ndarray
-    r: np.ndarray
 
     @property
     def censored(self) -> float:
@@ -483,26 +474,21 @@ def first_passage_thinned(params: ModelParams, y: float, dt: float,
             stay = np.ones(active.size, dtype=bool)
             stay[idx] = False
             active, r, gap = active[stay], r[stay], gap[stay]
-    return FirstPassage(first, active, r)
+    return FirstPassage(first, active)
 
 
 def simulate_lou_batch(params: ModelParams, y: float, dt: float, horizon: float,
-                       n_paths: int, rng: np.random.Generator,
-                       keep_paths: bool = False,
-                       events: Optional[list] = None):
+                       n_paths: int, rng: np.random.Generator):
     """Locally equivalent Levy-OU: the thinned step at mark threshold y with
     its coefficients frozen at r0 and no positivity clamp, so its big jumps
     are a Poisson process of rate r0 * nu_big on the compensator clock.
 
-    Returns (lambda_T, first_event_time[, paths, times]).  When events is a
-    list, every big jump is appended to it as (path, time, size), as in
-    simulate_thinned_batch.
+    Returns (lambda_T, first_event_time).
     """
-    step = _ThinnedStep(params, y, dt, frozen=True)
-    lam, _, _, first_event, _, kept = _run(
-        step, params.r0, horizon, n_paths, rng, integral=False,
-        keep_paths=keep_paths, events=events)
-    return (lam, first_event) + kept
+    lam, _, _, first_event, _, _ = _run(
+        _ThinnedStep(params, y, dt, frozen=True), params.r0, horizon, n_paths,
+        rng, integral=False)
+    return lam, first_event
 
 
 def _check_hawkes(a: float, b: float, sigma_z: float, horizon: float,

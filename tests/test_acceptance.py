@@ -297,7 +297,7 @@ def test_criterion_09_put_pipeline():
                      - np.exp(-c * t)) for t in (0.5, 1.0, 3.0))
     gs_ok = gs_err <= 1e-8
     p = bond_p(1.5)
-    analytic = put_price(PUT_T, PUT_KAPPA, PUT_STRIKE, p.r0, p)
+    analytic = put_price(PUT_T, PUT_KAPPA, PUT_STRIKE, p)
     # running-minimum monitoring bias is O(sqrt(dt)); pair two step sizes
     # and extrapolate it away, keeping the criterion's 1e5 paths per run
     y4, r4 = mc_running_min_put(p, PUT_T, PUT_KAPPA, PUT_STRIKE,

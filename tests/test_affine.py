@@ -180,6 +180,16 @@ def test_stationary_laplace_basics(bond_params):
     assert all(0.0 < v < 1.0 for v in vals)
 
 
+def test_stationary_laplace_near_zero(bond_params):
+    # at p = 1e-11 the quadrature's first nodes fall below q = 1e-12, where
+    # the integrand takes its limit b; the transform is exp(-b p) to first
+    # order, and 1 - L(p) holds only the digits of a float next to 1
+    p = bond_params(alpha=1.5)
+    val = stationary_laplace(1e-11, p)
+    assert val == pytest.approx(np.exp(-p.b * 1e-11), rel=1e-15, abs=0.0)
+    assert 1.0 - val == pytest.approx(p.b * 1e-11, rel=1e-4, abs=0.0)
+
+
 def test_stationary_laplace_gamma_law_when_jumps_vanish(bond_params):
     p = bond_params(alpha=2.0, sigma_z=0.0)
     for q in (0.1, 1.0, 10.0):

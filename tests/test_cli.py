@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import RK45
 
-from alphacir import affine, cli
-from alphacir.cli import FIG12_PARAMS, _fig2_rate, run, write_sidecar
+from alphacir import __version__, affine, cli
+from alphacir.cli import FIG12_PARAMS, _fig2_rate, run
 from alphacir.stable import StableSpec, sample_stable_increment
 
 JUMP_FLAGS = ["--a", "0.1", "--b", "0.1", "--sigma", "0.1", "--sigma-z",
@@ -40,13 +40,15 @@ def test_bond_writes_csv_and_sidecar(tmp_path, monkeypatch):
     assert "wall_time_s" in doc
 
 
-def test_sidecar_schema(tmp_path, bond_params):
-    out = tmp_path / "run.json"
-    write_sidecar(out, "bond", bond_params(), {"tmax": 10.0}, 7, 0.5, "0.1.0")
-    doc = json.loads(out.read_text())
-    assert set(doc) == {"command", "params", "config", "seed", "version",
-                        "wall_time_s"}
-    assert doc["params"]["alpha"] == 1.5
+def test_sidecar_schema(tmp_path, monkeypatch):
+    _in_tmp(tmp_path, monkeypatch)
+    assert run(["bond", "--tmax", "10", "--points", "2", "--out", "run"]) == 0
+    doc = json.loads((tmp_path / "run.json").read_text())
+    assert list(doc) == ["command", "params", "config", "seed", "version",
+                         "wall_time_s"]
+    assert doc["params"] == DEFAULT_PARAMS
+    assert doc["config"] == {"tmax": 10.0, "points": 2}
+    assert doc["seed"] is None and doc["version"] == __version__
 
 
 def test_simulate_root_scheme(tmp_path, monkeypatch):

@@ -8,12 +8,12 @@ from alphacir.derivatives import (
     _HStack,
     _MCache,
     _cached_h,
+    _h_values,
     _stehfest_abscissae,
     bond_transform_M,
     effective_strike,
     gaver_stehfest,
     gaver_stehfest_weights,
-    h_scale,
     hitting_time_laplace,
     put_laplace,
     put_price,
@@ -89,7 +89,7 @@ def test_hitting_ratio_invariant_to_split_point(bond_params):
 
 def test_h_scale_decreasing_in_state(bond_params):
     p = bond_params(alpha=1.5)
-    hs = [h_scale(1.0, x, None, p) for x in (0.01, 0.05, 0.2)]
+    hs = _h_values(1.0, p, None, 0.01, 0.05, 0.2)
     assert np.all(np.diff(hs) < 0.0)
     assert all(h > 0.0 for h in hs)
 
@@ -112,14 +112,14 @@ def test_bond_transform_matches_direct_time_integral(bond_params):
 
 def test_put_laplace_monotone_in_strike(bond_params):
     p = bond_params(alpha=1.5)
-    vals = [put_laplace(1.0, KAPPA, k, p.r0, p)
+    vals = [put_laplace(1.0, KAPPA, k, p)
             for k in (0.035, 0.039941, 0.045)]
     assert np.all(np.diff(vals) > 0.0)
 
 
 def test_put_laplace_void_when_effective_strike_negative(bond_params):
     p = bond_params(alpha=1.5)
-    val, diag = put_laplace(1.0, KAPPA, 0.005, p.r0, p, with_diagnostics=True)
+    val, diag = put_laplace(1.0, KAPPA, 0.005, p, with_diagnostics=True)
     assert val == 0.0
     assert diag["void"]
 
@@ -133,15 +133,15 @@ def test_put_price_void_when_effective_strike_negative(bond_params,
         raise AssertionError("void put called gaver_stehfest")
 
     monkeypatch.setattr(derivatives, "gaver_stehfest", no_inversion)
-    price, diag = put_price(1.0, KAPPA, 0.005, p.r0, p, with_diagnostics=True)
+    price, diag = put_price(1.0, KAPPA, 0.005, p, with_diagnostics=True)
     assert price == 0.0
     assert diag["void"] and diag["kbar"] <= 0.0
-    assert put_price(1.0, KAPPA, 0.005, p.r0, p) == 0.0
+    assert put_price(1.0, KAPPA, 0.005, p) == 0.0
 
 
 @pytest.mark.parametrize("call", [
     lambda p: hitting_time_laplace(0.05, 0.02, 400.0, p),
-    lambda p: h_scale(400.0, 0.02, None, p),
+    lambda p: _h_values(400.0, p, None, 0.02),
 ], ids=["hitting_time_laplace", "h_scale"])
 def test_non_finite_h_raises(bond_params, call):
     # H overflows at theta = 400 at the bond set; a NaN is not a value
@@ -152,7 +152,7 @@ def test_non_finite_h_raises(bond_params, call):
 
 def test_put_laplace_completely_monotone_start(bond_params):
     p = bond_params(alpha=1.5)
-    vals = np.array([put_laplace(th, KAPPA, STRIKE, p.r0, p)
+    vals = np.array([put_laplace(th, KAPPA, STRIKE, p)
                      for th in (0.5, 1.0, 1.5, 2.0)])
     d1 = np.diff(vals)
     assert np.all(d1 < 0.0)
@@ -162,8 +162,7 @@ def test_put_laplace_completely_monotone_start(bond_params):
 @pytest.mark.slow
 def test_put_price_inversion_is_stable(bond_params):
     p = bond_params(alpha=1.5)
-    price, diag = put_price(1.0, KAPPA, STRIKE, p.r0, p,
-                            with_diagnostics=True)
+    price, diag = put_price(1.0, KAPPA, STRIKE, p, with_diagnostics=True)
     assert 0.0 < price < diag["kbar"]
     assert diag["stability_gap"] < 1e-4
 
@@ -172,7 +171,7 @@ def test_put_price_fixture_value(bond_params):
     # the 14-term Stehfest sum amplifies one-ulp noise in Psi to ~4e-9, so
     # this pins the rounding of the whole transform pipeline
     p = bond_params(alpha=1.5)
-    price, diag = put_price(1.0, KAPPA, STRIKE, p.r0, p, with_diagnostics=True)
+    price, diag = put_price(1.0, KAPPA, STRIKE, p, with_diagnostics=True)
     assert price == pytest.approx(FIXTURE_PUT, rel=1e-9)
     assert diag["transform_evals"] == 14
 
@@ -181,7 +180,7 @@ def test_put_price_fixture_is_bit_identical(bond_params):
     # one theta-independent H tail per strike node (64 Gauss nodes + r0),
     # shared by all 14 abscissae; the pins hold with ==
     p = bond_params(alpha=1.5)
-    price, diag = put_price(1.0, KAPPA, STRIKE, p.r0, p, with_diagnostics=True)
+    price, diag = put_price(1.0, KAPPA, STRIKE, p, with_diagnostics=True)
     assert price == FIXTURE_PUT
     assert diag["stability_gap"] == 1.1204516607923876e-07
     assert diag["h_tail_grids"] == 65
@@ -195,14 +194,13 @@ def test_put_price_fixture_is_bit_identical(bond_params):
 def test_put_price_eight_terms_is_bit_identical(bond_params, alpha, T, K,
                                                 price, gap):
     p = bond_params(alpha=alpha)
-    got, diag = put_price(T, KAPPA, K, p.r0, p, n_terms=8,
-                          with_diagnostics=True)
+    got, diag = put_price(T, KAPPA, K, p, n_terms=8, with_diagnostics=True)
     assert got == price
     assert diag["stability_gap"] == gap
 
 
 def test_put_laplace_scalar_pin(bond_params):
-    assert put_laplace(2.0, KAPPA, 0.04, None, bond_params(alpha=1.5)) \
+    assert put_laplace(2.0, KAPPA, 0.04, bond_params(alpha=1.5)) \
         == 0.002496856647392919
 
 
@@ -211,11 +209,10 @@ def test_put_laplace_array_equals_scalar_loop(bond_params):
     # on longer grids, which the count includes
     p = bond_params(alpha=1.2)
     thetas = np.array([0.5, 3.0, 40.0])
-    vals, diag = put_laplace(thetas, KAPPA, 0.04, None, p,
-                             with_diagnostics=True)
+    vals, diag = put_laplace(thetas, KAPPA, 0.04, p, with_diagnostics=True)
     assert vals.shape == thetas.shape
     for k, th in enumerate(thetas):
-        assert vals[k] == put_laplace(float(th), KAPPA, 0.04, None, p)
+        assert vals[k] == put_laplace(float(th), KAPPA, 0.04, p)
     assert diag["h_tail_grids"] > 1 + diag["nodes"]
 
 
@@ -233,14 +230,11 @@ def test_stehfest_abscissae_are_the_inversion_points():
 
 
 @pytest.mark.parametrize("call", [
-    lambda p: h_scale(1.0, float("nan"), None, p),
-    lambda p: h_scale(float("nan"), 0.01, None, p),
     lambda p: hitting_time_laplace(float("nan"), 0.01, 1.0, p),
     lambda p: hitting_time_laplace(p.r0, float("inf"), 1.0, p),
     lambda p: bond_transform_M(1.0, float("nan"), p),
     lambda p: bond_transform_M(float("nan"), 0.01, p),
-], ids=["h_scale-x", "h_scale-theta", "hitting-r0", "hitting-y", "M-y",
-        "M-theta"])
+], ids=["hitting-r0", "hitting-y", "M-y", "M-theta"])
 def test_transforms_reject_non_finite_input(bond_params, call):
     with pytest.raises(ValueError, match="finite"):
         call(bond_params(alpha=1.5))
@@ -249,36 +243,37 @@ def test_transforms_reject_non_finite_input(bond_params, call):
 def test_put_price_evaluates_each_abscissa_once(bond_params):
     # the n - 2 stability check reuses the n-term abscissae k <= n - 2
     p = bond_params(alpha=1.5)
-    _, diag = put_price(0.5, KAPPA, 0.035, p.r0, p, n_terms=8,
-                        with_diagnostics=True)
+    _, diag = put_price(0.5, KAPPA, 0.035, p, n_terms=8, with_diagnostics=True)
     assert diag["transform_evals"] == 8
 
 
 @pytest.mark.parametrize("field", ["T", "kappa", "K", "theta", "r0"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_put_rejects_non_finite_input(bond_params, field, bad):
-    p = bond_params(alpha=1.5)
-    args = {"T": 1.0, "kappa": KAPPA, "K": STRIKE, "theta": 1.0, "r0": p.r0}
+    # the put reads r0 from its params, which refuse a non-finite one
+    args = {"T": 1.0, "kappa": KAPPA, "K": STRIKE, "theta": 1.0, "r0": 0.05}
     args[field] = bad
     if field != "T":
         with pytest.raises(ValueError, match="finite"):
-            put_laplace(args["theta"], args["kappa"], args["K"], args["r0"], p)
+            put_laplace(args["theta"], args["kappa"], args["K"],
+                        bond_params(alpha=1.5, r0=args["r0"]))
     if field != "theta":
         with pytest.raises(ValueError, match="finite"):
-            put_price(args["T"], args["kappa"], args["K"], args["r0"], p)
+            put_price(args["T"], args["kappa"], args["K"],
+                      bond_params(alpha=1.5, r0=args["r0"]))
 
 
 @pytest.mark.parametrize("r0", [-0.01, -1.0])
 @pytest.mark.parametrize("call", [
-    lambda p, r0: put_laplace(1.0, KAPPA, 0.04, r0, p),
-    lambda p, r0: put_price(1.0, 1.0, 0.04, r0, p, n_terms=8),
-    lambda p, r0: hitting_time_laplace(r0, 0.02, 1.0, p),
+    lambda make, r0: put_laplace(1.0, KAPPA, 0.04, make(r0=r0)),
+    lambda make, r0: put_price(1.0, 1.0, 0.04, make(r0=r0), n_terms=8),
+    lambda make, r0: hitting_time_laplace(r0, 0.02, 1.0, make()),
 ], ids=["put_laplace", "put_price", "hitting_time_laplace"])
 def test_transforms_reject_negative_start_rate(bond_params, call, r0):
     # the short rate lives on [0, inf): a negative start is an input error,
-    # not a price
+    # not a price; the put reads r0 from its params, which refuse it
     with pytest.raises(ValueError, match="r0 must be finite and nonnegative"):
-        call(bond_params(alpha=1.5), r0)
+        call(bond_params, r0)
 
 
 def _m_arrays_ivp(theta, p):
@@ -314,7 +309,7 @@ def test_put_fixture_keeps_bits_after_long_bond(bond_params):
     affine._flow.cache_clear()
     derivatives._cached_m.cache_clear()
     bond_price(0.0, 30.0, p.r0, p)
-    assert put_price(1.0, KAPPA, STRIKE, p.r0, p) == FIXTURE_PUT
+    assert put_price(1.0, KAPPA, STRIKE, p) == FIXTURE_PUT
 
 
 def test_caches_key_on_the_params_without_r0(bond_params):
@@ -324,7 +319,7 @@ def test_caches_key_on_the_params_without_r0(bond_params):
     for cache in caches:
         cache.cache_clear()
     m = [bond_transform_M(1.0, 0.02, bond_params(r0=r0)) for r0 in (0.05, 0.06)]
-    h = [h_scale(1.0, 0.02, None, bond_params(r0=r0)) for r0 in (0.05, 0.06)]
+    h = [_h_values(1.0, bond_params(r0=r0), None, 0.02) for r0 in (0.05, 0.06)]
     assert m[0] == m[1] and h[0] == h[1]
     assert [cache.cache_info().misses for cache in caches] == [1, 1, 1]
 
@@ -333,10 +328,29 @@ def test_put_price_raises_on_unstable_inversion(bond_params):
     # 4 terms leave a gap of 12.7 % to the 2-term sum; 6 terms (4.0 %) price
     p = bond_params(alpha=1.5)
     with pytest.raises(RuntimeError, match=r"n=4 gives 0\.0109.*n=2 gives 0\.0123"):
-        put_price(1.0, KAPPA, 0.04, p.r0, p, n_terms=4)
-    price, diag = put_price(1.0, KAPPA, 0.04, p.r0, p, n_terms=6,
+        put_price(1.0, KAPPA, 0.04, p, n_terms=4)
+    price, diag = put_price(1.0, KAPPA, 0.04, p, n_terms=6,
                             with_diagnostics=True)
     assert 0.03 < diag["stability_gap"] / price < 0.05
+
+
+@pytest.mark.parametrize("n_terms, raw", [(14, -1.0e-41), (8, -2.1e-40)])
+def test_put_clips_negative_rounding_price_to_zero(bond_params, n_terms, raw):
+    # struck a hair above K0 = ab int_0^1 v, Kbar is 1.6e-11: both Stehfest
+    # sums are rounding noise, below 0 and within 5 % of the 1e-12 floor of
+    # each other, and the price is the clip's 0.0
+    p = bond_params(alpha=1.5)
+    k0 = 0.01379653099637629
+    assert p.a * p.b * solve_v(0.0, 1.0, KAPPA, p).integral(KAPPA) == k0
+    strike = k0 * (1.0 + 1e-9)
+    thetas = [float(th) for th in _stehfest_abscissae(1.0, n_terms)[1]]
+    values = dict(zip(thetas, put_laplace(thetas, KAPPA, strike, p).tolist()))
+    assert gaver_stehfest(values.__getitem__, 1.0, n_terms) == pytest.approx(
+        raw, rel=0.05, abs=0.0)
+    price, diag = put_price(1.0, KAPPA, strike, p, n_terms=n_terms,
+                            with_diagnostics=True)
+    assert price == 0.0 and not diag["void"]
+    assert 0.0 < diag["stability_gap"] < 1e-38
 
 
 def _put_nodes(k_bar, r0):
@@ -381,8 +395,8 @@ def test_h_stack_equals_per_theta_oracle(bond_params, alpha, thetas, strike,
 def test_one_theta_h_equals_oracle(bond_params):
     p = bond_params(alpha=1.5)
     hc = _cached_h(1.0, _without_r0(p), None)
-    assert h_scale(1.0, 0.02, None, p) == h_value(hc, 0.02)[0]
-    assert h_scale(1.0, 0.0, None, p) == h_value(hc, 0.0)[0]
+    assert _h_values(1.0, p, None, 0.02, 0.0) \
+        == [h_value(hc, 0.02)[0], h_value(hc, 0.0)[0]]
     assert hitting_time_laplace(p.r0, 0.02, 1.0, p) \
         == h_value(hc, p.r0)[0] / h_value(hc, 0.02)[0]
 
@@ -402,7 +416,7 @@ def test_panel_psi_is_paid_once_per_theta(bond_params, monkeypatch):
 
     monkeypatch.setattr(derivatives, "psi", counted)
     thetas = [float(th) for th in _stehfest_abscissae(1.0, 14)[1]]
-    put_laplace(thetas, KAPPA, STRIKE, p.r0, p)
+    put_laplace(thetas, KAPPA, STRIKE, p)
     assert len(calls) == 14 * 3 + 65
 
 
@@ -422,8 +436,8 @@ def test_put_slope_above_r0_is_the_bond(bond_params, alpha):
     k1 = _strike_at_r0(p) + 0.002
     k2 = k1 + 0.005
     assert effective_strike(KAPPA, k1, p)[0] > p.r0
-    slope = (put_price(1.0, KAPPA, k2, p.r0, p)
-             - put_price(1.0, KAPPA, k1, p.r0, p)) / (k2 - k1)
+    slope = (put_price(1.0, KAPPA, k2, p)
+             - put_price(1.0, KAPPA, k1, p)) / (k2 - k1)
     assert slope == pytest.approx(bond_price(0.0, 1.0, p.r0, p), rel=1e-6)
 
 
@@ -436,7 +450,7 @@ def test_put_convex_in_strike_across_r0(bond_params, alpha):
     ladder = round(_strike_at_r0(p), 3) + np.arange(-0.006, 0.0161, 0.002)
     k_bars = [effective_strike(KAPPA, k, p)[0] for k in ladder]
     assert k_bars[0] < p.r0 < k_bars[-1]
-    prices = [put_price(1.0, KAPPA, float(k), p.r0, p) for k in ladder]
+    prices = [put_price(1.0, KAPPA, float(k), p) for k in ladder]
     assert np.all(np.diff(prices, 2) >= -1e-9)
 
 
@@ -446,5 +460,5 @@ def test_put_at_zero_rate_is_strike_times_bond(bond_params, alpha):
     # nominal Kbar B(0,T); the 14-term inversion meets it within 8.6e-8
     p = bond_params(alpha=alpha, r0=0.0)
     k_bar, nominal = effective_strike(KAPPA, 0.04, p)
-    assert put_price(1.0, KAPPA, 0.04, 0.0, p) == pytest.approx(
+    assert put_price(1.0, KAPPA, 0.04, p) == pytest.approx(
         nominal * k_bar * bond_price(0.0, 1.0, 0.0, p), rel=1e-7)

@@ -10,7 +10,6 @@ from alphacir.derivatives import (
     effective_strike,
     gaver_stehfest,
     gaver_stehfest_weights,
-    h_scale,
     hitting_time_laplace,
     put_laplace,
     put_price,
@@ -103,8 +102,6 @@ REFUSED = {
                                     "eps must"),
     "bond_price-T": (lambda: bond_price(1.0, 0.5, 0.05, P), "maturity T"),
     "bond_yield-kappa": (lambda: bond_yield(0.0, 0.05, P), "kappa must"),
-    "h_scale-theta": (lambda: h_scale(0.0, 0.02, None, P), "theta must"),
-    "h_scale-x": (lambda: h_scale(1.0, -0.01, None, P), "x must"),
     "hitting_time_laplace-y": (lambda: hitting_time_laplace(0.05, 0.0, 1.0, P),
                                "y must"),
     "hitting_time_laplace-theta": (lambda: hitting_time_laplace(
@@ -114,12 +111,12 @@ REFUSED = {
     "bond_transform_M-theta": (lambda: bond_transform_M(0.0, 0.02, P),
                                "theta must"),
     "bond_transform_M-y": (lambda: bond_transform_M(1.0, -0.01, P), "y must"),
-    "put_laplace-theta": (lambda: put_laplace([1.0, -1.0], 1.0, 0.04, None, P),
+    "put_laplace-theta": (lambda: put_laplace([1.0, -1.0], 1.0, 0.04, P),
                           "theta must"),
     "gaver_stehfest_weights-n_terms": (lambda: gaver_stehfest_weights(3),
                                        "n_terms must"),
     "gaver_stehfest-t": (lambda: gaver_stehfest(_laplace, 0.0), "t must"),
-    "put_price-T": (lambda: put_price(0.0, 1.0, 0.04, None, P), "T must"),
+    "put_price-T": (lambda: put_price(0.0, 1.0, 0.04, P), "T must"),
     "simulate_root_batch-antithetic-n_paths": (lambda: simulate_root_batch(
         P, 1e-2, 1.0, 3, _rng(), antithetic=True), "n_paths"),
     "simulate_thinned_batch-sigma_z": (lambda: simulate_thinned_batch(

@@ -45,6 +45,14 @@ def test_mc_laplace_concordant(bond_params):
     assert est.within(joint_laplace(p.r0, 1.0, 1.0, 0.0, p), n_se=4.0)
 
 
+def test_mc_laplace_thinned_concordant(bond_params):
+    p = bond_params(alpha=1.2)
+    est = mc_laplace(p, 1.0, 1.0, n_paths=20_000, dt=1e-2, seed=8,
+                     scheme="thinned", y=1.0)
+    assert est.estimator == "mc_laplace[thinned]"
+    assert est.within(joint_laplace(p.r0, 1.0, 1.0, 0.0, p), n_se=4.0)
+
+
 def test_mc_counter_concordant(jump_params):
     p = jump_params(alpha=1.5)
     est = mc_counter(p, 1.0, 0.1, 2.0, n_paths=20_000, seed=3)
@@ -114,6 +122,16 @@ def test_mc_expected_tau_scores_no_path_censored(jump_params):
                                np.random.default_rng(1))
     assert fp.active.size == 0
     assert est.value == np.mean(fp.first)
+
+
+def test_mc_expected_tau_warns_when_censored(jump_params):
+    # E[tau] is about 46 at the jump fixture, so most paths have not jumped
+    # by t = 1; each of them scores the horizon
+    with pytest.warns(UserWarning, match=r"92\.0% of paths censored at "
+                                         r"horizon 1\.0"):
+        est = mc_expected_tau(jump_params(alpha=1.5), 0.1, n_paths=100,
+                              horizon=1.0, max_horizon=1.0)
+    assert 0.92 <= est.value <= 1.0
 
 
 @pytest.mark.parametrize("horizons", [

@@ -10,7 +10,9 @@ from alphacir.mechanism import truncated_drift
 from alphacir.sim import (
     _BLOCK,
     _CSV_ROWS,
+    _RootStep,
     _ThinnedStep,
+    _run,
     Path,
     SimConfig,
     first_large_jump,
@@ -100,9 +102,9 @@ def test_root_running_min_matches_kept_paths(bond_params):
     r, integ, run_min = simulate_root_batch(p, 1e-3, 0.5, 200,
                                             np.random.default_rng(2),
                                             running_min=True)
-    r2, integ2, out, _ = simulate_root_batch(p, 1e-3, 0.5, 200,
-                                             np.random.default_rng(2),
-                                             keep_paths=True)
+    r2, integ2, *_, (out, _) = _run(_RootStep(p, 1e-3, False), p.r0, 0.5,
+                                    200, np.random.default_rng(2),
+                                    keep_paths=True)
     np.testing.assert_array_equal(run_min, out.min(axis=1))
     np.testing.assert_array_equal(r, r2)
     np.testing.assert_array_equal(integ, integ2)
@@ -137,14 +139,14 @@ def test_root_batch_matches_euler_oracle_across_blocks(bond_params, alpha, n,
     # every horizon here runs both streams past a refill, the antithetic
     # one through two stable refills per normal refill
     p, dt = bond_params(alpha=alpha), 1e-3
-    got = simulate_root_batch(p, dt, n_steps * dt, n, np.random.default_rng(17),
-                              antithetic=antithetic, running_min=True,
-                              keep_paths=True)
+    r, integ, run_min, *_, (paths, _) = _run(
+        _RootStep(p, dt, antithetic), p.r0, n_steps * dt, n,
+        np.random.default_rng(17), running_min=True, keep_paths=True)
     incr = _stream_increments(p, dt, n_steps, n, np.random.default_rng(17),
                               antithetic)
     want = root_euler_paths(p, dt, *incr)
-    assert got[3].shape == (n, n_steps + 1)
-    for g, w in zip(got, want):       # r_T, integral, run_min, paths
+    assert paths.shape == (n, n_steps + 1)
+    for g, w in zip((r, integ, run_min, paths), want):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
 
 
@@ -154,12 +156,11 @@ def test_root_batch_matches_euler_oracle_across_blocks(bond_params, alpha, n,
 def test_root_batch_draws_a_prefix_of_a_longer_run(bond_params, n, antithetic):
     # the first k steps draw the same variates whatever the horizon
     p, dt = bond_params(alpha=1.5), 1e-2
-    r, integ, run_min, paths, _ = simulate_root_batch(
-        p, dt, 0.2, n, np.random.default_rng(23), antithetic=antithetic,
+    r, integ, run_min, *_, (paths, _) = _run(
+        _RootStep(p, dt, antithetic), p.r0, 0.2, n, np.random.default_rng(23),
         running_min=True, keep_paths=True)
-    *_, longer, _ = simulate_root_batch(
-        p, dt, 0.5, n, np.random.default_rng(23), antithetic=antithetic,
-        keep_paths=True)
+    *_, (longer, _) = _run(_RootStep(p, dt, antithetic), p.r0, 0.5, n,
+                           np.random.default_rng(23), keep_paths=True)
     head = longer[:, :paths.shape[1]]
     np.testing.assert_array_equal(paths, head)
     np.testing.assert_array_equal(r, head[:, -1])
@@ -242,10 +243,10 @@ def test_lou_intensity_not_clamped_at_zero(jump_params):
     assert np.all(ends[0] < 0.0)
     np.testing.assert_allclose(ends[1] - ends[0], 1.5 * (1.0 - p.a * dt),
                                rtol=1e-12)
-    # and the batch from r0 reaches negative values
-    _, _, paths, _ = simulate_lou_batch(p, 1.0, dt, 30.0, 64,
-                                        np.random.default_rng(2),
-                                        keep_paths=True)
+    # and the batch loop from r0 reaches negative values
+    *_, (paths, _) = _run(_ThinnedStep(p, 1.0, dt, frozen=True), p.r0, 30.0,
+                          64, np.random.default_rng(2), integral=False,
+                          keep_paths=True)
     assert paths.min() < 0.0
 
 
@@ -258,8 +259,8 @@ def test_lou_single_path_reports_every_jump(jump_params):
         config = SimConfig(dt=1e-2, horizon=20.0, seed=seed, y=1.0)
         path = simulate_lou(p, config)
         log = []
-        simulate_lou_batch(p, 1.0, 1e-2, 20.0, 1, np.random.default_rng(seed),
-                           events=log)
+        _run(_ThinnedStep(p, 1.0, 1e-2, frozen=True), p.r0, 20.0, 1,
+             np.random.default_rng(seed), integral=False, events=log)
         _, first = simulate_lou_batch(p, 1.0, 1e-2, 20.0, 1,
                                       np.random.default_rng(seed))
         assert path.events == [(t, size) for _, t, size in log]
@@ -304,8 +305,8 @@ def test_lou_one_step_counts_every_arrival(jump_params):
     p = jump_params(alpha=1.2)
     T = 1.0 / (p.r0 * big_jump_mass(p.alpha, 1.0))
     n_paths, log = 4000, []
-    simulate_lou_batch(p, 1.0, T, T, n_paths, np.random.default_rng(17),
-                       events=log)
+    _run(_ThinnedStep(p, 1.0, T, frozen=True), p.r0, T, n_paths,
+         np.random.default_rng(17), integral=False, events=log)
     counts = np.bincount([i for i, _, _ in log], minlength=n_paths)
     se = counts.std(ddof=1) / np.sqrt(n_paths)
     assert abs(counts.mean() - 1.0) < 4.0 * se
@@ -325,16 +326,18 @@ def test_lou_first_event_times_follow_exact_law(jump_params):
         assert abs(hit.mean() - lou_first_jump_cdf(y_bar, t, p)) < 4.0 * se
 
 
-@pytest.mark.parametrize("batch", [simulate_thinned_batch, simulate_lou_batch])
-def test_events_lie_in_their_own_step(jump_params, batch):
-    # the first k steps draw the same variates whatever the horizon, so the
-    # events a run to (k + 1) dt adds to a run to k dt are those of step k
+@pytest.mark.parametrize("frozen", [False, True],
+                         ids=["simulate_thinned_batch", "simulate_lou_batch"])
+def test_events_lie_in_their_own_step(jump_params, frozen):
+    # the event log of the batch loop that both batches run: the first k
+    # steps draw the same variates whatever the horizon, so the events a
+    # run to (k + 1) dt adds to a run to k dt are those of step k
     p, dt = jump_params(alpha=1.2), 1.0
     logs = []
     for k in range(5):
         logs.append([])
-        batch(p, 0.2, dt, k * dt, 200, np.random.default_rng(9),
-              events=logs[-1])
+        _run(_ThinnedStep(p, 0.2, dt, frozen=frozen), p.r0, k * dt, 200,
+             np.random.default_rng(9), events=logs[-1])
     repeats = 0
     for k in range(4):
         before, after = logs[k], logs[k + 1]
@@ -461,8 +464,7 @@ def test_first_passage_pinned(jump_params):
                                np.random.default_rng(2))
     hit = np.isfinite(st.first)
     assert (hit.sum(), st.active.size) == (90, 110)
-    _pinned([st.first[hit].sum(), st.r.sum()],
-            [599.0616423113764, 4.743938811061006])
+    _pinned([st.first[hit].sum()], [599.0616423113764])
 
 
 def test_lou_batch_pinned(jump_params):
@@ -501,24 +503,29 @@ def test_write_csv_is_savetxt(tmp_path, rows, cols):
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.8])
-@pytest.mark.parametrize("single, batch", [
-    (simulate_root, lambda p, y, dt, T, rng, log: simulate_root_batch(
-        p, dt, T, 1, rng, keep_paths=True)),
-    (simulate_thinned, lambda p, y, dt, T, rng, log: simulate_thinned_batch(
-        p, y, dt, T, 1, rng, keep_paths=True, events=log)),
-    (simulate_lou, lambda p, y, dt, T, rng, log: simulate_lou_batch(
-        p, y, dt, T, 1, rng, keep_paths=True, events=log)),
+@pytest.mark.parametrize("single, step, batch", [
+    (simulate_root, lambda p, y, dt: _RootStep(p, dt, False),
+     lambda p, y, dt, T, rng: simulate_root_batch(p, dt, T, 1, rng)),
+    (simulate_thinned, lambda p, y, dt: _ThinnedStep(p, y, dt),
+     lambda p, y, dt, T, rng: simulate_thinned_batch(p, y, dt, T, 1, rng)),
+    (simulate_lou, lambda p, y, dt: _ThinnedStep(p, y, dt, frozen=True),
+     lambda p, y, dt, T, rng: simulate_lou_batch(p, y, dt, T, 1, rng)),
 ], ids=["root", "thinned", "lou"])
 def test_single_path_is_the_batch_at_one_path(jump_params, alpha, single,
-                                              batch):
-    # 17 000 steps run each one-path stream past one _BLOCK refill
+                                              step, batch):
+    # 17 000 steps run each one-path stream past one _BLOCK refill; the
+    # batch loop with the integral keeps the path and logs the jumps that
+    # the path shows, and the batch function ends where the path ends
     p, seed = jump_params(alpha=alpha), 11
     config = SimConfig(dt=1e-3, horizon=17.0, y=0.5, seed=seed)
     assert config.horizon / config.dt > _BLOCK
     path = single(p, config)
     log = []
-    *_, paths, times = batch(p, 0.5, 1e-3, 17.0, np.random.default_rng(seed),
-                             log)
+    *_, (paths, times) = _run(step(p, 0.5, 1e-3), p.r0, 17.0, 1,
+                              np.random.default_rng(seed), keep_paths=True,
+                              events=log)
     np.testing.assert_array_equal(path.times, times)
     np.testing.assert_array_equal(path.values, paths[0])
     assert path.events == [(t, size) for _, t, size in log]
+    end = batch(p, 0.5, 1e-3, 17.0, np.random.default_rng(seed))[0]
+    assert end.tolist() == [path.values[-1]]
