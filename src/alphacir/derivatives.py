@@ -16,7 +16,7 @@ r0.  H is the scale-type integral
 
 q1 the root of Psi(q) = 1, and M(theta, y) the Laplace transform in time of
 the bond price started at y.  Prices are recovered by Gaver-Stehfest
-inversion in extended precision, with the transform evaluated node-major:
+inversion, an exact rational sum, with the transform evaluated node-major:
 put_price passes every abscissa to one put_laplace call, which evaluates H
 at each strike node x (the 64 Gauss nodes below r0, plus r0) for every
 theta at once.  The tail grid z = q1 + eps e^s, s in [0, s_hi(x)], and
@@ -54,10 +54,11 @@ The array path therefore reproduces the scalar Psi bit for bit.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline, PPoly
@@ -73,10 +74,10 @@ _GAUSS16_X, _GAUSS16_W = np.polynomial.legendre.leggauss(16)
 _PANEL_T, _PANEL_W = 0.5 * (_GAUSS32_X + 1.0), 0.5 * _GAUSS32_W
 # the R spline's log-spaced grid in h = z - q1: its upper end and size
 _H_MAX, _H_NODES = 1e9, 4000
-# digits of the Gaver-Stehfest weights, abscissae and alternating sum: for
-# 1/(s + 0.7) at 26 terms and t = 0.5, 1, 3 the error is 5.19e-11 at 40
-# digits as at 60
-_DPS = 40
+# ln 2 to 64 digits, exact as a rational: each Gaver-Stehfest abscissa
+# k ln2/t is the float nearest k _LN2/t, and _LN2/t scales the exact sum
+_LN2 = Fraction("0.69314718055994530941723212145817656807"
+                "55001343602552541206800095")
 
 
 class _HCache:
@@ -310,60 +311,40 @@ def put_laplace(theta, kappa: float, K: float, params: ModelParams,
     return (val, diag) if with_diagnostics else val
 
 
+@lru_cache(maxsize=None)
 def gaver_stehfest_weights(n_terms: int = 14) -> tuple:
-    """Stehfest weights a_k, k = 1..n_terms (n_terms even), as mpmath floats
-    at _DPS digits.  The tuple is computed once per n_terms and shared."""
+    """Stehfest weights a_k, k = 1..n_terms (n_terms even), as exact
+    Fractions.  The tuple is computed once per n_terms and shared."""
     if n_terms % 2:
         raise ValueError(f"n_terms must be even, got {n_terms}")
-    return _stehfest_weights(n_terms)
+    m, f = n_terms // 2, math.factorial
+    return tuple((-1) ** (k + m) * sum(
+        Fraction(j ** m * f(2 * j), f(m - j) * f(j) * f(j - 1) * f(k - j)
+                 * f(2 * j - k)) for j in range((k + 1) // 2, min(k, m) + 1))
+        for k in range(1, n_terms + 1))
 
 
-@lru_cache(maxsize=None)
-def _stehfest_weights(n_terms: int) -> tuple:
-    with mp.workdps(_DPS):
-        m = n_terms // 2
-        out = []
-        for k in range(1, n_terms + 1):
-            s = mp.mpf(0)
-            for j in range((k + 1) // 2, min(k, m) + 1):
-                s += (mp.mpf(j) ** m * mp.factorial(2 * j)
-                      / (mp.factorial(m - j) * mp.factorial(j)
-                         * mp.factorial(j - 1) * mp.factorial(k - j)
-                         * mp.factorial(2 * j - k)))
-            out.append((-1) ** (k + m) * s)
-        return tuple(out)
+def _stehfest_abscissae(t: float, n_terms: int) -> list:
+    """The points theta_k = k ln2/t, k = 1..n_terms, where gaver_stehfest
+    calls the transform: each the float nearest the exact rational."""
+    ln2_t = _LN2 / Fraction(t)
+    return [float(ln2_t * k) for k in range(1, n_terms + 1)]
 
 
-def _stehfest_abscissae(t: float, n_terms: int) -> tuple:
-    """ln2/t and the points theta_k = k ln2/t, k = 1..n_terms, where
-    gaver_stehfest calls the transform, as mpmath numbers at _DPS digits."""
-    with mp.workdps(_DPS):
-        ln2_t = mp.log(2) / t
-        return ln2_t, [ln2_t * k for k in range(1, n_terms + 1)]
-
-
-def gaver_stehfest(transform, t: float, n_terms: int = 14,
-                   high_precision: bool = False) -> float:
+def gaver_stehfest(transform, t: float, n_terms: int = 14) -> float:
     """Invert a Laplace transform on the real axis at time t.
 
-    By default the transform is called with a float argument and only the
-    alternating accumulation runs in extended precision.  With
-    high_precision=True the transform receives an mpmath argument and must
-    tolerate it; that mode exists for transforms with closed forms (the
-    inversion error is then pure Stehfest truncation, which shrinks with
-    n_terms instead of being drowned by float evaluation noise).
-    """
+    The transform is called at the float abscissae and must return finite
+    floats; the alternating sum (ln2/t) sum_k a_k L(theta_k) runs exactly
+    in rationals and is rounded once."""
     _check_input("t", t, "positive")
-    weights = gaver_stehfest_weights(n_terms)
-    ln2_t, thetas = _stehfest_abscissae(t, n_terms)
-    with mp.workdps(_DPS):
-        acc = mp.mpf(0)
-        for a_k, theta in zip(weights, thetas):
-            if high_precision:
-                acc += a_k * transform(theta)
-            else:
-                acc += a_k * mp.mpf(transform(float(theta)))
-        return float(acc * ln2_t)
+    acc = Fraction(0)
+    for a_k, theta in zip(gaver_stehfest_weights(n_terms),
+                          _stehfest_abscissae(t, n_terms)):
+        value = transform(theta)
+        _check_input("transform value", value, "finite")
+        acc += a_k * Fraction(value)
+    return float(acc * _LN2 / Fraction(t))
 
 
 def put_price(T: float, kappa: float, K: float, params: ModelParams,
@@ -371,16 +352,19 @@ def put_price(T: float, kappa: float, K: float, params: ModelParams,
     """Price of the running-minimum yield put started from params.r0, by
     Gaver-Stehfest inversion of put_laplace at the maturity.  Raises
     RuntimeError when the n-term and (n - 2)-term prices differ by more than
-    5 % of the price."""
+    5 % of the price.  The diagnostics' kappa_inv, the inversion's condition
+    number (ln2/T) sum_k |a_k L(theta_k)|/|price|, bounds the relative move
+    of the price per unit of relative error in the transform values; it is
+    None for a price of 0."""
     _check_input("T", T, "positive")
     if n_terms < 4 or n_terms % 2:
         raise ValueError("n_terms must be even and at least 4 (the n - 2 "
                          "check needs two terms)")
     # one put_laplace call at every abscissa of the n-term sum, which the
     # n - 2 check reuses; any other theta raises KeyError
-    thetas = [float(th) for th in _stehfest_abscissae(T, n_terms)[1]]
+    thetas = _stehfest_abscissae(T, n_terms)
     vals, diag = put_laplace(thetas, kappa, K, params, with_diagnostics=True)
-    diag["n_terms"] = n_terms
+    diag.update({"n_terms": n_terms, "kappa_inv": None})
     if diag["void"]:
         return (0.0, diag) if with_diagnostics else 0.0
     values = dict(zip(thetas, vals.tolist()))
@@ -394,4 +378,8 @@ def put_price(T: float, kappa: float, K: float, params: ModelParams,
                            f"a gap above 5 % of the price")
     if price < 0.0 and abs(price) < 1e-12:
         price = 0.0
+    if price != 0.0:
+        diag["kappa_inv"] = math.log(2.0) / T * sum(
+            abs(float(a_k) * v) for a_k, v in
+            zip(gaver_stehfest_weights(n_terms), vals.tolist())) / abs(price)
     return (price, diag) if with_diagnostics else price

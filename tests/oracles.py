@@ -8,16 +8,22 @@ Gauss rule: it shares no code with the library's cut of a shared flow; one
 solve_ivp run of a jump-law ODE, whose steps the library's own
 Dormand-Prince stepper takes; that stepper and the small-jump series in
 their loop forms, which the library writes out as straight-line
-expressions; and H_eps(theta, x) one (theta, x) at a time, with scipy's
-Simpson rule on its own tail grids."""
+expressions; H_eps(theta, x) one (theta, x) at a time, with scipy's
+Simpson rule on its own tail grids; and the Gaver-Stehfest inversion in
+40-digit mpmath numbers, whose sum the library takes exactly in rationals,
+and at exact rational abscissae, where a closed-form transform leaves only
+the truncation of the n-term sum."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import RK45, quad, simpson, solve_ivp
 from scipy.optimize import brentq
 
 from alphacir import affine
+from alphacir.derivatives import _LN2, gaver_stehfest_weights
 from alphacir.jumps import _Steps, _rms
 from alphacir.mechanism import JumpSpec, psi, truncated_psi
 from alphacir.stable import levy_density_coefficient
@@ -284,3 +290,40 @@ def h_value(hc, x: float) -> tuple:
             break
         s_hi += 5.0
     return panel + np.exp(m) * float(simpson(np.exp(log_i - m), x=s)), grids
+
+
+def stehfest_abscissae_mpmath(t: float, n_terms: int) -> list:
+    """theta_k = k ln2/t, k = 1..n_terms, each rounded to a float from a
+    40-digit mpmath number: the formula of perfbench's put-laplace requests,
+    which hit the put's H and M caches only with the same bits."""
+    with mp.workdps(40):
+        ln2_t = mp.log(2) / t
+        return [float(ln2_t * k) for k in range(1, n_terms + 1)]
+
+
+def gaver_stehfest_mpmath(transform, t: float, n_terms: int) -> float:
+    """Gaver-Stehfest inversion with its weights, abscissae and alternating
+    sum in 40-digit mpmath numbers, the transform called at the float
+    abscissae."""
+    with mp.workdps(40):
+        m, ln2_t, acc = n_terms // 2, mp.log(2) / t, mp.mpf(0)
+        for k in range(1, n_terms + 1):
+            s = mp.mpf(0)
+            for j in range((k + 1) // 2, min(k, m) + 1):
+                s += (mp.mpf(j) ** m * mp.factorial(2 * j)
+                      / (mp.factorial(m - j) * mp.factorial(j)
+                         * mp.factorial(j - 1) * mp.factorial(k - j)
+                         * mp.factorial(2 * j - k)))
+            acc += (-1) ** (k + m) * s * mp.mpf(transform(float(ln2_t * k)))
+        return float(acc * ln2_t)
+
+
+def gaver_stehfest_exact(transform, t: float, n_terms: int) -> float:
+    """Gaver-Stehfest inversion with the library's weights and the transform
+    called at the exact rational abscissae k _LN2/t.  A transform that is
+    rational in its argument, such as 1/(s + Fraction(c)), makes the sum
+    exact, so the error is the n-term truncation alone."""
+    ln2_t = _LN2 / Fraction(t)
+    return float(ln2_t * sum(
+        a_k * transform(ln2_t * k)
+        for k, a_k in enumerate(gaver_stehfest_weights(n_terms), 1)))

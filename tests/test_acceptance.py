@@ -14,12 +14,18 @@ and a survival-curve crossing near t = 4).
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import BOND_SET, JUMP_SET, record_criterion
-from oracles import cir_bond, cir_stationary_laplace, stable_laplace
+from oracles import (
+    cir_bond,
+    cir_stationary_laplace,
+    gaver_stehfest_exact,
+    stable_laplace,
+)
 
 from alphacir.affine import (
     bond_price,
@@ -28,7 +34,7 @@ from alphacir.affine import (
     solve_v,
     stationary_laplace,
 )
-from alphacir.derivatives import gaver_stehfest, put_price
+from alphacir.derivatives import put_price
 from alphacir.jumps import (
     counter_laplace,
     expected_tau,
@@ -292,8 +298,8 @@ def test_criterion_08_stable_sampler_law():
 
 def test_criterion_09_put_pipeline():
     c = 0.7
-    gs_err = max(abs(gaver_stehfest(lambda s: 1.0 / (s + c), t, n_terms=26,
-                                    high_precision=True)
+    gs_err = max(abs(gaver_stehfest_exact(lambda s: 1 / (s + Fraction(c)),
+                                          t, 26)
                      - np.exp(-c * t)) for t in (0.5, 1.0, 3.0))
     gs_ok = gs_err <= 1e-8
     p = bond_p(1.5)

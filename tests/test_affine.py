@@ -53,7 +53,7 @@ def test_v_curve_increases_toward_root(bond_params):
     assert np.all(np.diff(vs[ts <= 20.0]) > 0.0)
     assert np.all(np.diff(vs) > -1e-9)
     assert vs[-1] <= x0 + 1e-9
-    assert vs[-1] == pytest.approx(x0, rel=1e-6)
+    assert vs[-1] == pytest.approx(x0, rel=1e-6, abs=0.0)
 
 
 def test_curve_integral_matches_trapezoid(bond_params):
@@ -102,7 +102,7 @@ def test_joint_laplace_short_time_expansion(bond_params):
     # for small t, E[e^{-p r_t}] ~ e^{-p r0} up to O(t)
     p = bond_params(alpha=1.5)
     val = joint_laplace(p.r0, 1e-4, 1.0, 0.0, p)
-    assert val == pytest.approx(np.exp(-p.r0), rel=1e-3)
+    assert val == pytest.approx(np.exp(-p.r0), rel=1e-3, abs=0.0)
 
 
 @given(st.floats(min_value=1.05, max_value=2.0),
@@ -203,7 +203,7 @@ def test_truncated_spec_flows_below_full(jump_params):
     t = 5.0
     full = solve_v(0.0, 1.0, t, p)(t)
     trunc = solve_v(0.0, 1.0, t, p, JumpSpec.truncated(1.0))(t)
-    assert trunc == pytest.approx(full, rel=0.2)
+    assert trunc == pytest.approx(full, rel=0.2, abs=0.0)
     assert trunc != full
 
 

@@ -164,6 +164,8 @@ def test_put_price_result_reports_tail_grids(tmp_path, monkeypatch):
     # the 14 M curves share 161 steps of one Riccati flow and re-run 14
     assert doc["diagnostics"]["riccati_steps"] == 161
     assert doc["diagnostics"]["riccati_tail_steps"] == 14
+    # the inversion's condition number, 8.48e6 at 14 terms
+    assert 8.4e6 < doc["diagnostics"]["kappa_inv"] < 8.6e6
 
 
 def test_put_laplace_void_strike(tmp_path, monkeypatch):
@@ -183,6 +185,7 @@ def test_put_price_void_strike(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "put_price_result.json").read_text())
     assert doc["price"] == 0.0
     assert doc["diagnostics"]["void"] is True
+    assert doc["diagnostics"]["kappa_inv"] is None
 
 
 @pytest.mark.parametrize("argv, theta", [

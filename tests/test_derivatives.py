@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,7 +21,13 @@ from alphacir.derivatives import (
     put_price,
 )
 from alphacir.mechanism import psi, root_psi_equals_one
-from oracles import h_value, solve_v_ivp
+from oracles import (
+    gaver_stehfest_exact,
+    gaver_stehfest_mpmath,
+    h_value,
+    solve_v_ivp,
+    stehfest_abscissae_mpmath,
+)
 
 KAPPA = 1.0
 STRIKE = 0.039941  # makes the effective strike ~0.03 at the bond fixture
@@ -28,11 +36,9 @@ FIXTURE_PUT = 0.010466419185062768
 
 
 def test_gaver_stehfest_weights_sum_to_zero():
-    # exact cancellation up to the roundoff of the largest weight
-    for n in (8, 14):
-        w = [float(x) for x in gaver_stehfest_weights(n)]
-        scale = max(abs(x) for x in w)
-        assert abs(sum(w)) < 1e-12 * scale
+    # the weights are exact rationals, so they cancel exactly
+    for n in (8, 14, 26):
+        assert sum(gaver_stehfest_weights(n)) == 0
 
 
 def test_gaver_stehfest_weights_are_a_shared_tuple():
@@ -48,11 +54,34 @@ def test_gaver_stehfest_recovers_exponential():
         assert val == pytest.approx(np.exp(-c * t), abs=2e-5)
 
 
-def test_gaver_stehfest_high_precision_mode():
+def test_gaver_stehfest_at_exact_abscissae():
+    # 1/(s + c) at the exact rational abscissae: the 26-term sum is exact,
+    # so its error is the truncation alone
     c = 0.7
-    val = gaver_stehfest(lambda s: 1.0 / (s + c), 1.0, n_terms=26,
-                         high_precision=True)
+    val = gaver_stehfest_exact(lambda s: 1 / (s + Fraction(c)), 1.0, 26)
     assert val == pytest.approx(np.exp(-0.7), abs=1e-9)
+
+
+def test_stehfest_abscissae_equal_40_digit_mpmath():
+    # the float nearest k ln2/t, as the 40-digit formula rounds it: a
+    # put-laplace request at one of these thetas hits the put's H and M
+    # caches only with the same bits
+    rng = np.random.default_rng(31)
+    maturities = [0.5, 1.0, 2.0] + np.exp(
+        rng.uniform(np.log(0.01), np.log(100.0), 1000)).tolist()
+    for T in maturities:
+        for n in (8, 14):
+            assert _stehfest_abscissae(T, n) == stehfest_abscissae_mpmath(T, n)
+
+
+@pytest.mark.parametrize("n_terms", [8, 14, 26])
+def test_gaver_stehfest_equals_40_digit_mpmath(n_terms):
+    # the exact rational sum rounds to the bits of the 40-digit one
+    rng = np.random.default_rng(n_terms)
+    for c, t in zip(rng.uniform(0.01, 5.0, 300), rng.uniform(0.05, 10.0, 300)):
+        transform = lambda s: 1.0 / (s + c)
+        assert gaver_stehfest(transform, t, n_terms) \
+            == gaver_stehfest_mpmath(transform, t, n_terms)
 
 
 def test_effective_strike_matches_curve_algebra(bond_params):
@@ -61,8 +90,8 @@ def test_effective_strike_matches_curve_algebra(bond_params):
     curve = solve_v(0.0, 1.0, KAPPA, p)
     v_k = curve(KAPPA)
     expect = (KAPPA * STRIKE - p.a * p.b * curve.integral(KAPPA)) / v_k
-    assert k_bar == pytest.approx(expect, rel=1e-10)
-    assert nominal == pytest.approx(v_k / KAPPA, rel=1e-10)
+    assert k_bar == pytest.approx(expect, rel=1e-10, abs=0.0)
+    assert nominal == pytest.approx(v_k / KAPPA, rel=1e-10, abs=0.0)
 
 
 def test_hitting_ratio_is_one_above_start(bond_params):
@@ -84,7 +113,7 @@ def test_hitting_ratio_invariant_to_split_point(bond_params):
     q1 = root_psi_equals_one(p)
     ref = hitting_time_laplace(p.r0, 0.02, 1.0, p, eps=0.1 * q1)
     alt = hitting_time_laplace(p.r0, 0.02, 1.0, p, eps=0.02 * q1)
-    assert alt == pytest.approx(ref, rel=1e-7)
+    assert alt == pytest.approx(ref, rel=1e-7, abs=0.0)
 
 
 def test_h_scale_decreasing_in_state(bond_params):
@@ -107,7 +136,8 @@ def test_bond_transform_matches_direct_time_integral(bond_params):
 
     direct, _ = quad(integrand, 0.0, 60.0, epsabs=1e-13, epsrel=1e-11,
                      limit=300)
-    assert bond_transform_M(theta, y, p) == pytest.approx(direct, rel=1e-8)
+    assert bond_transform_M(theta, y, p) == pytest.approx(direct, rel=1e-8,
+                                                          abs=0.0)
 
 
 def test_put_laplace_monotone_in_strike(bond_params):
@@ -134,7 +164,7 @@ def test_put_price_void_when_effective_strike_negative(bond_params,
 
     monkeypatch.setattr(derivatives, "gaver_stehfest", no_inversion)
     price, diag = put_price(1.0, KAPPA, 0.005, p, with_diagnostics=True)
-    assert price == 0.0
+    assert price == 0.0 and diag["kappa_inv"] is None
     assert diag["void"] and diag["kbar"] <= 0.0
     assert put_price(1.0, KAPPA, 0.005, p) == 0.0
 
@@ -172,7 +202,7 @@ def test_put_price_fixture_value(bond_params):
     # this pins the rounding of the whole transform pipeline
     p = bond_params(alpha=1.5)
     price, diag = put_price(1.0, KAPPA, STRIKE, p, with_diagnostics=True)
-    assert price == pytest.approx(FIXTURE_PUT, rel=1e-9)
+    assert price == pytest.approx(FIXTURE_PUT, rel=1e-9, abs=0.0)
     assert diag["transform_evals"] == 14
 
 
@@ -197,6 +227,18 @@ def test_put_price_eight_terms_is_bit_identical(bond_params, alpha, T, K,
     got, diag = put_price(T, KAPPA, K, p, n_terms=8, with_diagnostics=True)
     assert got == price
     assert diag["stability_gap"] == gap
+
+
+@pytest.mark.parametrize("n_terms, low, high", [(14, 8.4e6, 8.6e6),
+                                                 (8, 2.5e3, 2.7e3)])
+def test_put_price_reports_inversion_condition_number(bond_params, n_terms,
+                                                      low, high):
+    # kappa_inv = (ln2/T) sum_k |a_k L(theta_k)|/|price|: a relative error e
+    # in the transform values moves the price by up to kappa_inv e, 8.48e6 e
+    # at 14 terms and 2.6e3 e at 8
+    _, diag = put_price(1.0, KAPPA, STRIKE, bond_params(alpha=1.5),
+                        n_terms=n_terms, with_diagnostics=True)
+    assert low < diag["kappa_inv"] < high
 
 
 def test_put_laplace_scalar_pin(bond_params):
@@ -226,7 +268,7 @@ def test_stehfest_abscissae_are_the_inversion_points():
     for T, n in ((1.0, 14), (0.5, 8), (2.0, 8)):
         seen.clear()
         gaver_stehfest(transform, T, n_terms=n)
-        assert seen == [float(th) for th in _stehfest_abscissae(T, n)[1]]
+        assert seen == _stehfest_abscissae(T, n)
 
 
 @pytest.mark.parametrize("call", [
@@ -295,7 +337,7 @@ def test_m_cache_equals_solve_ivp_curve(bond_params, alpha):
     p = bond_params(alpha=alpha)
     affine._flow.cache_clear()
     for T in (0.5, 1.0, 2.0, 4.0):
-        for theta in (float(th) for th in _stehfest_abscissae(T, 14)[1]):
+        for theta in _stehfest_abscissae(T, 14):
             mc = _MCache(theta, p)
             for got, want in zip((mc.u, mc.w, mc.v_u, mc.iv_u),
                                  _m_arrays_ivp(theta, p)):
@@ -343,13 +385,13 @@ def test_put_clips_negative_rounding_price_to_zero(bond_params, n_terms, raw):
     k0 = 0.01379653099637629
     assert p.a * p.b * solve_v(0.0, 1.0, KAPPA, p).integral(KAPPA) == k0
     strike = k0 * (1.0 + 1e-9)
-    thetas = [float(th) for th in _stehfest_abscissae(1.0, n_terms)[1]]
+    thetas = _stehfest_abscissae(1.0, n_terms)
     values = dict(zip(thetas, put_laplace(thetas, KAPPA, strike, p).tolist()))
     assert gaver_stehfest(values.__getitem__, 1.0, n_terms) == pytest.approx(
         raw, rel=0.05, abs=0.0)
     price, diag = put_price(1.0, KAPPA, strike, p, n_terms=n_terms,
                             with_diagnostics=True)
-    assert price == 0.0 and not diag["void"]
+    assert price == 0.0 and not diag["void"] and diag["kappa_inv"] is None
     assert 0.0 < diag["stability_gap"] < 1e-38
 
 
@@ -361,7 +403,7 @@ def _put_nodes(k_bar, r0):
 
 
 @pytest.mark.parametrize("alpha, thetas, strike, extra", [
-    (1.5, [float(th) for th in _stehfest_abscissae(1.0, 14)[1]], STRIKE, [0.0]),
+    (1.5, _stehfest_abscissae(1.0, 14), STRIKE, [0.0]),
     (1.2, [0.5, 3.0, 40.0, 80.0], 0.04, []),
 ], ids=["fixture", "outrun"])
 def test_h_stack_equals_per_theta_oracle(bond_params, alpha, thetas, strike,
@@ -415,7 +457,7 @@ def test_panel_psi_is_paid_once_per_theta(bond_params, monkeypatch):
         return psi(*args, **kwargs)
 
     monkeypatch.setattr(derivatives, "psi", counted)
-    thetas = [float(th) for th in _stehfest_abscissae(1.0, 14)[1]]
+    thetas = _stehfest_abscissae(1.0, 14)
     put_laplace(thetas, KAPPA, STRIKE, p)
     assert len(calls) == 14 * 3 + 65
 
@@ -438,7 +480,8 @@ def test_put_slope_above_r0_is_the_bond(bond_params, alpha):
     assert effective_strike(KAPPA, k1, p)[0] > p.r0
     slope = (put_price(1.0, KAPPA, k2, p)
              - put_price(1.0, KAPPA, k1, p)) / (k2 - k1)
-    assert slope == pytest.approx(bond_price(0.0, 1.0, p.r0, p), rel=1e-6)
+    assert slope == pytest.approx(bond_price(0.0, 1.0, p.r0, p), rel=1e-6,
+                                  abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])

@@ -50,6 +50,8 @@ def _laplace(s):
 @pytest.mark.parametrize("call, name", [
     (lambda: gaver_stehfest(_laplace, float("nan")), "t"),
     (lambda: gaver_stehfest(_laplace, float("inf")), "t"),
+    (lambda: gaver_stehfest(lambda s: float("nan"), 1.0), "transform value"),
+    (lambda: gaver_stehfest(lambda s: float("inf"), 1.0), "transform value"),
     (lambda: effective_strike(1.0, float("nan"), P), "K"),
     (lambda: effective_strike(1.0, float("inf"), P), "K"),
     (lambda: SimConfig(dt=float("nan")), "dt"),
@@ -57,6 +59,7 @@ def _laplace(s):
     (lambda: sample_pareto_tail(1.5, float("nan"), _rng(), 3), "y"),
     (lambda: truncated_second_moment(1.5, float("nan")), "eps"),
 ], ids=["gaver_stehfest-t-nan", "gaver_stehfest-t-inf",
+        "gaver_stehfest-transform-nan", "gaver_stehfest-transform-inf",
         "effective_strike-K-nan", "effective_strike-K-inf", "SimConfig-dt-nan",
         "hitting_time_laplace-eps-nan", "sample_pareto_tail-y-nan",
         "truncated_second_moment-eps-nan"])

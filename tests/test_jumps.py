@@ -169,7 +169,8 @@ def test_counter_laplace_array_matches_scalar_solves(jump_params, alpha):
         vals = counter_laplace(q, Y_BAR, ts, p)
         assert vals.shape == ts.shape and vals[0] == 1.0
         for t, v in zip(ts, vals):
-            assert v == pytest.approx(counter_laplace(q, Y_BAR, t, p), rel=1e-8)
+            assert v == pytest.approx(counter_laplace(q, Y_BAR, t, p),
+                                      rel=1e-8, abs=0.0)
     np.testing.assert_array_equal(counter_laplace(0.0, Y_BAR, ts, p), 1.0)
 
 
@@ -195,7 +196,7 @@ def test_survival_curve_monotone_and_bounded(jump_params):
 # reference holds, pinned here so the unit suite guards them too
 def test_expected_tau_fingerprint(jump_params):
     est = expected_tau(Y_BAR, jump_params(alpha=1.5))
-    assert est.value == pytest.approx(46.48148388822062, rel=1e-9)
+    assert est.value == pytest.approx(46.48148388822062, rel=1e-9, abs=0.0)
 
 
 # route 1 solves its ODE once per call; the pinned values, at points whose
@@ -218,7 +219,7 @@ def test_expected_tau_one_solve(jump_params, monkeypatch, alpha, y_bar, value):
     monkeypatch.setattr(jumps, "_solve_l", counted)
     est = expected_tau(y_bar, jump_params(alpha=alpha))
     assert len(calls) == 1
-    assert est.value == pytest.approx(value, rel=1e-10)
+    assert est.value == pytest.approx(value, rel=1e-10, abs=0.0)
 
 
 def test_expected_tau_rejects_zero_immigration(jump_params, monkeypatch):
@@ -262,7 +263,8 @@ def test_jump_laws_reject_non_finite_input(jump_params, bad):
 def test_expected_tau_routes_agree(jump_params):
     p = jump_params(alpha=1.5)
     est = expected_tau(Y_BAR, p)
-    assert est.survival_route == pytest.approx(est.density_route, rel=1e-4)
+    assert est.survival_route == pytest.approx(est.density_route, rel=1e-4,
+                                               abs=0.0)
     assert est.value > 0.0
 
 
@@ -287,7 +289,7 @@ def test_tail_asymptotics_fields(jump_params):
     p = jump_params(alpha=1.5)
     ta = tail_asymptotics(5.0, Y_BAR, p)
     nu = big_jump_mass(p.alpha, Y_BAR / p.sigma_z)
-    assert ta.m_lambda == pytest.approx(nu * p.r0 * 5.0, rel=1e-12)
+    assert ta.m_lambda == pytest.approx(nu * p.r0 * 5.0, rel=1e-12, abs=0.0)
     # the state-fed jump counter sits below the frozen-rate one here because
     # r0 > b, so the rate drifts down from its start
     assert ta.m_r < ta.m_lambda

@@ -103,8 +103,9 @@ def test_running_min_put_two_forms_identical_paths(bond_params):
     p = bond_params(alpha=1.5)
     y_form, r_form = mc_running_min_put(p, 0.5, 1.0, 0.039941,
                                         n_paths=2000, dt=1e-3, seed=6)
-    assert y_form.value == pytest.approx(r_form.value, rel=1e-10)
-    assert y_form.std_error == pytest.approx(r_form.std_error, rel=1e-8)
+    assert y_form.value == pytest.approx(r_form.value, rel=1e-10, abs=0.0)
+    assert y_form.std_error == pytest.approx(r_form.std_error, rel=1e-8,
+                                             abs=0.0)
 
 
 def test_mc_expected_tau_concordant(jump_params):
@@ -158,7 +159,7 @@ def test_running_min_put_pinned(bond_params):
               (r_form.value, 0.006384084424379511),
               (r_form.std_error, 0.00015426058259634205)]
     for got, want in pinned:
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_running_min_put_void_strike(bond_params):

@@ -42,7 +42,7 @@ def test_psi_and_phi_vanish_at_zero(p):
 @given(param_draws, st.floats(min_value=0.0, max_value=20.0))
 @settings(max_examples=50)
 def test_phi_is_linear(p, q):
-    assert phi(q, p) == pytest.approx(p.a * p.b * q, rel=1e-12)
+    assert phi(q, p) == pytest.approx(p.a * p.b * q, rel=1e-12, abs=0.0)
 
 
 def test_alpha_two_mechanism_is_quadratic(bond_params):
@@ -161,7 +161,8 @@ def test_truncated_drift_and_level(jump_params):
     a_t = truncated_drift(p, y)
     assert a_t == pytest.approx(p.a + p.sigma_z * big_jump_mean(p.alpha, y),
                                 rel=1e-12)
-    assert truncated_level(p, y) == pytest.approx(p.a * p.b / a_t, rel=1e-12)
+    assert truncated_level(p, y) == pytest.approx(p.a * p.b / a_t, rel=1e-12,
+                                                  abs=0.0)
 
 
 @given(param_draws, st.floats(min_value=0.01, max_value=10.0),

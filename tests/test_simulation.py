@@ -427,7 +427,7 @@ def test_hawkes_single_path_grid():
 
 def _pinned(got, want):
     for g, w in zip(got, want):
-        assert g == pytest.approx(w, rel=1e-12)
+        assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha, n, antithetic, want", [
