@@ -11,188 +11,220 @@ increasing toward the root x0 of Psi(q) = 1.  The flow is computed by an
 adaptive Runge-Kutta rather than by inverting f, which is numerically fragile
 near x0.
 
-Each (xi, theta, params, spec) has one RK45 run with no end, stepped on
-demand and kept in an lru_cache keyed on the params with r0 = 0 (v does
-not depend on r0).  RK45 (Dormand-Prince, with the step-size
-control of Hairer, Norsett & Wanner, Solving ODEs I, II.4) is deterministic
-in its state, so a run to a horizon H takes the same steps as that run
-until a step's first attempt would pass H and be clipped.  solve_v(.., H)
-therefore shares those steps and re-runs only the tail with the end at H.
-Two traps: a step that was rejected and then accepted can end before H
-although its first attempt passed H, so the test is on the first attempt;
-and RK45's initial step depends on the interval length, so a short H may
-pick another first step, and then nothing is shared.
+The module's one ODE driver, _dormand_prince, steps [y, int y] for
+y' = f(y) on Python floats with the Dormand-Prince 5(4) pair and the step
+rules of scipy's RK45 (Hairer, Norsett & Wanner, Solving ODEs I, II.4): it
+reads the tableau from RK45 and copies its initial step, RMS error norm
+(here over both states), step factors, first-same-as-last stage and 10-ulp
+minimum step.  Its stage, solution and error sums are straight-line float
+expressions over the tableau's weights, unpacked into module constants, in
+the order a loop over the stages adds them.  _Steps reads the accepted
+steps by their quartic dense output, for all the requested times in one
+NumPy pass.  The jump laws (jumps._solve_l) run it to a horizon, with
+int l beside l.
 
-The curve of a cut is a view of its steps: each step carries its
-solver state, its dense output and int_0 v up to both of its ends, and
-int_0^t v is the step's cum plus one 12-point Gauss rule on [lo, t].
-Every cut equals one solve_ivp run to H bit for bit: grid, values, dense
-output, and the integral of Gauss pieces summed in step order.
+Each (xi, theta, params, spec) has one run of it with no end, stepped on
+demand and kept in an lru_cache keyed on the params with r0 = 0 (v does
+not depend on r0) and on the psi function it steps.  The run does not
+depend on where it is read, so solve_v(.., H) is the run's steps up to
+the first that reaches H, read on [0, H]: v and int_0^t v both come from
+the dense output, and every cut of one flow gives the same bits at the
+same t, whatever was cut before.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution, quad
+from scipy.integrate import RK45, quad
 
 from .mechanism import JumpSpec, ModelParams, phi, psi
 from .stable import _check_input
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 _RTOL, _ATOL = 1e-10, 1e-12
-# steps of one flow or cut (scipy's RK45), and step attempts of one
-# jump-law solve (the float Dormand-Prince stepper jumps._solve_l, which
-# takes RK45's steps): the step size is stability-limited, so a far horizon
+# step attempts of one run of _dormand_prince (a flow or a jump-law
+# solve): the step size is stability-limited, so a far horizon
 # (bond --tmax 1e9, jump-survival --tmax 1e9) would step for ever.  The
-# bond set at alpha 1.2 takes 3323 steps to t = 1e4; each step keeps its
-# state and dense output.
+# bond set at alpha 1.2 takes 3840 step attempts (3321 accepted) to t = 1e4
 _MAX_FLOW_STEPS = 2 ** 16
 
-
-class _Step:
-    """One accepted RK45 step [lo, hi] of a Riccati flow: the solver state
-    at hi (y, f and the next step size h_abs), the dense output, cum =
-    int_0^lo v and end = int_0^hi v, the step's piece by 12-point Gauss
-    added to cum.  memo keeps quantities built on the step (see cached)."""
-
-    __slots__ = ("lo", "hi", "y", "f", "h_abs", "dense", "cum", "end", "memo")
-
-    def __init__(self, solver, before: list):
-        self.lo, self.hi = solver.t_old, solver.t
-        self.y, self.f, self.h_abs = solver.y, solver.f, solver.h_abs
-        self.dense = solver.dense_output()
-        self.cum = before[-1].end if before else 0.0
-        self.end = float(self.integral(np.array([self.hi]))[0])
-        self.memo = {}
-
-    def integral(self, t: np.ndarray) -> np.ndarray:
-        """int_0^t v for points t in [lo, hi]: cum plus 12-point Gauss on
-        [lo, t].  The nodes of all t are evaluated as one sorted group, so
-        that a point rounds alike alone and in an array; at t = hi the
-        result is end."""
-        mid, half = 0.5 * (t + self.lo), 0.5 * (t - self.lo)
-        nodes = (mid[:, None] + half[:, None] * _GAUSS_X).ravel()
-        order = np.argsort(nodes)
-        vals = np.empty_like(nodes)
-        vals[order] = self.dense(nodes[order])[0]
-        vals = vals.reshape(t.size, _GAUSS_X.size)
-        return self.cum + half * np.array([np.dot(_GAUSS_W, row) for row in vals])
-
-    def cached(self, fn):
-        """fn(self), computed once per step: a step shared by many cuts of
-        its flow is evaluated once."""
-        if fn not in self.memo:
-            self.memo[fn] = fn(self)
-        return self.memo[fn]
+# the Dormand-Prince 5(4) pair that scipy's RK45 steps, as floats: stage
+# weights _Asj (stage s = 1..5 from stage j < s), solution weights _Bj and
+# error weights _Ej (its dense output weights P are read in _Steps); the
+# right side does not read t, so the stage times C are not needed
+((_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
+ (_A50, _A51, _A52, _A53, _A54)) = [row[:s] for s, row
+                                    in enumerate(RK45.A.tolist())][1:]
+_B0, _B1, _B2, _B3, _B4, _B5 = RK45.B.tolist()
+_E0, _E1, _E2, _E3, _E4, _E5, _E6 = RK45.E.tolist()
 
 
-def _check_steps(steps: list) -> None:
-    """Refuse a step past _MAX_FLOW_STEPS of one flow or cut."""
-    if len(steps) >= _MAX_FLOW_STEPS:
-        raise ValueError(f"the Riccati flow needs more than {_MAX_FLOW_STEPS} "
-                         "steps to reach the horizon")
+def _rms(u: float, v: float) -> float:
+    """scipy's RMS norm of the pair (u, v), squares written as products:
+    a float ** raises OverflowError where a product gives inf."""
+    return math.sqrt(u * u + v * v) / math.sqrt(2.0)
 
 
-def _first_reach(t: float, h_abs: float) -> float:
-    """Where a step's first attempt from t ends: RK45 raises h_abs to ten
-    ulps of t."""
-    return t + max(h_abs, 10.0 * abs(np.nextafter(t, np.inf) - t))
+def _dormand_prince(f, y0: float, t_max: float, ode: str):
+    """The accepted steps of [y, int y] for y' = f(y), y(0) = y0, from
+    t = 0 toward t_max (math.inf for a run with no end), at rtol 1e-10 and
+    atol 1e-12.  Each is yielded as (step, (y, int y) at its end, nfev), a
+    step being (its end, (y, int y) at its start, its stages), and nfev
+    the right side calls so far.  The rules are RK45's: Hairer-Norsett-
+    Wanner's initial step, the RMS error norm over both states, a step
+    factor 0.9 err^(-1/5) kept in [0.2, 10] and not above 1 right after a
+    rejection, and the last stage reused as the next step's first.  A NaN
+    error norm rejects the step, as in RK45.  Each sum over the stages is
+    one expression, 0.0 + k0 w0 + k1 w1 + ..., added left to right with
+    the zero weights kept, so that a NaN stage still spreads.
+
+    A step below 10 ulp of t raises RuntimeError.  A run past
+    _MAX_FLOW_STEPS step attempts (6 right side calls each, after 2 to
+    start) raises ValueError.  Both messages name the ode."""
+    max_steps = _MAX_FLOW_STEPS
+
+    # the initial step from y0, f(y0) and one Euler probe
+    f0, s0 = f(y0), _ATOL + abs(y0) * _RTOL
+    d0, d1 = _rms(y0 / s0, 0.0), _rms(f0 / s0, y0 / _ATOL)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_max)
+    y1 = y0 + h0 * f0
+    d2 = _rms((f(y1) - f0) / s0, (y1 - y0) / _ATOL) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.2)
+    h_abs = min(100 * h0, h1, t_max)
+
+    t, y, big, nfev = 0.0, y0, 0.0, 2
+    while t < t_max:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"{ode} failed: the step fell below "
+                                   f"10 ulp at t = {t}")
+            if nfev + 6 > 2 + 6 * max_steps:
+                raise ValueError(f"the {ode} needs more than {max_steps} "
+                                 "steps to reach the horizon")
+            t_new = min(t + h_abs, t_max)
+            h = h_abs = t_new - t
+            # the stages k0..k6 of y' at the stage values y, y1..y5, y_new
+            # of y, which are also the stages of (int y)' = y
+            k0 = f0
+            y1 = y + (0.0 + k0 * _A10) * h
+            k1 = f(y1)
+            y2 = y + (0.0 + k0 * _A20 + k1 * _A21) * h
+            k2 = f(y2)
+            y3 = y + (0.0 + k0 * _A30 + k1 * _A31 + k2 * _A32) * h
+            k3 = f(y3)
+            y4 = y + (0.0 + k0 * _A40 + k1 * _A41 + k2 * _A42 + k3 * _A43) * h
+            k4 = f(y4)
+            y5 = y + (0.0 + k0 * _A50 + k1 * _A51 + k2 * _A52 + k3 * _A53
+                      + k4 * _A54) * h
+            k5 = f(y5)
+            y_new = y + h * (0.0 + k0 * _B0 + k1 * _B1 + k2 * _B2 + k3 * _B3
+                             + k4 * _B4 + k5 * _B5)
+            big_new = big + h * (0.0 + y * _B0 + y1 * _B1 + y2 * _B2
+                                 + y3 * _B3 + y4 * _B4 + y5 * _B5)
+            k6 = f(y_new)
+            nfev += 6
+            err_y = (0.0 + k0 * _E0 + k1 * _E1 + k2 * _E2 + k3 * _E3 + k4 * _E4
+                     + k5 * _E5 + k6 * _E6)
+            err_big = (0.0 + y * _E0 + y1 * _E1 + y2 * _E2 + y3 * _E3
+                       + y4 * _E4 + y5 * _E5 + y_new * _E6)
+            err = _rms(err_y * h / (_ATOL + max(abs(y), abs(y_new)) * _RTOL),
+                       err_big * h
+                       / (_ATOL + max(abs(big), abs(big_new)) * _RTOL))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)   # a NaN norm rejects
+            rejected = True
+        yield ((t_new, (y, big), ((k0, k1, k2, k3, k4, k5, k6),
+                                  (y, y1, y2, y3, y4, y5, y_new))),
+               (y_new, big_new), nfev)
+        t, y, big, f0 = t_new, y_new, big_new, k6
+
+
+class _Steps:
+    """Some accepted steps of one _dormand_prince run: t, the step ends
+    from 0 (a caller may cut the last back), nfev, and sol(t) = [y, int y]
+    at the times t from each step's quartic dense output, as RK45 builds
+    it."""
+
+    def __init__(self, steps, nfev):
+        t_end, y_old, k = zip(*steps)
+        self.t, self.nfev = np.array((0.0,) + t_end), nfev
+        self._h, self._y_old = np.diff(self.t), np.array(y_old)
+        self._q = np.array(k) @ RK45.P          # (steps, 2, 4)
+
+    def sol(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.t, t) - 1, 0, len(self._h) - 1)
+        x = (t - self.t[i]) / self._h[i]
+        p = np.cumprod(np.repeat(x[..., None], 4, axis=-1), axis=-1)
+        y = (self._h[i][..., None] * (self._q[i] @ p[..., None])[..., 0]
+             + self._y_old[i])
+        return np.moveaxis(y, -1, 0)
 
 
 class OdeCurve:
-    """The solution v(.) of v' = theta - Psi(v), v(0) = xi, on [0, grid[-1]],
-    read from its RK45 steps: v by their dense output, int_0^t v by the
-    step that holds t (_Step.integral).
+    """The solution v(.) of v' = theta - Psi(v), v(0) = xi, on
+    [0, grid[-1]]: the steps of its flow up to the first that reaches the
+    horizon grid[-1], read by their dense output.  grid holds the step ends
+    from 0 with the last cut back to the horizon; past it the curve refuses
+    to be read, although its last step may reach further."""
 
-    The first `shared` steps belong to the flow of (xi, theta, params, spec)
-    that the curve was cut from, and so to every other cut of that flow."""
+    def __init__(self, sol: _Steps, n: int, horizon: float,
+                 params: ModelParams):
+        self.sol, self.params = sol, params
+        self.grid = np.append(sol.t[:n], horizon)
 
-    def __init__(self, steps: list, shared: int, params: ModelParams):
-        self.steps, self.shared, self.params = steps, shared, params
-        self.grid = np.array([0.0] + [st.hi for st in steps])
-        self._sol = OdeSolution(self.grid, [st.dense for st in steps])
-
-    def _check(self, t: np.ndarray) -> None:
-        """The curve is solved on [0, grid[-1]] only; NaN fails both bounds."""
+    def values(self, t):
+        """v(t) and int_0^t v, each with the shape of t; NaN fails the
+        bounds."""
+        t = np.asarray(t, dtype=float)
         if not np.all((t >= 0.0) & (t <= self.grid[-1])):
             raise ValueError(f"t outside the curve's [0, {self.grid[-1]}]")
+        return self.sol.sol(t)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        self._check(t)
-        out = self._sol(t)[0]
+        out = self.values(t)[0]
         return float(out) if out.ndim == 0 else out
 
     def integral(self, t):
         """int_0^t v(s) ds; t may be an array, the result then has its
-        shape.  A step boundary belongs to the step it starts, the horizon
-        to the last step."""
-        ts = np.asarray(t, dtype=float)
-        flat = ts.ravel()
-        self._check(flat)
-        i = np.minimum(np.searchsorted(self.grid, flat, side="right") - 1,
-                       len(self.steps) - 1)
-        out = np.empty_like(flat)
-        for k in np.unique(i):
-            at = i == k
-            out[at] = self.steps[k].integral(flat[at])
-        return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+        shape."""
+        out = self.values(t)[1]
+        return float(out) if out.ndim == 0 else out
 
 
 class _Flow:
-    """The RK45 run of v' = theta - Psi(v) from v(0) = xi with no end,
-    stepped on demand.  RK45 is deterministic in (t, y, f, h_abs), so a run
-    to a horizon H takes the flow's steps until a step's first attempt
-    would pass H; cut(H) shares those and re-runs only the rest."""
+    """The _dormand_prince run of v' = theta - Psi(v) from v(0) = xi with
+    no end, stepped on demand.  Psi, the mechanism function psi_fn, is
+    evaluated on Python floats."""
 
     def __init__(self, xi: float, theta: float, params: ModelParams,
-                 spec: JumpSpec):
-        def rhs(_t, v):
-            return [theta - psi(max(v[0], 0.0), params, spec)]
+                 spec: JumpSpec, psi_fn):
+        def rhs(v):
+            return theta - float(psi_fn(0.0 if v < 0.0 else v, params, spec))
 
-        self.rhs, self.xi, self.params = rhs, xi, params
-        self.solver = RK45(rhs, 0.0, [xi], np.inf, rtol=_RTOL, atol=_ATOL)
-        self.h0 = self.solver.h_abs
-        self.steps = []
-
-    def _advance(self) -> None:
-        """Take the flow's next step; a failed step raises RuntimeError, and
-        a step past _MAX_FLOW_STEPS ValueError."""
-        _check_steps(self.steps)
-        message = self.solver.step()
-        if self.solver.status == "failed":
-            raise RuntimeError(f"Riccati flow failed: {message}")
-        self.steps.append(_Step(self.solver, self.steps))
+        self.params = params
+        self._run = _dormand_prince(rhs, xi, math.inf, "Riccati flow")
+        self.steps, self.sol = [], None
 
     def cut(self, horizon: float) -> OdeCurve:
-        """The flow over [0, horizon], equal bit for bit to an RK45 run to
-        horizon.  A shorter interval can change RK45's first step; then
-        nothing is shared.  A cut of more than _MAX_FLOW_STEPS steps raises
-        ValueError."""
-        solver = RK45(self.rhs, 0.0, [self.xi], horizon, rtol=_RTOL, atol=_ATOL)
-        steps, t = [], 0.0
-        if solver.h_abs == self.h0:
-            reach = _first_reach(0.0, self.h0)
-            while t < horizon and reach <= horizon:
-                if len(steps) == len(self.steps):
-                    self._advance()
-                last = self.steps[len(steps)]
-                steps.append(last)
-                t, reach = last.hi, _first_reach(last.hi, last.h_abs)
-            solver.t, solver.y, solver.f, solver.h_abs = (
-                last.hi, last.y, last.f, last.h_abs)
-        shared = len(steps)
-        while t < horizon:           # the tail, clipped at the horizon
-            _check_steps(steps)
-            message = solver.step()
-            if solver.status == "failed":
-                raise RuntimeError(f"Riccati flow failed: {message}")
-            steps.append(_Step(solver, steps))
-            t = solver.t
-        return OdeCurve(steps, shared, self.params)
+        """The flow over [0, horizon]: its steps up to the first that
+        reaches horizon, stepped on if the flow has not reached it yet."""
+        if self.sol is None or self.sol.t[-1] < horizon:
+            while not self.steps or self.steps[-1][0] < horizon:
+                step, _, nfev = next(self._run)
+                self.steps.append(step)
+            self.sol = _Steps(self.steps, nfev)
+        n = int(np.searchsorted(self.sol.t, horizon))
+        return OdeCurve(self.sol, n, horizon, self.params)
 
 
 def _without_r0(params: ModelParams) -> ModelParams:
@@ -202,21 +234,27 @@ def _without_r0(params: ModelParams) -> ModelParams:
 
 
 @lru_cache(maxsize=64)
-def _flow(xi: float, theta: float, params: ModelParams, spec: JumpSpec) -> _Flow:
-    return _Flow(xi, theta, params, spec)
+def _flow(xi: float, theta: float, params: ModelParams, spec: JumpSpec,
+          psi_fn) -> _Flow:
+    return _Flow(xi, theta, params, spec, psi_fn)
 
 
 def solve_v(xi: float, theta: float, horizon: float, params: ModelParams,
             spec: JumpSpec = JumpSpec.full()) -> OdeCurve:
-    """Flow of v' = theta - Psi(v) from v(0) = xi over [0, horizon], cut
-    from the shared flow of (xi, theta, params, spec).  A cut that raises
-    (a failed step, or one past _MAX_FLOW_STEPS) empties the flow cache, so
-    that no failed or cut-short flow is kept with its steps."""
+    """Flow of v' = theta - Psi(v) from v(0) = xi over [0, horizon]: the
+    steps of the shared flow of (xi, theta, params, spec) up to the first
+    that reaches horizon.  The flow is kept per Psi as well: one stepped
+    with the module's psi is not read once psi is rebound (a wrapped or a
+    replaced mechanism gets a flow of its own).  A cut that raises (a
+    failed step, or one past _MAX_FLOW_STEPS step attempts) empties the
+    flow cache, so that no failed or cut-short flow is kept with its
+    steps."""
     _check_input("xi", xi, "nonnegative")
     _check_input("theta", theta, "nonnegative")
     _check_input("horizon", horizon, "positive")
     try:
-        return _flow(xi, theta, _without_r0(params), spec).cut(float(horizon))
+        return _flow(float(xi), float(theta), _without_r0(params), spec,
+                     psi).cut(float(horizon))
     except BaseException:
         _flow.cache_clear()
         raise

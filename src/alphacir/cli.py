@@ -23,10 +23,10 @@ no file; it prints its concordance lines and "selfcheck ok" or
 
 Exit codes: 0 success, 2 validation error (a Riccati flow or a jump-law
 ODE past its step bound included), 3 numerical-diagnostic failure (failed
-ODE solve, dual-route disagreement, non-finite put transform, a Hawkes run
-past its event bound, failed selfcheck).  A failure prints one "invalid
-input: ..." or "numerical diagnostic failure: ..." line on stderr and
-writes no sidecar.
+ODE solve, dual-route disagreement, non-finite put transform or path, a
+Hawkes run past its event bound, failed selfcheck, a float power that
+overflows).  A failure prints one "invalid input: ..." or "numerical
+diagnostic failure: ..." line on stderr and writes no sidecar.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+import traceback
 from array import array
 from typing import Optional
 
@@ -481,9 +483,17 @@ def run(argv=None) -> int:
                 print(json.dumps(result))
     except RuntimeError as exc:
         # a failed ODE solve, a dual-route disagreement (RouteDisagreement),
-        # a non-finite put transform, the Hawkes event overflow guard or a
-        # failed selfcheck
+        # a non-finite put transform or path, the Hawkes event overflow
+        # guard or a failed selfcheck
         print(f"numerical diagnostic failure: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTIC
+    except OverflowError as exc:
+        # a Python float operation past the largest float (Psi's
+        # (sigma_z q)^alpha at sigma_z 1e300): name the line that overflowed
+        at = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"numerical diagnostic failure: float overflow in "
+              f"{os.path.basename(at.filename)[:-3]}.{at.name}: {at.line}",
+              file=sys.stderr)
         return EXIT_DIAGNOSTIC
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -32,10 +32,10 @@ and R are evaluated once per theta, with the spline.
 
 M(theta, .) integrates over v on [0, max(50/(theta + ab x0), 5)], and the
 strike uses v on [0, kappa].  All these curves are cuts of the params' one
-(xi, theta) = (0, 1) Riccati flow (see affine), equal bit for bit to a
-solve_ivp run to each horizon.  The 16 Gauss nodes of M on a step the cuts
-share are kept with the step, with v and int v there, so they are evaluated
-once per params; each theta evaluates only its own tail steps.
+(xi, theta) = (0, 1) Riccati flow (see affine): the flow's steps up to the
+first that reaches the horizon.  M takes 16 Gauss nodes on each of them,
+the last cut back to the horizon, and reads v and int v at all the nodes
+by one call of the flow's dense output.
 
 The integrand of H has an integrable (z - q1)^(beta - 1) singularity with
 beta = (ab q1 + theta)/Psi'(q1); it is made exact by splitting off the
@@ -209,21 +209,11 @@ def hitting_time_laplace(r0: float, y: float, theta: float,
     return h_r0 / h_y
 
 
-def _m_nodes(step) -> tuple:
-    """The 16 Gauss nodes u of M on one flow step, their weights, v(u) and
-    int_0^u v, rounded as a whole-curve evaluation rounds them."""
-    mid, half = 0.5 * (step.hi + step.lo), 0.5 * (step.hi - step.lo)
-    u = mid + half * _GAUSS16_X
-    return u, half * _GAUSS16_W, step.dense(u)[0], step.integral(u)
-
-
 class _MCache:
     """Shared v-curve machinery for M(theta, y) = int_0^inf e^{-theta u}
     B_y(0,u) du: the y-dependence is only exp(-y v(u)), so one curve serves
-    every y.  The curve is cut from the (0, 1) flow of the params, and the
-    nodes of each step are kept with the step: the steps a theta shares
-    with the flow are evaluated once per params, only its tail per theta.
-    theta > 0 is checked by the callers."""
+    every y.  The curve is cut from the (0, 1) flow of the params.  theta > 0
+    is checked by the callers."""
 
     def __init__(self, theta: float, params: ModelParams):
         self.theta, self.params = theta, params
@@ -231,9 +221,13 @@ class _MCache:
         decay = theta + params.a * params.b * x0
         horizon = max(50.0 / decay, 5.0)
         self.curve = solve_v(0.0, 1.0, horizon, params)
-        # composite 16-point Gauss on the solver's own steps
-        self.u, self.w, self.v_u, self.iv_u = map(np.concatenate, zip(
-            *(step.cached(_m_nodes) for step in self.curve.steps)))
+        # composite 16-point Gauss on the solver's own steps, the last cut
+        # back to the horizon, read by one call of the dense output
+        g = self.curve.grid
+        mid, half = 0.5 * (g[1:] + g[:-1]), 0.5 * (g[1:] - g[:-1])
+        self.u = (mid[:, None] + half[:, None] * _GAUSS16_X).ravel()
+        self.w = (half[:, None] * _GAUSS16_W).ravel()
+        self.v_u, self.iv_u = self.curve.values(self.u)
 
     def value(self, y) -> float:
         ab = self.params.a * self.params.b
@@ -300,13 +294,10 @@ def put_laplace(theta, kappa: float, K: float, params: ModelParams,
         if bad.size:
             raise RuntimeError(f"put Laplace transform not finite at theta = "
                                f"{', '.join(f'{th:g}' for th in bad)}")
-        # the M curves are cut from one flow: the steps they share with it
-        # (a prefix of its steps) and the tail steps each re-ran itself
+        # the M curves are cut from one flow: the steps of the longest
         diag.update({"q1": stack.q1, "eps": stack.eps, "nodes": ys.size,
                      "h_tail_grids": stack.grids,
-                     "riccati_steps": max(c.shared for c in curves),
-                     "riccati_tail_steps": sum(len(c.steps) - c.shared
-                                               for c in curves)})
+                     "riccati_steps": max(len(c.grid) - 1 for c in curves)})
     val = float(vals[0]) if np.ndim(theta) == 0 else vals
     return (val, diag) if with_diagnostics else val
 

@@ -15,17 +15,11 @@ nu(y) = C_alpha y^(-alpha) for the survival law, and
 int_y^inf (1 - exp(-p - l sigma_z z)) mu_alpha(dz) for the counter
 Laplace.
 
-_solve_l integrates [l, int l] with its own Dormand-Prince 5(4) stepper on
-Python floats.  It reads the tableau from scipy's RK45 and copies RK45's
-step rules (initial step, RMS error norm, step factors, first-same-as-last
-stage, 10-ulp minimum step), so it takes the steps scipy's RK45 driver
-takes, up to rounding in the error estimate, without that run's per-step
-array work; a test checks it against such a run.  Its five stage sums and
-its solution and error sums are written out as straight-line float
-expressions over the tableau's weights, unpacked into module constants,
-in the order a loop over the stages adds them.  Each step keeps its
-stages, from which its quartic dense output is built for all the requested
-times in one NumPy pass.
+_solve_l integrates [l, int l] on the package's one ODE driver,
+affine._dormand_prince, a Dormand-Prince 5(4) stepper on Python floats
+with the tableau and step rules of scipy's RK45, so it takes the steps
+scipy's RK45 driver takes, up to rounding in the error estimate, without
+that driver's per-step array work; a test checks it against such a run.
 """
 
 from __future__ import annotations
@@ -34,10 +28,11 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import RK45, cumulative_trapezoid, simpson
+from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.optimize import brentq
 
 from . import affine
+from .affine import _Steps, _dormand_prince
 from .mechanism import (JumpSpec, ModelParams, fixed_point_truncated, psi,
                         truncated_drift, truncated_level, truncated_psi)
 from .stable import (_check_alpha, _check_input, big_jump_laplace_tail,
@@ -45,6 +40,7 @@ from .stable import (_check_alpha, _check_input, big_jump_laplace_tail,
 
 
 _ROUTE_TOL = 1e-3      # largest relative gap of the two E[tau] routes
+_EPS = np.finfo(float).eps
 
 
 def _mark_threshold(params: ModelParams, y_bar: float) -> float:
@@ -57,135 +53,31 @@ def _mark_threshold(params: ModelParams, y_bar: float) -> float:
     return y_bar / params.sigma_z
 
 
-# the Dormand-Prince 5(4) pair that scipy's RK45 steps, as floats: stage
-# weights _Asj (stage s = 1..5 from stage j < s), solution weights _Bj and
-# error weights _Ej (its dense output weights P are read in _Steps); the
-# right side does not read t, so the stage times C are not needed
-((_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
- (_A50, _A51, _A52, _A53, _A54)) = [row[:s] for s, row
-                                    in enumerate(RK45.A.tolist())][1:]
-_B0, _B1, _B2, _B3, _B4, _B5 = RK45.B.tolist()
-_E0, _E1, _E2, _E3, _E4, _E5, _E6 = RK45.E.tolist()
-_RTOL, _ATOL, _EPS = affine._RTOL, affine._ATOL, np.finfo(float).eps
-
-
-def _rms(u: float, v: float) -> float:
-    """scipy's RMS norm of the pair (u, v), squares written as products:
-    a float ** raises OverflowError where a product gives inf."""
-    return math.sqrt(u * u + v * v) / math.sqrt(2.0)
-
-
-class _Steps:
-    """The accepted steps of one _solve_l run: t, the step ends from 0 (the
-    last cut back to where a stop fired), nfev, and sol(t) = [l, int l] at
-    the times t from each step's quartic dense output, as RK45 builds it."""
-
-    def __init__(self, steps, nfev):
-        t_end, y_old, k = zip(*steps)
-        self.t, self.nfev = np.array((0.0,) + t_end), nfev
-        self._h, self._y_old = np.diff(self.t), np.array(y_old)
-        self._q = np.array(k) @ RK45.P          # (steps, 2, 4)
-
-    def sol(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.t, t) - 1, 0, len(self._h) - 1)
-        x = (t - self.t[i]) / self._h[i]
-        p = np.cumprod(np.repeat(x[..., None], 4, axis=-1), axis=-1)
-        y = (self._h[i][..., None] * (self._q[i] @ p[..., None])[..., 0]
-             + self._y_old[i])
-        return np.moveaxis(y, -1, 0)
-
-
 def _solve_l(params: ModelParams, y: float, source, t_max: float, cut=None):
     """Integrate [l, int l] with l' = source(l) - Psi_trunc(l), l(0) = 0,
-    from 0 to t_max, and return its _Steps.  The right side evaluates
-    Psi_trunc by the function truncated_psi binds here, not by psi.  The
-    stepper follows scipy's RK45 rule for rule at rtol 1e-10, atol 1e-12:
-    Hairer-Norsett-Wanner's
-    initial step, the RMS error norm over both states, a step factor
-    0.9 err^(-1/5) kept in [0.2, 10] and not above 1 right after a
-    rejection, and the last stage reused as the next step's first.  A NaN
-    error norm rejects the step, as in RK45.  Each sum over the stages is
-    one expression, 0.0 + k0 w0 + k1 w1 + ..., added left to right with
-    the zero weights kept, so that a NaN stage still spreads.
-
-    A step below 10 ulp of t raises RuntimeError.  A solve that would pass
-    affine._MAX_FLOW_STEPS step attempts (6 right side calls each, after 2
-    to start) raises ValueError: the step is stability-limited, so a far
-    horizon would step for ever.  With cut(l, int l) given, the solve stops
-    after the first step where cut falls from >= 0 to <= 0, at the crossing
-    that brentq finds on that step's dense output (xtol 4 eps, as scipy's
-    RK45 driver locates a terminal event)."""
-    psi_y, max_steps = truncated_psi(params, y), affine._MAX_FLOW_STEPS
+    from 0 to t_max on affine._dormand_prince, and return its
+    affine._Steps.  The right side evaluates Psi_trunc by the function
+    truncated_psi binds here, not by psi.  A failed step raises
+    RuntimeError, and a solve past affine._MAX_FLOW_STEPS step attempts
+    ValueError.  With cut(l, int l) given, the solve stops after the first
+    step where cut falls from >= 0 to <= 0, at the crossing that brentq
+    finds on that step's dense output (xtol 4 eps, as scipy's RK45 driver
+    locates a terminal event)."""
+    psi_y = truncated_psi(params, y)
 
     def rhs(l):
         l = 0.0 if l < 0.0 else l
         return source(l) - psi_y(l)
 
-    # the initial step from y(0) = 0, f(0) and one Euler probe of 1e-6
-    f, h0 = rhs(0.0), min(1e-6, t_max)
-    d1 = _rms(f / _ATOL, 0.0)
-    d2 = _rms((rhs(h0 * f) - f) / _ATOL, h0 * f / _ATOL) / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** 0.2)
-    h_abs = min(100 * h0, h1, t_max)
-
-    t, l, big_l, nfev, steps = 0.0, 0.0, 0.0, 2, []
-    g = None if cut is None else cut(0.0, 0.0)
-    while t < t_max:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if h_abs < min_step:
-                raise RuntimeError("jump-law ODE failed: the step fell below "
-                                   f"10 ulp at t = {t}")
-            if nfev + 6 > 2 + 6 * max_steps:
-                raise ValueError(f"the jump-law ODE needs more than {max_steps} "
-                                 "steps to reach the horizon")
-            t_new = min(t + h_abs, t_max)
-            h = h_abs = t_new - t
-            # the stages k0..k6 of l' at the stage values l, l1..l5, l_new of
-            # l, which are also the stages of (int l)' = l
-            k0 = f
-            l1 = l + (0.0 + k0 * _A10) * h
-            k1 = rhs(l1)
-            l2 = l + (0.0 + k0 * _A20 + k1 * _A21) * h
-            k2 = rhs(l2)
-            l3 = l + (0.0 + k0 * _A30 + k1 * _A31 + k2 * _A32) * h
-            k3 = rhs(l3)
-            l4 = l + (0.0 + k0 * _A40 + k1 * _A41 + k2 * _A42 + k3 * _A43) * h
-            k4 = rhs(l4)
-            l5 = l + (0.0 + k0 * _A50 + k1 * _A51 + k2 * _A52 + k3 * _A53
-                      + k4 * _A54) * h
-            k5 = rhs(l5)
-            l_new = l + h * (0.0 + k0 * _B0 + k1 * _B1 + k2 * _B2 + k3 * _B3
-                             + k4 * _B4 + k5 * _B5)
-            big_new = big_l + h * (0.0 + l * _B0 + l1 * _B1 + l2 * _B2
-                                   + l3 * _B3 + l4 * _B4 + l5 * _B5)
-            k6 = rhs(l_new)
-            nfev += 6
-            err_l = (0.0 + k0 * _E0 + k1 * _E1 + k2 * _E2 + k3 * _E3 + k4 * _E4
-                     + k5 * _E5 + k6 * _E6)
-            err_big = (0.0 + l * _E0 + l1 * _E1 + l2 * _E2 + l3 * _E3
-                       + l4 * _E4 + l5 * _E5 + l_new * _E6)
-            err = _rms(err_l * h / (_ATOL + max(abs(l), abs(l_new)) * _RTOL),
-                       err_big * h
-                       / (_ATOL + max(abs(big_l), abs(big_new)) * _RTOL))
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)   # a NaN norm rejects
-            rejected = True
-        steps.append((t_new, (l, big_l), ((k0, k1, k2, k3, k4, k5, k6),
-                                          (l, l1, l2, l3, l4, l5, l_new))))
-        t, l, big_l, f = t_new, l_new, big_new, k6
+    steps, g = [], None if cut is None else cut(0.0, 0.0)
+    for step, state, nfev in _dormand_prince(rhs, 0.0, t_max, "jump-law ODE"):
+        steps.append(step)
         if cut is not None:
-            g_old, g = g, cut(l, big_l)
+            g_old, g = g, cut(*state)
             if g_old >= 0.0 >= g:
                 sol = _Steps(steps, nfev)
-                sol.t[-1] = brentq(lambda s: cut(*sol.sol(s)), sol.t[-2], t,
-                                   xtol=4 * _EPS, rtol=4 * _EPS)
+                sol.t[-1] = brentq(lambda s: cut(*sol.sol(s)), sol.t[-2],
+                                   step[0], xtol=4 * _EPS, rtol=4 * _EPS)
                 return sol
     return _Steps(steps, nfev)
 

@@ -556,11 +556,18 @@ def _path(step, r0: float, config: SimConfig) -> Path:
     """The body of the single-path functions: one path of the step kernel
     from r0 through _run, which keeps it and logs its big jumps but skips
     the integral.  It draws what the scheme's batch function draws at
-    n_paths = 1 with np.random.default_rng(config.seed)."""
+    n_paths = 1 with np.random.default_rng(config.seed).  A path that
+    leaves the floats raises RuntimeError at the first overflow or invalid
+    value of any step, also one that a later step would mask."""
     log = []
-    *_, (out, times) = _run(step, r0, config.horizon, 1,
-                            np.random.default_rng(config.seed), integral=False,
-                            keep_paths=True, events=log)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            *_, (out, times) = _run(step, r0, config.horizon, 1,
+                                    np.random.default_rng(config.seed),
+                                    integral=False, keep_paths=True,
+                                    events=log)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"the path left the floats: {exc}") from None
     return Path(times=times, values=out[0],
                 events=[(t, size) for _, t, size in log])
 

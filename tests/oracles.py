@@ -1,14 +1,15 @@
 """Reference values the library must reproduce: in its degenerate corners
-the square-root-diffusion bond formula, its Gamma stationary law and the
-stable-driver Laplace transform; adaptive quadratures of the truncated
-Levy-measure integrals that the library evaluates in closed form; a plain
-Euler loop of the root scheme driven by given increments; one
-solve_ivp run of the Riccati flow to its horizon, integrated by its own
-Gauss rule: it shares no code with the library's cut of a shared flow; one
-solve_ivp run of a jump-law ODE, whose steps the library's own
-Dormand-Prince stepper takes; that stepper and the small-jump series in
-their loop forms, which the library writes out as straight-line
-expressions; H_eps(theta, x) one (theta, x) at a time, with scipy's
+the square-root-diffusion bond formula, its Riccati flow, its Gamma
+stationary law and the stable-driver Laplace transform; adaptive
+quadratures of the truncated Levy-measure integrals that the library
+evaluates in closed form; a plain Euler loop of the root scheme driven by
+given increments; one solve_ivp run of the Riccati flow to its horizon,
+integrated by its own Gauss rule, which the library's flow matches within
+its tolerances; the Riccati flow by separation of variables in mpmath,
+with no ODE solver; one solve_ivp run of a jump-law ODE, whose steps the
+library's own Dormand-Prince stepper takes; that stepper and the
+small-jump series in their loop forms, which the library writes out as
+straight-line expressions; H_eps(theta, x) one (theta, x) at a time, with scipy's
 Simpson rule on its own tail grids; and the Gaver-Stehfest inversion in
 40-digit mpmath numbers, whose sum the library takes exactly in rationals,
 and at exact rational abscissae, where a closed-form transform leaves only
@@ -24,20 +25,26 @@ from scipy.optimize import brentq
 
 from alphacir import affine
 from alphacir.derivatives import _LN2, gaver_stehfest_weights
-from alphacir.jumps import _Steps, _rms
+from alphacir.affine import _Steps, _rms
 from alphacir.mechanism import JumpSpec, psi, truncated_psi
 from alphacir.stable import levy_density_coefficient
 
 
+def cir_flow(a: float, sigma: float, t):
+    """v(t) and int_0^t v of the bond flow v' = 1 - a v - sigma^2 v^2/2,
+    v(0) = 0, of dr = a(b - r)dt + sigma sqrt(r) dB: the exponents B and
+    -log(A)/(a b) of its zero-coupon bond A exp(-B r0)."""
+    gamma = np.sqrt(a * a + 2.0 * sigma * sigma)
+    e = np.expm1(gamma * t)
+    den = (gamma + a) * e + 2.0 * gamma
+    return 2.0 * e / den, -2.0 / (sigma * sigma) * (
+        np.log(2.0 * gamma / den) + 0.5 * (a + gamma) * t)
+
+
 def cir_bond(a: float, b: float, sigma: float, r0: float, T: float) -> float:
     """Zero-coupon bond under dr = a(b - r)dt + sigma sqrt(r) dB."""
-    gamma = np.sqrt(a * a + 2.0 * sigma * sigma)
-    e = np.expm1(gamma * T)
-    den = (gamma + a) * e + 2.0 * gamma
-    B = 2.0 * e / den
-    A = (2.0 * gamma * np.exp(0.5 * (a + gamma) * T) / den) ** (
-        2.0 * a * b / (sigma * sigma))
-    return float(A * np.exp(-B * r0))
+    v, big = cir_flow(a, sigma, T)
+    return float(np.exp(-r0 * v - a * b * big))
 
 
 def cir_stationary_laplace(a: float, b: float, sigma: float, p: float) -> float:
@@ -140,8 +147,8 @@ class IvpCurve:
 def solve_v_ivp(xi: float, theta: float, horizon: float, params,
                 spec: JumpSpec = JumpSpec.full()) -> IvpCurve:
     """v' = theta - Psi(v), v(0) = xi, by one solve_ivp RK45 run over
-    [0, horizon] with the library's tolerances: the curve that a cut of the
-    shared flow must equal bit for bit."""
+    [0, horizon] with the library's tolerances, its error norm on v alone
+    and int v by Gauss: a second solver for the library's flow."""
 
     def rhs(_t, v):
         return [theta - psi(max(v[0], 0.0), params, spec)]
@@ -151,6 +158,69 @@ def solve_v_ivp(xi: float, theta: float, horizon: float, params,
     if not sol.success:
         raise RuntimeError(f"Riccati flow failed: {sol.message}")
     return IvpCurve(sol)
+
+
+def _psi_mp(params, spec: JumpSpec):
+    """Psi of the variant spec (full or truncated) as an mpmath function:
+    the truncated one by its closed form Psi(q) + nu(y) - K (sigma_z q)^alpha
+    Gamma(-alpha, sigma_z q y), with K = -1/(cos(pi alpha/2) Gamma(-alpha))
+    and nu(y) = K y^(-alpha)/alpha."""
+    a, s, sz, alpha = (mp.mpf(x) for x in (params.a, params.sigma,
+                                            params.sigma_z, params.alpha))
+    if params.is_diffusion:
+        s2 = s * s + 2 * sz * sz if params.alpha == 2.0 else s * s
+        return lambda q: a * q + s2 * q * q / 2
+    cos_a = mp.cos(mp.pi * alpha / 2)
+    if spec.variant == "full":
+        return lambda q: a * q + s * s * q * q / 2 - (sz * q) ** alpha / cos_a
+    y = mp.mpf(spec.y)
+    k = -1 / (cos_a * mp.gamma(-alpha))
+    nu = k * y ** -alpha / alpha
+
+    def psi_q(q):      # 0 at q = 0, where Gamma(-alpha, 0) is infinite
+        if q == 0:
+            return q
+        return (a * q + s * s * q * q / 2 - (sz * q) ** alpha / cos_a + nu
+                - k * (sz * q) ** alpha * mp.gammainc(-alpha, sz * q * y))
+    return psi_q
+
+
+def riccati_by_quadrature(xi: float, theta: float, t: float, params,
+                          spec: JumpSpec = JumpSpec.full()) -> tuple:
+    """v(t) and int_0^t v for v' = theta - Psi(v), v(0) = xi, by separation
+    of variables in 30-digit mpmath, with no ODE solver: v runs
+    monotonically from xi toward the root v* of Psi(v*) = theta, and with
+    d = Psi'(v*) and R(u) = 1/(theta - Psi(u)) - 1/(d (v* - u)), smooth at
+    v*,
+
+        t = s/d + int_xi^v R(u) du,   int_0^t v = int_xi^v u R(u) du
+                                                + (v* s - (v - xi))/d,
+
+    where v = v* - (v* - xi) e^(-s).  s is found by findroot; the pole's
+    logarithm is taken in closed form."""
+    with mp.workdps(30):
+        psi_q = _psi_mp(params, spec)
+        xi, theta, t = mp.mpf(xi), mp.mpf(theta), mp.mpf(t)
+        hi = mp.mpf(1)
+        while psi_q(hi) < theta:
+            hi *= 2
+        v_star = mp.findroot(lambda q: psi_q(q) - theta, (mp.mpf(0), hi),
+                             solver="anderson")
+        if xi == v_star:
+            return float(xi), float(xi * t)
+        d = mp.diff(psi_q, v_star)
+
+        def r(u):
+            return 1 / (theta - psi_q(u)) - 1 / (d * (v_star - u))
+
+        def v_of(s):
+            return v_star - (v_star - xi) * mp.exp(-s)
+
+        s = mp.findroot(lambda s: s / d + mp.quad(r, [xi, v_of(s)]) - t,
+                        d * t)
+        v = v_of(s)
+        big = mp.quad(lambda u: u * r(u), [xi, v]) + (v_star * s - (v - xi)) / d
+        return float(v), float(big)
 
 
 def solve_l_ivp(params, y: float, source, t_max: float):

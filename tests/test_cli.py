@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45
 
 from alphacir import __version__, affine, cli
 from alphacir.cli import FIG12_PARAMS, _fig2_rate, run
@@ -158,12 +157,12 @@ def test_put_price_result_reports_tail_grids(tmp_path, monkeypatch):
     _in_tmp(tmp_path, monkeypatch)
     assert run(["put-price", "--strike", "0.039941", "--maturity", "1"]) == 0
     doc = json.loads((tmp_path / "put_price_result.json").read_text())
-    assert doc["price"] == 0.010466419185062768
+    assert doc["price"] == 0.010466419189409994
     assert doc["diagnostics"]["h_tail_grids"] == 65
     assert doc["diagnostics"]["transform_evals"] == 14
-    # the 14 M curves share 161 steps of one Riccati flow and re-run 14
-    assert doc["diagnostics"]["riccati_steps"] == 161
-    assert doc["diagnostics"]["riccati_tail_steps"] == 14
+    # the 14 M curves read 162 steps of one Riccati flow
+    assert doc["diagnostics"]["riccati_steps"] == 162
+    assert "riccati_tail_steps" not in doc["diagnostics"]
     # the inversion's condition number, 8.48e6 at 14 terms
     assert 8.4e6 < doc["diagnostics"]["kappa_inv"] < 8.6e6
 
@@ -214,6 +213,41 @@ def test_thinned_mid_band_overflow_exits_three(tmp_path, monkeypatch, capsys):
     assert err.startswith("numerical diagnostic failure: mid-band overflow")
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+_PSI_POWER = "mechanism.psi: return a * q + 0.5 * s * s * q * q - power(sz * q"
+_KERNEL_VAR = "sim.__init__: var = params.sigma ** 2 + sz ** 2"
+_OVERFLOWS = [
+    # a float power past the largest float: Psi's (sigma_z q)^alpha, and
+    # the thinned and LOU kernels' sigma_z ** 2, named by the line
+    (["stationary", "--pmax", "1e300"], "float overflow in " + _PSI_POWER),
+    (["boundary", "--sigma-z", "1e300"], "float overflow in " + _PSI_POWER),
+    (["simulate", "--scheme", "thinned", "--sigma-z", "1e300"],
+     "float overflow in " + _KERNEL_VAR),
+    (["simulate", "--scheme", "lou", "--sigma-z", "1e300"],
+     "float overflow in " + _KERNEL_VAR),
+    (["bond", "--sigma-z", "1e300"], "float overflow in " + _PSI_POWER),
+    # a root-scheme path whose rate overflows
+    (["simulate", "--sigma", "1e300"],
+     "the path left the floats: overflow encountered in multiply"),
+    (["simulate", "--sigma-z", "1e300"],
+     "the path left the floats: overflow encountered in multiply"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _OVERFLOWS, ids=[
+    "-".join(a.strip("-") for a in argv) for argv, _ in _OVERFLOWS])
+def test_overflow_exits_three(tmp_path, monkeypatch, capsys, argv, message):
+    # one stderr line that says what overflowed and no file, neither a
+    # traceback (OverflowError) nor a CSV of NaN rows reported as success
+    _in_tmp(tmp_path, monkeypatch)
+    affine._flow.cache_clear()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical diagnostic failure: " + message)
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert affine._flow.cache_info().currsize == 0
 
 
 def test_unstable_put_exits_three(tmp_path, monkeypatch, capsys):
@@ -326,25 +360,19 @@ def test_zero_points_exits_two(tmp_path, monkeypatch, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-_STEP_FAILURE = "Required step size is less than spacing between numbers."
-
-
-class _FailingRK45(RK45):
-    def step(self):
-        self.status = "failed"
-        return _STEP_FAILURE
+def _nan_psi(q, params, spec):
+    return float("nan")
 
 
 def _nan_truncated_psi(params, y):
     return lambda q: float("nan")
 
 
-# what each module's solve is made to fail on: the Riccati flow steps an
-# RK45, which is replaced by one that fails; the jump laws' own stepper
-# fails for real on a Psi that is NaN everywhere (the function it binds
-# from truncated_psi), since a NaN error norm rejects every step until the
-# step falls below 10 ulp of t
-_SOLVERS = {"affine": ("RK45", _FailingRK45),
+# what each module's solve is made to fail on: a Psi that is NaN
+# everywhere (psi itself for the Riccati flow, the function the jump laws
+# bind from truncated_psi), since a NaN error norm rejects every step
+# until the step falls below 10 ulp of t
+_SOLVERS = {"affine": ("psi", _nan_psi),
             "jumps": ("truncated_psi", _nan_truncated_psi)}
 
 

@@ -32,7 +32,7 @@ from oracles import (
 KAPPA = 1.0
 STRIKE = 0.039941  # makes the effective strike ~0.03 at the bond fixture
 # criterion-9 fixture put (alpha = 1.5, T = 1, 14 Stehfest terms)
-FIXTURE_PUT = 0.010466419185062768
+FIXTURE_PUT = 0.010466419189409994
 
 
 def test_gaver_stehfest_weights_sum_to_zero():
@@ -212,14 +212,14 @@ def test_put_price_fixture_is_bit_identical(bond_params):
     p = bond_params(alpha=1.5)
     price, diag = put_price(1.0, KAPPA, STRIKE, p, with_diagnostics=True)
     assert price == FIXTURE_PUT
-    assert diag["stability_gap"] == 1.1204516607923876e-07
+    assert diag["stability_gap"] == 1.1204975176697107e-07
     assert diag["h_tail_grids"] == 65
 
 
 @pytest.mark.parametrize("alpha, T, K, price, gap", [
-    (1.2, 0.5, 0.035, 0.005831550295624364, 6.258464833214586e-05),
-    (1.8, 2.0, 0.045, 0.0211468991498754, 2.916893566735565e-05),
-    (1.5, 0.5, 0.035, 0.003587574159011278, 4.6711155071079737e-05),
+    (1.2, 0.5, 0.035, 0.005831550295565767, 6.258464833583995e-05),
+    (1.8, 2.0, 0.045, 0.021146899152445903, 2.9168935654844824e-05),
+    (1.5, 0.5, 0.035, 0.0035875741591968025, 4.671115507348103e-05),
 ])
 def test_put_price_eight_terms_is_bit_identical(bond_params, alpha, T, K,
                                                 price, gap):
@@ -243,7 +243,7 @@ def test_put_price_reports_inversion_condition_number(bond_params, n_terms,
 
 def test_put_laplace_scalar_pin(bond_params):
     assert put_laplace(2.0, KAPPA, 0.04, bond_params(alpha=1.5)) \
-        == 0.002496856647392919
+        == 0.0024968566474674494
 
 
 def test_put_laplace_array_equals_scalar_loop(bond_params):
@@ -318,40 +318,78 @@ def test_transforms_reject_negative_start_rate(bond_params, call, r0):
         call(bond_params, r0)
 
 
-def _m_arrays_ivp(theta, p):
-    """u, w, v(u) and int_0^u v of M on one solve_ivp curve, as _MCache
-    built them before its curves were cut from a shared flow."""
+def _m_ivp(theta, p, ys):
+    """M(theta, y) at the rates ys by composite 16-point Gauss on the steps
+    of one solve_ivp curve to the cache's horizon, and that curve."""
     decay = theta + p.a * p.b * root_psi_equals_one(p)
     curve = solve_v_ivp(0.0, 1.0, max(50.0 / decay, 5.0), p)
     xs, ws = np.polynomial.legendre.leggauss(16)
     g = curve.grid
     mid, half = 0.5 * (g[1:] + g[:-1]), 0.5 * (g[1:] - g[:-1])
     u = (mid[:, None] + half[:, None] * xs).ravel()
-    return u, (half[:, None] * ws).ravel(), curve(u), curve.integral(u)
+    expo = (-theta * u - np.multiply.outer(ys, curve(u))
+            - p.a * p.b * curve.integral(u))
+    return np.exp(expo) @ (half[:, None] * ws).ravel(), curve
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
 def test_m_cache_equals_solve_ivp_curve(bond_params, alpha):
-    # the 14 Stehfest abscissae at four maturities; the caches read the
-    # shared steps' nodes from the flow and evaluate only their own tails
+    # the 14 Stehfest abscissae at four maturities: v and int v at the
+    # cache's nodes against one solve_ivp curve, in the local scale
+    # 1e-12 + 1e-10 |ref| of test_flow_cuts_equal_solve_ivp (worst
+    # measured 19.8 and 5.4), and M at five rates against M on that
+    # curve's own steps (worst measured 6.0e-12 relative)
     p = bond_params(alpha=alpha)
-    affine._flow.cache_clear()
+    ys = np.array([0.0, 0.01, 0.03, 0.05, 0.2])
     for T in (0.5, 1.0, 2.0, 4.0):
         for theta in _stehfest_abscissae(T, 14):
             mc = _MCache(theta, p)
-            for got, want in zip((mc.u, mc.w, mc.v_u, mc.iv_u),
-                                 _m_arrays_ivp(theta, p)):
-                assert np.array_equal(got, want)
+            m_ref, curve = _m_ivp(theta, p, ys)
+            np.testing.assert_allclose(mc.value(ys), m_ref, rtol=2e-11,
+                                       atol=0.0)
+            for got, want, bound in ((mc.v_u, curve(mc.u), 40.0),
+                                     (mc.iv_u, curve.integral(mc.u), 60.0)):
+                assert np.all(np.abs(got - want)
+                              <= bound * (1e-12 + 1e-10 * np.abs(want)))
 
 
 def test_put_fixture_keeps_bits_after_long_bond(bond_params):
     # a 30-year bond steps the (0, 1) flow first; the put's M curves then
-    # share steps whose nodes no cut has evaluated yet
+    # read a prefix of its steps
     p = bond_params(alpha=1.5)
     affine._flow.cache_clear()
     derivatives._cached_m.cache_clear()
     bond_price(0.0, 30.0, p.r0, p)
     assert put_price(1.0, KAPPA, STRIKE, p) == FIXTURE_PUT
+
+
+def test_cut_bits_do_not_depend_on_earlier_cuts(bond_params):
+    # the flow is one run from t = 0 whatever horizon is asked first, so a
+    # cut gives the same bits after any other cuts: horizons in ascending
+    # and in descending order on fresh flows, and the fixture put and a
+    # 30-year bond in either order
+    p = bond_params(alpha=1.5)
+    horizons = (1e-5, 0.01, 0.7, 1.0, 5.0, 33.3)
+    reads = []
+    for order in (horizons, horizons[::-1]):
+        affine._flow.cache_clear()
+        cuts = {H: solve_v(0.0, 1.0, H, p) for H in order}
+        reads.append([(cuts[H].grid, cuts[H](np.linspace(0.0, H, 101)),
+                       cuts[H].integral(np.linspace(0.0, H, 101)))
+                      for H in horizons])
+    for up, down in zip(*reads):
+        assert all(np.array_equal(a, b) for a, b in zip(up, down))
+    results = []
+    for bond_first in (False, True):
+        affine._flow.cache_clear()
+        derivatives._cached_m.cache_clear()
+        derivatives._cached_h.cache_clear()
+        bond = bond_price(0.0, 30.0, p.r0, p) if bond_first else None
+        put = put_price(1.0, KAPPA, STRIKE, p)
+        if not bond_first:
+            bond = bond_price(0.0, 30.0, p.r0, p)
+        results.append((put, bond))
+    assert results[0] == results[1] and results[0][0] == FIXTURE_PUT
 
 
 def test_caches_key_on_the_params_without_r0(bond_params):
@@ -382,7 +420,7 @@ def test_put_clips_negative_rounding_price_to_zero(bond_params, n_terms, raw):
     # sums are rounding noise, below 0 and within 5 % of the 1e-12 floor of
     # each other, and the price is the clip's 0.0
     p = bond_params(alpha=1.5)
-    k0 = 0.01379653099637629
+    k0 = 0.013796530995395965
     assert p.a * p.b * solve_v(0.0, 1.0, KAPPA, p).integral(KAPPA) == k0
     strike = k0 * (1.0 + 1e-9)
     thetas = _stehfest_abscissae(1.0, n_terms)
